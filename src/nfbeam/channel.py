@@ -30,8 +30,8 @@ class ArrayConfig:
     def __post_init__(self) -> None:
         if self.n_antennas < 2:
             raise ValueError(f"need at least 2 antennas, got {self.n_antennas}")
-        if self.carrier_hz <= 0:
-            raise ValueError(f"carrier must be positive, got {self.carrier_hz}")
+        if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
+            raise ValueError(f"carrier must be finite and positive, got {self.carrier_hz}")
 
     @property
     def wavelength(self) -> float:

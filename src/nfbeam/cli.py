@@ -15,7 +15,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+import types
+import typing
+from dataclasses import astuple
 from pathlib import Path
 
 from .beampattern import exact_gain, normalized_pattern, raw_pattern
@@ -24,16 +26,21 @@ from .codebooks import build_dft_codebook, build_polar_codebook, export_codebook
 from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
 from .numerics import NoiseModel
 from .simharness import (
+    ESTIMATE_COLUMNS,
+    OVERHEAD_COLUMNS,
+    SCHEMES,
+    USER_RATE_COLUMNS,
     ScenarioConfig,
+    Trainer,
     calibrate_noise,
-    collect_estimates,
-    multiuser_breakdown,
+    estimate_table,
+    noise_key,
     overhead_report,
     run_nmse_experiment,
     run_rate_experiment,
-    write_breakdown_csv,
-    write_estimates_csv,
-    write_overhead_csv,
+    simulate,
+    user_rate_table,
+    write_csv,
     write_records_csv,
 )
 from .svgplot import line_plot_svg
@@ -42,7 +49,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_SCENARIO_FIELDS = {f.name: f for f in fields(ScenarioConfig)}
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
 
 
 class ConfigError(Exception):
@@ -50,23 +57,19 @@ class ConfigError(Exception):
 
 
 def _parse_value(name: str, raw: str):
-    """Coerce a config-file string to the ScenarioConfig field type."""
-    raw = raw.strip()
-    if name in ("snr_ref_db_grid",):
-        return tuple(float(x) for x in raw.split(",") if x.strip())
-    if name in ("schemes",):
-        return tuple(x.strip() for x in raw.split(",") if x.strip())
-    if name in ("theta_range", "r_range"):
-        lo, hi = (float(x) for x in raw.split(","))
-        return (lo, hi)
-    if name in ("n_antennas", "trials", "seed", "m_users", "k", "cluster_gap",
-                "z_mu_size", "workers"):
-        return int(raw)
-    if name in ("carrier_hz", "rho2_fraction", "beta_polar"):
-        return float(raw)
-    if name in ("reference_mode", "distance_rule"):
-        return raw
-    raise ConfigError(f"unknown config key: {name}")
+    """Coerce a config-file string to the type of ScenarioConfig field
+    `name`; tuple fields take comma-separated items."""
+    tp = _FIELD_TYPES[name]
+    if typing.get_origin(tp) is types.UnionType:  # X | None
+        tp = next(a for a in typing.get_args(tp) if a is not type(None))
+    if typing.get_origin(tp) is not tuple:
+        return tp(raw.strip())
+    item_types = typing.get_args(tp)
+    items = [x.strip() for x in raw.split(",") if x.strip()]
+    if item_types[-1] is not Ellipsis and len(items) != len(item_types):
+        raise ConfigError(f"{name} takes {len(item_types)} comma-separated values, "
+                          f"got {raw.strip()!r}")
+    return tuple(item_types[0](x) for x in items)
 
 
 def load_config_file(path: str) -> dict:
@@ -82,7 +85,7 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, raw = line.split("=", 1)
         key = key.strip()
-        if key not in _SCENARIO_FIELDS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
         values[key] = _parse_value(key, raw)
     return values
@@ -98,7 +101,6 @@ def _scenario_from_args(args) -> ScenarioConfig:
         "trials": args.trials,
         "seed": args.seed,
         "k": args.k,
-        "workers": args.workers,
         "reference_mode": args.reference_mode,
         "m_users": getattr(args, "M", None),
     }
@@ -129,7 +131,6 @@ def _add_common(sub):
     sub.add_argument("--trials", type=int)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--k", type=int, help="refinement candidate count")
-    sub.add_argument("--workers", type=int)
     sub.add_argument("--reference-mode", choices=["total-energy", "per-antenna"],
                      dest="reference_mode")
     sub.add_argument("--snr-db", type=float, nargs="+", dest="snr_db",
@@ -147,20 +148,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     pat = sp.add_parser("pattern", help="dump a sweep beam pattern")
     _add_common(pat)
+    pat.set_defaults(run=_cmd_pattern)
     pat.add_argument("--theta", type=float, required=True)
     pat.add_argument("--r", type=float, required=True)
 
     tr = sp.add_parser("train", help="run one beam training")
     _add_common(tr)
+    tr.set_defaults(run=_cmd_train)
     tr.add_argument("--theta", type=float, required=True)
     tr.add_argument("--r", type=float, required=True)
-    tr.add_argument("--scheme", default="proposed",
-                    choices=["proposed", "joint", "fast", "exhaustive"])
+    tr.add_argument("--scheme", default="proposed", choices=SCHEMES)
     tr.add_argument("--snr-ref-db", type=float, default=30.0)
 
     for name in ("nmse", "rate-single", "rate-multi"):
         s = sp.add_parser(name, help=f"run the {name} experiment")
         _add_common(s)
+        s.set_defaults(run=_cmd_experiment)
         if name == "nmse":
             s.add_argument("--dump-estimates", action="store_true",
                            dest="dump_estimates",
@@ -173,9 +176,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ov = sp.add_parser("overhead", help="pilot overhead and complexity table")
     _add_common(ov)
+    ov.set_defaults(run=_cmd_overhead)
 
     cd = sp.add_parser("codebook-dump", help="export a codebook as CSV")
     _add_common(cd)
+    cd.set_defaults(run=_cmd_codebook_dump)
     cd.add_argument("--kind", choices=["dft", "polar"], default="dft")
     cd.add_argument("--beta-polar", type=float, default=1.6, dest="beta_polar")
     return ap
@@ -192,12 +197,8 @@ def _cmd_pattern(args) -> int:
     header = sc.as_header_dict()
     header.update({"theta": repr(args.theta), "r": repr(args.r),
                    "central_gain": repr(exact_gain(cfg, p, p.theta))})
-    with open(out, "w", encoding="utf-8", newline="\n") as f:
-        for key in sorted(header):
-            f.write(f"# {key}={header[key]}\n")
-        f.write("phi,gain_raw,gain_normalized\n")
-        for phi, g, gn in zip(raw.grid, raw.gains, norm.gains):
-            f.write(f"{float(phi)!r},{float(g)!r},{float(gn)!r}\n")
+    write_csv(out, ("phi", "gain_raw", "gain_normalized"),
+              zip(raw.grid, raw.gains, norm.gains), header)
     print(f"wrote {out}")
     if args.svg:
         svg = line_plot_svg(
@@ -211,29 +212,17 @@ def _cmd_pattern(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    from .estimators import (exhaustive_training, fast_training, joint_training,
-                             proposed_training, default_z_mu_grid)
-
     sc = _scenario_from_args(args)
-    cfg = sc.array()
-    ec = sc.estimator()
+    trainer = Trainer(sc)
     p = PolarPoint(args.theta, args.r)
-    sigma2 = calibrate_noise(cfg, args.snr_ref_db, sc.reference_mode)
-    noise = NoiseModel(sigma2, (sc.seed, 1, 0))
-    if args.scheme == "proposed":
-        est = proposed_training(cfg, p, noise, ec)
-    elif args.scheme == "joint":
-        est = joint_training(cfg, p, noise, ec, default_z_mu_grid(cfg, sc.z_mu_size))
-    elif args.scheme == "fast":
-        est = fast_training(cfg, p, noise, ec, build_polar_codebook(cfg, sc.beta_polar))
-    else:
-        est = exhaustive_training(cfg, p, noise, build_polar_codebook(cfg, sc.beta_polar))
+    sigma2 = calibrate_noise(trainer.cfg, args.snr_ref_db, sc.reference_mode)
+    est = trainer.train(args.scheme, p, NoiseModel(sigma2, noise_key(sc.seed, 0)))
     print(f"scheme={est.scheme} theta={p.theta!r} r={p.r!r} "
           f"theta_hat={est.theta_hat!r} r_hat={est.r_hat!r} pilots={est.pilot_count}")
     return EXIT_OK
 
 
-def _records_svg(records, ykey, ylabel, path, log_y):
+def _records_svg(records, path, ykey, ylabel, log_y):
     series = {}
     for r in records:
         y = getattr(r, ykey)
@@ -246,39 +235,38 @@ def _records_svg(records, ykey, ylabel, path, log_y):
                                   title=ylabel, log_y=log_y), encoding="utf-8")
 
 
-def _cmd_experiment(args, which: str) -> int:
+def _cmd_experiment(args) -> int:
+    """One simulation; the records, the SVG and the dumps all come from
+    its rows."""
     sc = _scenario_from_args(args)
+    scheme = getattr(args, "dump_users", None)
+    if scheme and scheme not in sc.schemes:
+        raise ConfigError(f"--dump-users scheme {scheme!r} not in {sc.schemes}")
     out = _out_dir(args)
-    if which == "nmse":
-        records = run_nmse_experiment(sc)
+    header = sc.as_header_dict()
+    mode = {"nmse": "nmse", "rate-single": "single", "rate-multi": "multi"}[args.command]
+    rows = list(simulate(sc, mode))
+    if mode == "nmse":
+        records = run_nmse_experiment(sc, rows)
         path = out / f"nmse_N{sc.n_antennas}_seed{sc.seed}.csv"
-        write_records_csv(path, records, sc.as_header_dict())
-        print(f"wrote {path}")
-        if args.svg:
-            _records_svg(records, "nmse_r", "distance NMSE", path.with_suffix(".svg"), True)
-            print(f"wrote {path.with_suffix('.svg')}")
-        if getattr(args, "dump_estimates", False):
-            est_path = out / f"estimates_N{sc.n_antennas}_seed{sc.seed}.csv"
-            write_estimates_csv(est_path, collect_estimates(sc), sc.as_header_dict())
-            print(f"wrote {est_path}")
+        plot = ("nmse_r", "distance NMSE", True)
     else:
-        mode = "single" if which == "rate-single" else "multi"
-        records = run_rate_experiment(sc, mode)
+        records = run_rate_experiment(sc, mode, rows)
         path = out / f"rate_{mode}_N{sc.n_antennas}_seed{sc.seed}.csv"
-        write_records_csv(path, records, sc.as_header_dict())
-        print(f"wrote {path}")
-        if args.svg:
-            _records_svg(records, "mean_rate", "achievable rate (bits/s/Hz)",
-                         path.with_suffix(".svg"), False)
-            print(f"wrote {path.with_suffix('.svg')}")
-        scheme = getattr(args, "dump_users", None)
-        if mode == "multi" and scheme:
-            if scheme not in sc.schemes:
-                raise ConfigError(f"--dump-users scheme {scheme!r} not in {sc.schemes}")
-            bk_path = out / f"rate_users_{scheme}_N{sc.n_antennas}_seed{sc.seed}.csv"
-            write_breakdown_csv(bk_path, multiuser_breakdown(sc, scheme),
-                                sc.as_header_dict())
-            print(f"wrote {bk_path}")
+        plot = ("mean_rate", "achievable rate (bits/s/Hz)", False)
+    write_records_csv(path, records, header)
+    print(f"wrote {path}")
+    if args.svg:
+        _records_svg(records, path.with_suffix(".svg"), *plot)
+        print(f"wrote {path.with_suffix('.svg')}")
+    if getattr(args, "dump_estimates", False):
+        est_path = out / f"estimates_N{sc.n_antennas}_seed{sc.seed}.csv"
+        write_csv(est_path, ESTIMATE_COLUMNS, estimate_table(sc, rows), header)
+        print(f"wrote {est_path}")
+    if scheme:
+        bk_path = out / f"rate_users_{scheme}_N{sc.n_antennas}_seed{sc.seed}.csv"
+        write_csv(bk_path, USER_RATE_COLUMNS, user_rate_table(sc, rows, scheme), header)
+        print(f"wrote {bk_path}")
     return EXIT_OK
 
 
@@ -286,7 +274,7 @@ def _cmd_overhead(args) -> int:
     sc = _scenario_from_args(args)
     rows = overhead_report(sc)
     out = _out_dir(args) / f"overhead_N{sc.n_antennas}_k{sc.k}.csv"
-    write_overhead_csv(out, rows, sc.as_header_dict())
+    write_csv(out, OVERHEAD_COLUMNS, map(astuple, rows), sc.as_header_dict())
     for r in rows:
         print(f"{r.scheme}: {r.pilots_measured} pilots ({r.pilots_formula} = "
               f"{r.pilots_expected}), distance-stage evals {r.distance_stage_evals}")
@@ -318,18 +306,7 @@ def main(argv=None) -> int:
         # argparse already printed the diagnostic
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "pattern":
-            return _cmd_pattern(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command in ("nmse", "rate-single", "rate-multi"):
-            return _cmd_experiment(args, args.command)
-        if args.command == "overhead":
-            return _cmd_overhead(args)
-        if args.command == "codebook-dump":
-            return _cmd_codebook_dump(args)
-        print(f"unknown command {args.command!r}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.run(args)
     except (EmptyMainSetError, EmptyGridError, SingularChannelError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -15,17 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .beampattern import _contiguous_run
 from .channel import ArrayConfig, PolarPoint, los_channel, near_field_steering, region_boundaries
 from .codebooks import Codeword, DftCodebook, PolarCodebook, build_dft_codebook
 from .errors import EmptyMainSetError
 from .numerics import NoiseModel
-
-# Distance rules: inversion of the closed-form width law (default), and
-# the literal quadratic-width variant kept for comparison only. The
-# quadratic form is dimensionally a length but is not the inverse of the
-# width law; the noiseless oracle tests discriminate between the two.
-INVERSE_WIDTH = "inverse-width"
-INVERSE_WIDTH_SQUARED = "inverse-width-squared"
 
 
 @dataclass(frozen=True)
@@ -33,8 +27,6 @@ class EstimatorConfig:
     k: int = 3                    # refinement candidates
     cluster_gap: int = 8          # L: max index gap inside one cluster
     rho2_fraction: float = 0.65   # threshold as a fraction of max |y|
-    contiguous_width: bool = True
-    distance_rule: str = INVERSE_WIDTH
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -43,8 +35,6 @@ class EstimatorConfig:
             raise ValueError(f"cluster_gap must be >= 1, got {self.cluster_gap}")
         if not 0 < self.rho2_fraction < 1:
             raise ValueError(f"rho2_fraction must be in (0, 1), got {self.rho2_fraction}")
-        if self.distance_rule not in (INVERSE_WIDTH, INVERSE_WIDTH_SQUARED):
-            raise ValueError(f"unknown distance rule {self.distance_rule!r}")
 
 
 @dataclass
@@ -113,6 +103,8 @@ def estimate_angle(sweep: SweepResult, ec: EstimatorConfig, clustering: bool = T
     """
     amp = np.abs(sweep.samples)
     rho2 = ec.rho2_fraction * amp.max()
+    if not rho2 > 0:
+        raise EmptyMainSetError("all-zero sweep: no sample above the threshold")
     clusters, sel = cluster_indices(sweep.samples, rho2, ec.cluster_gap)
     members = clusters[sel] if clustering else np.concatenate(clusters)
     grid = sweep.codebook.angle_grid
@@ -124,7 +116,7 @@ def estimate_angle(sweep: SweepResult, ec: EstimatorConfig, clustering: bool = T
     return AngleEstimate(theta_hat=theta_hat, candidate_indices=cands, main_set=angles)
 
 
-def estimate_distance(sweep: SweepResult, candidate_index: int, ec: EstimatorConfig):
+def estimate_distance(sweep: SweepResult, candidate_index: int):
     """Width-based distance for one candidate grid angle.
 
     The sweep is renormalized by the sample at the candidate angle (a
@@ -140,27 +132,12 @@ def estimate_distance(sweep: SweepResult, candidate_index: int, ec: EstimatorCon
     grid = sweep.codebook.angle_grid
     r_fre, r_ray = region_boundaries(cfg)
     amp = np.abs(sweep.samples)
-    ratio = amp / amp[candidate_index]
-    above = ratio > 0.5
-    if ec.contiguous_width:
-        lo = candidate_index
-        while lo > 0 and above[lo - 1]:
-            lo -= 1
-        hi = candidate_index
-        while hi < above.size - 1 and above[hi + 1]:
-            hi += 1
-    else:
-        # literal super-half set: noise spikes and sidelobes count too
-        members = np.nonzero(above)[0]
-        lo, hi = int(members[0]), int(members[-1])
+    lo, hi = _contiguous_run(amp / amp[candidate_index] > 0.5, candidate_index)
     width = (hi - lo + 1) * 2.0 / cfg.n_antennas
-    theta_i = float(grid[candidate_index])
     if hi == lo:
         return r_ray, width, 1
-    if ec.distance_rule == INVERSE_WIDTH:
-        r_hat = cfg.n_antennas * cfg.spacing * (1.0 - theta_i**2) / width
-    else:
-        r_hat = cfg.spacing * (1.0 - theta_i**2) / width**2
+    theta_i = float(grid[candidate_index])
+    r_hat = cfg.n_antennas * cfg.spacing * (1.0 - theta_i**2) / width
     return float(min(max(r_hat, r_fre), r_ray)), width, 1
 
 
@@ -204,7 +181,7 @@ def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     cands = []
     evals = 0
     for ci in ang.candidate_indices:
-        r_hat, _, ev = estimate_distance(sweep, ci, ec)
+        r_hat, _, ev = estimate_distance(sweep, ci)
         evals += ev
         cands.append((float(codebook.angle_grid[ci]), r_hat))
     return _refine(cfg, p, noise, cands, evals, sweep, "proposed")
@@ -224,7 +201,7 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     cands = []
     evals = 0
     for ci in ang.candidate_indices:
-        _, width, _ = estimate_distance(sweep, ci, ec)
+        _, width, _ = estimate_distance(sweep, ci)
         theta_i = float(codebook.angle_grid[ci])
         predicted = nd * (1.0 - theta_i**2) / z_mu_grid
         evals += z_mu_grid.size

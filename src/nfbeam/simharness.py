@@ -1,21 +1,22 @@
 """Monte-Carlo harness: scenario configuration, reference-SNR
-calibration, NMSE and achievable-rate experiments, and the training
-overhead report.
+calibration, one trial loop (`simulate`) whose rows every experiment
+reduces or projects, the training overhead report, and the CSV writer.
 
-Reproducibility contract: every random stream is keyed by (seed, lane,
-trial [, user]) so results are bit-identical across runs and invariant
-to the worker count; the noise key omits the SNR index on purpose, so
-one trial sees the same scaled noise at every SNR point (common random
-numbers across the SNR grid). Each scheme receives a fresh stream with
-the same key, which makes the schemes see identical sweep noise within
-a trial.
+The loop runs trial -> SNR point -> scheme. A trial draws its user(s)
+once, from the key (seed, 0, trial). Reproducibility contract: every
+random stream is keyed by (seed, lane, trial [, user]) so results are
+bit-identical across runs; the noise key omits the SNR index on purpose,
+so one trial sees the same scaled noise at every SNR point (common
+random numbers across the SNR grid). Each scheme receives a fresh stream
+with the same key, which makes the schemes see identical sweep noise
+within a trial.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import astuple, dataclass, fields
+from functools import cached_property
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,7 +40,16 @@ REFERENCE_POINT = PolarPoint(0.0, 5.0)  # calibration user for the reference SNR
 TOTAL_ENERGY = "total-energy"
 PER_ANTENNA = "per-antenna"
 
-SCHEMES = ("proposed", "joint", "fast", "exhaustive")
+# Scheme name -> training call. The lambdas look the training functions up
+# as module globals at call time, so rebinding those names (as
+# bench/tracing.py does) reaches every training.
+TRAININGS = {
+    "proposed": lambda tr, p, noise: proposed_training(tr.cfg, p, noise, tr.ec, tr.codebook),
+    "joint": lambda tr, p, noise: joint_training(tr.cfg, p, noise, tr.ec, tr.z_mu, tr.codebook),
+    "fast": lambda tr, p, noise: fast_training(tr.cfg, p, noise, tr.ec, tr.polar, tr.codebook),
+    "exhaustive": lambda tr, p, noise: exhaustive_training(tr.cfg, p, noise, tr.polar),
+}
+SCHEMES = tuple(TRAININGS)
 FULL_CSI = "full-csi"
 
 
@@ -94,34 +104,43 @@ class ScenarioConfig:
     k: int = 3
     cluster_gap: int = 8
     rho2_fraction: float = 0.65
-    distance_rule: str = "inverse-width"
     beta_polar: float = 1.6
     z_mu_size: int = 64
-    workers: int = 1
 
     def __post_init__(self) -> None:
+        cfg = self.array()
+        self.estimator()
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.m_users < 1:
-            raise ValueError(f"m_users must be >= 1, got {self.m_users}")
+        if not 1 <= self.m_users <= self.n_antennas:
+            raise ValueError(f"m_users must be in [1, n_antennas = {self.n_antennas}], "
+                             f"got {self.m_users}")
+        if len(self.snr_ref_db_grid) == 0:
+            raise ValueError("snr_ref_db_grid is empty")
+        if self.z_mu_size < 1:
+            raise ValueError(f"z_mu_size must be >= 1, got {self.z_mu_size}")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        lo, hi = self.theta_range
+        if not -1.0 <= lo < hi <= 1.0:
+            raise ValueError(f"theta range {self.theta_range} must be increasing "
+                             f"within [-1, 1]")
+        r_fre, r_ray = region_boundaries(cfg)
+        lo, hi = self.sampler().r_range
+        if not (r_fre - 1e-9 <= lo < hi <= r_ray + 1e-9):
+            raise ValueError(f"r range {(lo, hi)} must lie within [{r_fre:.3f}, {r_ray:.3f}]")
 
     def array(self) -> ArrayConfig:
         return ArrayConfig(self.n_antennas, self.carrier_hz)
 
     def estimator(self) -> EstimatorConfig:
         return EstimatorConfig(k=self.k, cluster_gap=self.cluster_gap,
-                               rho2_fraction=self.rho2_fraction,
-                               distance_rule=self.distance_rule)
+                               rho2_fraction=self.rho2_fraction)
 
     def sampler(self) -> UserSampler:
-        cfg = self.array()
-        r_fre, r_ray = region_boundaries(cfg)
+        r_fre, r_ray = region_boundaries(self.array())
         rr = self.r_range if self.r_range is not None else (r_fre, min(100.0, r_ray))
-        if not (r_fre - 1e-9 <= rr[0] < rr[1] <= r_ray + 1e-9):
-            raise ValueError(f"r range {rr} must lie within [{r_fre:.3f}, {r_ray:.3f}]")
         return UserSampler(theta_range=self.theta_range, r_range=rr)
 
     def as_header_dict(self) -> dict:
@@ -145,10 +164,8 @@ class ScenarioConfig:
             "k": self.k,
             "cluster_gap": self.cluster_gap,
             "rho2_fraction": repr(self.rho2_fraction),
-            "distance_rule": self.distance_rule,
             "beta_polar": repr(self.beta_polar),
             "z_mu_size": self.z_mu_size,
-            "workers": self.workers,
             "fresnel_m": repr(r_fre),
             "rayleigh_m": repr(r_ray),
         }
@@ -174,268 +191,188 @@ def noise_key(seed: int, trial: int, user: int | None = None) -> tuple:
     return (seed, 1, trial) if user is None else (seed, 1, trial, user)
 
 
-class _Runner:
-    """Shared per-experiment state: codebooks built once, scheme closures."""
+class Trainer:
+    """One scenario's array and estimator settings, with its codebooks
+    built on first use; `train` dispatches through TRAININGS."""
 
     def __init__(self, sc: ScenarioConfig):
         self.sc = sc
         self.cfg = sc.array()
         self.ec = sc.estimator()
-        self.codebook = build_dft_codebook(self.cfg)
-        self.polar = (build_polar_codebook(self.cfg, sc.beta_polar)
-                      if any(s in ("fast", "exhaustive") for s in sc.schemes) else None)
-        self.z_mu = default_z_mu_grid(self.cfg, sc.z_mu_size)
-        self.sampler = sc.sampler()
+
+    @cached_property
+    def codebook(self):
+        return build_dft_codebook(self.cfg)
+
+    @cached_property
+    def polar(self):
+        return build_polar_codebook(self.cfg, self.sc.beta_polar)
+
+    @cached_property
+    def z_mu(self):
+        return default_z_mu_grid(self.cfg, self.sc.z_mu_size)
 
     def train(self, scheme: str, p: PolarPoint, noise: NoiseModel) -> LocationEstimate:
-        if scheme == "proposed":
-            return proposed_training(self.cfg, p, noise, self.ec, self.codebook)
-        if scheme == "joint":
-            return joint_training(self.cfg, p, noise, self.ec, self.z_mu, self.codebook)
-        if scheme == "fast":
-            return fast_training(self.cfg, p, noise, self.ec, self.polar, self.codebook)
-        if scheme == "exhaustive":
-            return exhaustive_training(self.cfg, p, noise, self.polar)
-        raise ValueError(f"unknown scheme {scheme!r}")
-
-    def map_trials(self, fn: Callable[[int], object]) -> list:
-        trials = range(self.sc.trials)
-        if self.sc.workers <= 1:
-            return [fn(t) for t in trials]
-        with ThreadPoolExecutor(max_workers=self.sc.workers) as pool:
-            return list(pool.map(fn, trials))
+        return TRAININGS[scheme](self, p, noise)
 
 
-def run_nmse_experiment(sc: ScenarioConfig) -> list[MetricsRecord]:
-    """Angle and distance NMSE per (scheme, reference SNR).
+@dataclass(frozen=True, slots=True)
+class TrialRow:
+    """One (trial, SNR point, scheme) outcome of `simulate`.
+
+    `estimates` holds per-user (theta_hat, r_hat, pilot_count), or None
+    when the trial is an outage for this scheme; the full-CSI row carries
+    the true positions at zero pilots. `rates` holds per-user rates in
+    the rate modes. Rows keep scalars only, no codewords.
+    """
+
+    trial: int
+    snr_index: int
+    scheme: str
+    users: tuple[PolarPoint, ...]
+    estimates: tuple[tuple[float, float, int], ...] | None
+    rates: tuple[float, ...] | None = None
+
+
+def _group_rates(cfg: ArrayConfig, users, labels, sigma2: float) -> tuple[float, ...]:
+    """Per-user RZF rates on the true channels, precoded from `labels`."""
+    v = multiuser_precode(cfg, labels, sigma2)
+    return tuple(float(x) for x in multiuser_rate(cfg, users, v, sigma2))
+
+
+def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
+    """The trial loop: rows in trial -> SNR point -> scheme order.
+
+    mode "nmse" trains one user per trial; "single" adds the single-user
+    rates and a full-CSI row (matched filter) per SNR point; "multi"
+    trains m_users users per trial under per-user noise keys and rates
+    the group under RZF, with a full-CSI row precoded from the true
+    positions. A scheme's row is an outage when any of its trainings
+    finds an empty main set.
+    """
+    if mode not in ("nmse", "single", "multi"):
+        raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
+    trainer = Trainer(sc)
+    cfg = trainer.cfg
+    sampler = sc.sampler()
+    sigma2s = [calibrate_noise(cfg, snr_db, sc.reference_mode) for snr_db in sc.snr_ref_db_grid]
+    n_users = sc.m_users if mode == "multi" else 1
+    for t in range(sc.trials):
+        rng = np.random.default_rng(user_rng_key(sc.seed, t))
+        users = tuple(sampler.sample(rng) for _ in range(n_users))
+        keys = ([noise_key(sc.seed, t, u) for u in range(n_users)] if mode == "multi"
+                else [noise_key(sc.seed, t)])
+        if mode == "single":
+            h = los_channel(cfg, users[0]).h
+            matched = h / np.linalg.norm(h)
+        exact = tuple((p.theta, p.r, 0) for p in users)
+        for i, sigma2 in enumerate(sigma2s):
+            if mode == "single":
+                rates = (single_user_rate(cfg, users[0], matched, sigma2),)
+                yield TrialRow(t, i, FULL_CSI, users, exact, rates)
+            elif mode == "multi":
+                yield TrialRow(t, i, FULL_CSI, users, exact, _group_rates(cfg, users, users, sigma2))
+            for scheme in sc.schemes:
+                try:
+                    ests = [trainer.train(scheme, p, NoiseModel(sigma2, key))
+                            for p, key in zip(users, keys)]
+                except EmptyMainSetError:
+                    yield TrialRow(t, i, scheme, users, None)
+                    continue
+                rates = None
+                if mode == "single":
+                    rates = (single_user_rate(cfg, users[0], ests[0].codeword.w, sigma2),)
+                elif mode == "multi":
+                    labels = [PolarPoint(e.theta_hat, e.r_hat) for e in ests]
+                    rates = _group_rates(cfg, users, labels, sigma2)
+                yield TrialRow(t, i, scheme, users,
+                               tuple((e.theta_hat, e.r_hat, e.pilot_count) for e in ests), rates)
+
+
+def _records(sc: ScenarioConfig, rows: Iterable[TrialRow], fill) -> list[MetricsRecord]:
+    """One record per (SNR point, scheme) in first-seen order; `fill`
+    sets the metric fields from the non-outage rows, in trial order."""
+    groups: dict[tuple[int, str], list[TrialRow]] = {}
+    for row in rows:
+        groups.setdefault((row.snr_index, row.scheme), []).append(row)
+    records = []
+    for (i, scheme), group in groups.items():
+        ok = [r for r in group if r.estimates is not None]
+        rec = MetricsRecord(scheme=scheme, snr_ref_db=float(sc.snr_ref_db_grid[i]),
+                            outage_count=len(group) - len(ok), n_trials=len(ok))
+        if ok:
+            rec.mean_pilot_count = float(np.mean(
+                [sum(e[2] for e in r.estimates) / len(r.estimates) for r in ok]))
+            fill(rec, ok)
+        records.append(rec)
+    return records
+
+
+def run_nmse_experiment(sc: ScenarioConfig,
+                        rows: Iterable[TrialRow] | None = None) -> list[MetricsRecord]:
+    """Angle and distance NMSE per (scheme, reference SNR), reduced from
+    `rows` (default: a fresh `simulate(sc, "nmse")`).
 
     The NMSE denominators are the closed-form variances of the uniform
     samplers, not empirical ones, so the normalization is deterministic.
     Outage trials (empty main set) are excluded from the error sums and
     counted separately.
     """
-    runner = _Runner(sc)
-    var_t = runner.sampler.theta_variance
-    var_r = runner.sampler.r_variance
-    records = []
-    for snr_db in sc.snr_ref_db_grid:
-        sigma2 = calibrate_noise(runner.cfg, snr_db, sc.reference_mode)
+    sampler = sc.sampler()
 
-        def one_trial(t: int):
-            rng = np.random.default_rng(user_rng_key(sc.seed, t))
-            p = runner.sampler.sample(rng)
-            out = {}
-            for scheme in sc.schemes:
-                noise = NoiseModel(sigma2, noise_key(sc.seed, t))
-                try:
-                    est = runner.train(scheme, p, noise)
-                except EmptyMainSetError:
-                    out[scheme] = None
-                    continue
-                out[scheme] = ((p.theta - est.theta_hat) ** 2,
-                               (p.r - est.r_hat) ** 2,
-                               est.pilot_count)
-            return out
+    def fill(rec, ok):
+        se_t = float(np.sum([(r.users[0].theta - r.estimates[0][0]) ** 2 for r in ok]))
+        se_r = float(np.sum([(r.users[0].r - r.estimates[0][1]) ** 2 for r in ok]))
+        rec.nmse_theta = se_t / len(ok) / sampler.theta_variance
+        rec.nmse_r = se_r / len(ok) / sampler.r_variance
 
-        results = runner.map_trials(one_trial)
-        for scheme in sc.schemes:
-            vals = [r[scheme] for r in results]
-            ok = [v for v in vals if v is not None]
-            n_out = len(vals) - len(ok)
-            if ok:
-                se_t = float(np.sum([v[0] for v in ok]))
-                se_r = float(np.sum([v[1] for v in ok]))
-                pilots = float(np.mean([v[2] for v in ok]))
-                records.append(MetricsRecord(
-                    scheme=scheme, snr_ref_db=float(snr_db),
-                    nmse_theta=se_t / len(ok) / var_t,
-                    nmse_r=se_r / len(ok) / var_r,
-                    outage_count=n_out, mean_pilot_count=pilots, n_trials=len(ok)))
-            else:
-                records.append(MetricsRecord(scheme=scheme, snr_ref_db=float(snr_db),
-                                             outage_count=n_out, n_trials=0))
-    return records
+    return _records(sc, simulate(sc, "nmse") if rows is None else rows, fill)
 
 
-def run_rate_experiment(sc: ScenarioConfig, mode: str = "single") -> list[MetricsRecord]:
+def run_rate_experiment(sc: ScenarioConfig, mode: str = "single",
+                        rows: Iterable[TrialRow] | None = None) -> list[MetricsRecord]:
     """Achievable rate per (scheme, reference SNR), plus the full-CSI
-    baseline, in single-user or multi-user (RZF, M users) mode."""
+    baseline, in single-user or multi-user (RZF, M users) mode, reduced
+    from `rows` (default: a fresh `simulate(sc, mode)`)."""
     if mode not in ("single", "multi"):
         raise ValueError(f"mode must be 'single' or 'multi', got {mode!r}")
-    runner = _Runner(sc)
-    records = []
-    for snr_db in sc.snr_ref_db_grid:
-        sigma2 = calibrate_noise(runner.cfg, snr_db, sc.reference_mode)
 
-        if mode == "single":
-            def one_trial(t: int):
-                rng = np.random.default_rng(user_rng_key(sc.seed, t))
-                p = runner.sampler.sample(rng)
-                h_beam = los_channel(runner.cfg, p)
-                full = single_user_rate(
-                    runner.cfg, p, h_beam.h / np.linalg.norm(h_beam.h), sigma2)
-                out = {FULL_CSI: (full, 0.0)}
-                for scheme in sc.schemes:
-                    noise = NoiseModel(sigma2, noise_key(sc.seed, t))
-                    try:
-                        est = runner.train(scheme, p, noise)
-                    except EmptyMainSetError:
-                        out[scheme] = None
-                        continue
-                    out[scheme] = (single_user_rate(runner.cfg, p, est.codeword.w, sigma2),
-                                   est.pilot_count)
-                return out
-        else:
-            def one_trial(t: int):
-                rng = np.random.default_rng(user_rng_key(sc.seed, t))
-                users = [runner.sampler.sample(rng) for _ in range(sc.m_users)]
-                vf = multiuser_precode(runner.cfg, users, sigma2)
-                out = {FULL_CSI: (float(np.mean(multiuser_rate(runner.cfg, users, vf, sigma2))), 0.0)}
-                for scheme in sc.schemes:
-                    ests = []
-                    pilots = 0
-                    failed = False
-                    for u, p in enumerate(users):
-                        noise = NoiseModel(sigma2, noise_key(sc.seed, t, u))
-                        try:
-                            est = runner.train(scheme, p, noise)
-                        except EmptyMainSetError:
-                            failed = True
-                            break
-                        ests.append(PolarPoint(est.theta_hat, est.r_hat))
-                        pilots += est.pilot_count
-                    if failed:
-                        out[scheme] = None
-                        continue
-                    v = multiuser_precode(runner.cfg, ests, sigma2)
-                    out[scheme] = (float(np.mean(multiuser_rate(runner.cfg, users, v, sigma2))),
-                                   pilots / sc.m_users)
-                return out
+    def fill(rec, ok):
+        rec.mean_rate = float(np.sum([np.mean(r.rates) for r in ok]) / len(ok))
 
-        results = runner.map_trials(one_trial)
-        for scheme in (FULL_CSI,) + tuple(sc.schemes):
-            vals = [r[scheme] for r in results]
-            ok = [v for v in vals if v is not None]
-            n_out = len(vals) - len(ok)
-            if ok:
-                records.append(MetricsRecord(
-                    scheme=scheme, snr_ref_db=float(snr_db),
-                    mean_rate=float(np.sum([v[0] for v in ok]) / len(ok)),
-                    outage_count=n_out,
-                    mean_pilot_count=float(np.mean([v[1] for v in ok])),
-                    n_trials=len(ok)))
+    return _records(sc, simulate(sc, mode) if rows is None else rows, fill)
+
+
+ESTIMATE_COLUMNS = ("snr_ref_db", "trial", "scheme", "theta", "r", "theta_hat", "r_hat",
+                    "pilot_count")
+
+
+def estimate_table(sc: ScenarioConfig, rows: Iterable[TrialRow]) -> Iterator[tuple]:
+    """Per-trial estimates of single-user rows in (SNR point, trial,
+    scheme) order; outage rows carry empty estimates."""
+    for row in sorted(rows, key=lambda r: r.snr_index):
+        p = row.users[0]
+        est = row.estimates[0] if row.estimates is not None else (None, None, None)
+        yield (float(sc.snr_ref_db_grid[row.snr_index]), row.trial, row.scheme, p.theta, p.r,
+               *est)
+
+
+USER_RATE_COLUMNS = ("snr_ref_db", "user", "theta", "r", "theta_hat", "r_hat", "sinr", "rate")
+
+
+def user_rate_table(sc: ScenarioConfig, rows: Iterable[TrialRow], scheme: str) -> Iterator[tuple]:
+    """Per-user estimates, SINRs and rates of trial 0 of one scheme, per
+    SNR point; an outage leaves the estimate and rate fields empty."""
+    for row in rows:
+        if row.trial != 0 or row.scheme != scheme:
+            continue
+        snr_db = float(sc.snr_ref_db_grid[row.snr_index])
+        for u, p in enumerate(row.users):
+            if row.estimates is None:
+                yield (snr_db, u, p.theta, p.r, None, None, None, None)
             else:
-                records.append(MetricsRecord(scheme=scheme, snr_ref_db=float(snr_db),
-                                             outage_count=n_out, n_trials=0))
-    return records
-
-
-@dataclass(frozen=True)
-class EstimateRow:
-    """One training outcome, for per-trial CSV dumps."""
-
-    snr_ref_db: float
-    trial: int
-    scheme: str
-    theta: float
-    r: float
-    theta_hat: float | None
-    r_hat: float | None
-    pilot_count: int | None
-
-
-def collect_estimates(sc: ScenarioConfig) -> list[EstimateRow]:
-    """Per-trial estimates for every (scheme, SNR, trial), using the same
-    stream keys as the experiments; outage trials carry empty estimates."""
-    runner = _Runner(sc)
-    rows = []
-    for snr_db in sc.snr_ref_db_grid:
-        sigma2 = calibrate_noise(runner.cfg, snr_db, sc.reference_mode)
-
-        def one_trial(t: int):
-            rng = np.random.default_rng(user_rng_key(sc.seed, t))
-            p = runner.sampler.sample(rng)
-            out = []
-            for scheme in sc.schemes:
-                noise = NoiseModel(sigma2, noise_key(sc.seed, t))
-                try:
-                    est = runner.train(scheme, p, noise)
-                except EmptyMainSetError:
-                    out.append(EstimateRow(float(snr_db), t, scheme, p.theta, p.r,
-                                           None, None, None))
-                    continue
-                out.append(EstimateRow(float(snr_db), t, scheme, p.theta, p.r,
-                                       est.theta_hat, est.r_hat, est.pilot_count))
-            return out
-
-        for chunk in runner.map_trials(one_trial):
-            rows.extend(chunk)
-    return rows
-
-
-def write_estimates_csv(path, rows: Sequence[EstimateRow], header: dict) -> None:
-    def fmt(x):
-        if x is None:
-            return ""
-        if isinstance(x, float):
-            return repr(float(x))
-        return str(x)
-
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for key in sorted(header):
-            f.write(f"# {key}={header[key]}\n")
-        f.write("snr_ref_db,trial,scheme,theta,r,theta_hat,r_hat,pilot_count\n")
-        for r in rows:
-            f.write(",".join(fmt(v) for v in (
-                r.snr_ref_db, r.trial, r.scheme, r.theta, r.r,
-                r.theta_hat, r.r_hat, r.pilot_count)) + "\n")
-
-
-@dataclass(frozen=True)
-class UserRateRow:
-    """Per-user rate breakdown of one multi-user trial."""
-
-    snr_ref_db: float
-    user: int
-    theta: float
-    r: float
-    theta_hat: float
-    r_hat: float
-    sinr: float
-    rate: float
-
-
-def multiuser_breakdown(sc: ScenarioConfig, scheme: str, trial: int = 0) -> list[UserRateRow]:
-    """Per-user SINRs and rates for one trial of one scheme."""
-    runner = _Runner(sc)
-    rows = []
-    for snr_db in sc.snr_ref_db_grid:
-        sigma2 = calibrate_noise(runner.cfg, snr_db, sc.reference_mode)
-        rng = np.random.default_rng(user_rng_key(sc.seed, trial))
-        users = [runner.sampler.sample(rng) for _ in range(sc.m_users)]
-        ests = []
-        for u, p in enumerate(users):
-            est = runner.train(scheme, p, NoiseModel(sigma2, noise_key(sc.seed, trial, u)))
-            ests.append(est)
-        v = multiuser_precode(runner.cfg,
-                              [PolarPoint(e.theta_hat, e.r_hat) for e in ests], sigma2)
-        rates = multiuser_rate(runner.cfg, users, v, sigma2)
-        for u, (p, est) in enumerate(zip(users, ests)):
-            sinr = 2.0 ** rates[u] - 1.0
-            rows.append(UserRateRow(float(snr_db), u, p.theta, p.r,
-                                    est.theta_hat, est.r_hat, float(sinr), float(rates[u])))
-    return rows
-
-
-def write_breakdown_csv(path, rows: Sequence[UserRateRow], header: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for key in sorted(header):
-            f.write(f"# {key}={header[key]}\n")
-        f.write("snr_ref_db,user,theta,r,theta_hat,r_hat,sinr,rate\n")
-        for r in rows:
-            f.write(",".join(repr(float(v)) if isinstance(v, float) else str(v)
-                             for v in (r.snr_ref_db, r.user, r.theta, r.r,
-                                       r.theta_hat, r.r_hat, r.sinr, r.rate)) + "\n")
+                rate = row.rates[u]
+                yield (snr_db, u, p.theta, p.r, *row.estimates[u][:2], 2.0 ** rate - 1.0, rate)
 
 
 @dataclass(frozen=True)
@@ -447,6 +384,9 @@ class OverheadRow:
     distance_stage_evals: int
 
 
+OVERHEAD_COLUMNS = tuple(f.name for f in fields(OverheadRow))
+
+
 def overhead_report(sc: ScenarioConfig) -> list[OverheadRow]:
     """Measured pilot counts and distance-stage operation counts for a
     canonical noiseless training of each scheme.
@@ -455,65 +395,47 @@ def overhead_report(sc: ScenarioConfig) -> list[OverheadRow]:
     wide plateau, so every scheme reaches its full candidate budget and
     the Table-style formulas are exercised exactly.
     """
-    runner = _Runner(sc)
-    cfg = runner.cfg
-    _, r_ray = region_boundaries(cfg)
-    theta0 = float(runner.codebook.angle_grid[cfg.n_antennas // 2])
-    probe = PolarPoint(theta0, 0.03 * r_ray)
-    polar = runner.polar if runner.polar is not None else build_polar_codebook(cfg, sc.beta_polar)
-    k = sc.k
+    trainer = Trainer(sc)
+    n = trainer.cfg.n_antennas
+    _, r_ray = region_boundaries(trainer.cfg)
+    probe = PolarPoint(float(trainer.codebook.angle_grid[n // 2]), 0.03 * r_ray)
     rows = []
     for scheme in sc.schemes:
-        noise = NoiseModel(0.0, (sc.seed,))
-        if scheme == "exhaustive":
-            est = exhaustive_training(cfg, probe, noise, polar)
-        elif scheme == "fast":
-            est = fast_training(cfg, probe, noise, runner.ec, polar, runner.codebook)
-        else:
-            est = runner.train(scheme, probe, noise)
-        n = cfg.n_antennas
+        est = trainer.train(scheme, probe, NoiseModel(0.0, (sc.seed,)))
         if scheme in ("proposed", "joint"):
-            formula, expected = "N+k", n + k
+            formula, expected = "N+k", n + sc.k
         elif scheme == "fast":
-            per_cand = est.distance_stage_evals  # distance pilots actually swept
-            formula, expected = "N+k*S_cand", n + per_cand
+            # distance pilots actually swept
+            formula, expected = "N+k*S_cand", n + est.distance_stage_evals
         else:
-            formula, expected = "N*S", len(polar)
-        rows.append(OverheadRow(
-            scheme=scheme,
-            pilots_measured=est.pilot_count,
-            pilots_formula=formula,
-            pilots_expected=expected,
-            distance_stage_evals=est.distance_stage_evals,
-        ))
+            formula, expected = "N*S", len(trainer.polar)
+        rows.append(OverheadRow(scheme, est.pilot_count, formula, expected,
+                                est.distance_stage_evals))
     return rows
 
 
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, float):
+        return repr(float(x))  # plain-float repr even for numpy scalars
+    return str(x)
+
+
+def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], header: dict) -> None:
+    """CSV with a '# key=value' provenance block (sorted keys), then the
+    column line and one line per row; floats at full precision, None as
+    an empty field."""
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        for key in sorted(header):
+            f.write(f"# {key}={header[key]}\n")
+        f.write(",".join(columns) + "\n")
+        for row in rows:
+            f.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+RECORD_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+
+
 def write_records_csv(path, records: Sequence[MetricsRecord], header: dict) -> None:
-    """CSV with a '# key=value' provenance block; full-precision floats."""
-    def fmt(x):
-        if x is None:
-            return ""
-        if isinstance(x, float):
-            return repr(float(x))  # plain-float repr even for numpy scalars
-        return str(x)
-
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for key in sorted(header):
-            f.write(f"# {key}={header[key]}\n")
-        f.write("scheme,snr_ref_db,nmse_theta,nmse_r,mean_rate,outage_count,"
-                "mean_pilot_count,n_trials\n")
-        for r in records:
-            f.write(",".join(fmt(v) for v in (
-                r.scheme, r.snr_ref_db, r.nmse_theta, r.nmse_r, r.mean_rate,
-                r.outage_count, r.mean_pilot_count, r.n_trials)) + "\n")
-
-
-def write_overhead_csv(path, rows: Sequence[OverheadRow], header: dict) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        for key in sorted(header):
-            f.write(f"# {key}={header[key]}\n")
-        f.write("scheme,pilots_measured,pilots_formula,pilots_expected,distance_stage_evals\n")
-        for r in rows:
-            f.write(f"{r.scheme},{r.pilots_measured},{r.pilots_formula},"
-                    f"{r.pilots_expected},{r.distance_stage_evals}\n")
+    write_csv(path, RECORD_COLUMNS, (astuple(r) for r in records), header)

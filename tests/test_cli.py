@@ -1,7 +1,11 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from nfbeam.cli import EXIT_CONFIG, EXIT_OK, main
+import nfbeam.simharness
+from nfbeam.cli import EXIT_CONFIG, EXIT_OK, load_config_file, main
+from nfbeam.simharness import ScenarioConfig
 
 
 def run(args):
@@ -48,6 +52,15 @@ class TestTrain:
         assert "scheme=proposed" in out
         assert "pilots=131" in out
 
+    def test_proposed_builds_no_polar_codebook(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("polar codebook built for the proposed scheme")
+
+        monkeypatch.setattr(nfbeam.simharness, "build_polar_codebook", refuse)
+        rc = run(["train", "--theta", "0.1", "--r", "3", "--N", "64",
+                  "--scheme", "proposed", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+
 
 class TestExperiments:
     def test_nmse_csv(self, tmp_path):
@@ -87,6 +100,19 @@ class TestExperiments:
         lines = [ln for ln in est.read_text().splitlines() if not ln.startswith("#")]
         assert lines[0] == "snr_ref_db,trial,scheme,theta,r,theta_hat,r_hat,pilot_count"
         assert len(lines) == 1 + 4 * 2  # trials x schemes at one SNR
+
+    def test_estimate_dump_trains_once_per_trial_snr_and_scheme(self, tmp_path, monkeypatch):
+        calls = []
+        for name in ("proposed_training", "joint_training"):
+            original = getattr(nfbeam.simharness, name)
+            monkeypatch.setattr(nfbeam.simharness, name,
+                                lambda *a, _f=original, **kw: calls.append(1) or _f(*a, **kw))
+        rc = run(["nmse", "--N", "64", "--trials", "3", "--seed", "6",
+                  "--snr-db", "10", "18", "--schemes", "proposed,joint",
+                  "--reference-mode", "per-antenna", "--out", str(tmp_path),
+                  "--dump-estimates"])
+        assert rc == EXIT_OK
+        assert len(calls) == 3 * 2 * 2  # trials x SNR points x schemes
 
     def test_per_user_rate_breakdown(self, tmp_path):
         rc = run(["rate-multi", "--N", "64", "--trials", "2", "--seed", "3",
@@ -163,6 +189,23 @@ class TestErrors:
         assert "# trials=3" in text          # flag wins
         assert "# n_antennas=64" in text     # file value kept
 
+    def test_config_file_setting_every_field(self, tmp_path):
+        expected = ScenarioConfig(
+            n_antennas=64, carrier_hz=90e9, snr_ref_db_grid=(5.0, 12.5), trials=7,
+            seed=3, theta_range=(-0.5, 0.25), r_range=(1.0, 4.5), m_users=2,
+            schemes=("joint", "fast"), reference_mode="per-antenna", k=2,
+            cluster_gap=5, rho2_fraction=0.6, beta_polar=1.5, z_mu_size=16)
+        lines = []
+        for f in fields(ScenarioConfig):
+            value = getattr(expected, f.name)
+            text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+            lines.append(f"{f.name}={text}")
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        values = load_config_file(str(cfg))
+        assert set(values) == {f.name for f in fields(ScenarioConfig)}
+        assert ScenarioConfig(**values) == expected
+
     def test_bad_flag_value(self, capsys):
         rc = run(["nmse", "--N", "not-a-number"])
         assert rc == EXIT_CONFIG
@@ -172,6 +215,13 @@ class TestErrors:
                   "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert "r range" in capsys.readouterr().err
+
+    def test_theta_range_outside_unit_interval(self, tmp_path, capsys):
+        rc = run(["nmse", "--N", "64", "--theta-range", "-2", "2",
+                  "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "theta range" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # a huge coherence parameter shrinks every distance ring below

@@ -25,7 +25,7 @@ from nfbeam import (
     region_boundaries,
 )
 from nfbeam.errors import EmptyMainSetError
-from nfbeam.estimators import INVERSE_WIDTH_SQUARED, SweepResult
+from nfbeam.estimators import SweepResult
 
 
 def silent(seed=0):
@@ -147,44 +147,47 @@ class TestEstimateAngle:
         est = estimate_angle(sweep, EstimatorConfig(k=1, rho2_fraction=0.9))
         assert est.candidate_indices == (100,)
 
+    def test_all_zero_sweep_is_an_outage(self, book256):
+        sweep = SweepResult(samples=np.zeros(256, dtype=complex), pilot_count=256,
+                            codebook=book256)
+        with pytest.raises(EmptyMainSetError):
+            estimate_angle(sweep, EstimatorConfig())
+
 
 class TestEstimateDistance:
     def test_headline_inversion(self, cfg512, book512):
         sweep = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
         est = estimate_angle(sweep, EstimatorConfig())
         ci = est.candidate_indices[len(est.candidate_indices) // 2]
-        r_hat, width, evals = estimate_distance(sweep, ci, EstimatorConfig())
+        r_hat, width, evals = estimate_distance(sweep, ci)
         assert 7.2 <= r_hat <= 8.8
         assert evals == 1
 
     def test_doubling_width_halves_distance(self, book256):
-        ec = EstimatorConfig()
-
         def synthetic(run_length):
             samples = np.full(256, 0.1, dtype=complex)
             start = 128 - run_length // 2
             samples[start: start + run_length] = 1.0
             return SweepResult(samples=samples, pilot_count=256, codebook=book256)
 
-        r1, w1, _ = estimate_distance(synthetic(8), 128, ec)
-        r2, w2, _ = estimate_distance(synthetic(16), 128, ec)
+        r1, w1, _ = estimate_distance(synthetic(8), 128)
+        r2, w2, _ = estimate_distance(synthetic(16), 128)
         assert w1 == pytest.approx(8 * 2 / 256)
         assert w2 == pytest.approx(2 * w1)
         assert r2 == pytest.approx(r1 / 2, rel=1e-12)
 
     def test_theta_scaling(self, cfg512, book512):
         # equal measured width at theta = 0 and 0.6 gives r ratio 1 : 0.64
-        ec = EstimatorConfig()
         samples = np.full(512, 0.1, dtype=complex)
         samples[100:113] = 1.0
         sweep = SweepResult(samples=samples, pilot_count=512, codebook=book512)
-        r_at_100, _, _ = estimate_distance(sweep, 106, ec)
+        r_at_100, _, _ = estimate_distance(sweep, 106)
         theta_at = float(book512.angle_grid[106])
         shifted = np.full(512, 0.1, dtype=complex)
         center = book512.nearest_index(0.6)
         shifted[center - 6: center + 7] = 1.0
         sweep2 = SweepResult(samples=shifted, pilot_count=512, codebook=book512)
-        r_at_06, _, _ = estimate_distance(sweep2, center, ec)
+        r_at_06, _, _ = estimate_distance(sweep2, center)
         expected_ratio = (1 - book512.angle_grid[center] ** 2) / (1 - theta_at**2)
         assert r_at_06 / r_at_100 == pytest.approx(expected_ratio, rel=1e-9)
 
@@ -193,38 +196,27 @@ class TestEstimateDistance:
         samples = np.full(256, 0.1, dtype=complex)
         samples[77] = 1.0
         sweep = SweepResult(samples=samples, pilot_count=256, codebook=book256)
-        r_hat, width, _ = estimate_distance(sweep, 77, EstimatorConfig())
+        r_hat, width, _ = estimate_distance(sweep, 77)
         assert width == pytest.approx(2 / 256)  # one bin is one grid step wide
         assert r_hat == r_ray
 
-    def test_global_set_width_includes_detached_spike(self, book256):
+    def test_contiguous_width_excludes_detached_spike(self, book256):
         samples = np.full(256, 0.1, dtype=complex)
         samples[100:105] = 1.0
         samples[130] = 0.6  # detached super-half spike
         sweep = SweepResult(samples=samples, pilot_count=256, codebook=book256)
-        _, w_contig, _ = estimate_distance(sweep, 102, EstimatorConfig())
-        _, w_global, _ = estimate_distance(
-            sweep, 102, EstimatorConfig(contiguous_width=False))
+        _, w_contig, _ = estimate_distance(sweep, 102)
         # run length x grid step: the span between the end bins plus one step
         step = 2 / 256
         assert w_contig == pytest.approx(
             book256.angle_grid[104] - book256.angle_grid[100] + step)
-        assert w_global == pytest.approx(
-            book256.angle_grid[130] - book256.angle_grid[100] + step)
 
-    def test_quadratic_rule_is_not_the_width_law_inverse(self, cfg512, book512):
-        # the compatibility rule r = d (1 - t^2) / B^2 lands far from the
-        # true 8 m (it collapses to the Fresnel clamp); the default rule
-        # stays within 10%
+    def test_width_law_inverse_at_first_candidate(self, cfg512, book512):
+        # the inverted width law lands within 10% of the true 8 m
         sweep = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
         est = estimate_angle(sweep, EstimatorConfig())
-        ci = est.candidate_indices[0]
-        r_def, _, _ = estimate_distance(sweep, ci, EstimatorConfig())
-        r_quad, _, _ = estimate_distance(
-            sweep, ci, EstimatorConfig(distance_rule=INVERSE_WIDTH_SQUARED))
+        r_def, _, _ = estimate_distance(sweep, est.candidate_indices[0])
         assert abs(r_def - 8.0) / 8.0 <= 0.10
-        r_fre, _ = region_boundaries(cfg512)
-        assert r_quad == r_fre
 
 
 class TestProposedTraining:

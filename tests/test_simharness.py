@@ -12,6 +12,7 @@ from nfbeam.simharness import (
     overhead_report,
     run_nmse_experiment,
     run_rate_experiment,
+    simulate,
     write_records_csv,
 )
 
@@ -67,9 +68,31 @@ class TestUserSampler:
         assert s.r_variance == pytest.approx(94.0**2 / 12)
 
     def test_scenario_rejects_range_outside_near_field(self):
-        sc = ScenarioConfig(n_antennas=64, r_range=(0.01, 5000.0))
-        with pytest.raises(ValueError):
-            sc.sampler()
+        with pytest.raises(ValueError, match="r range"):
+            ScenarioConfig(n_antennas=64, r_range=(0.01, 5000.0))
+
+
+# N = 64 at 100 GHz: R_Fre ~ 0.27 m, R_Ray ~ 6.14 m
+@pytest.mark.parametrize("kw", [
+    dict(theta_range=(-2.0, 2.0)),
+    dict(theta_range=(-0.5, 1.5)),
+    dict(theta_range=(0.5, -0.5)),
+    dict(theta_range=(float("nan"), 0.5)),
+    dict(r_range=(5.0, 2.0)),
+    dict(snr_ref_db_grid=()),
+    dict(z_mu_size=0),
+    dict(m_users=65),
+    dict(k=0),
+])
+def test_scenario_rejects_invalid_values_at_construction(kw):
+    with pytest.raises(ValueError):
+        ScenarioConfig(**{"n_antennas": 64, **kw})
+
+
+@pytest.mark.parametrize("carrier", [float("nan"), float("inf"), 0.0, -1e9])
+def test_array_rejects_non_finite_or_non_positive_carrier(carrier):
+    with pytest.raises(ValueError):
+        ArrayConfig(256, carrier)
 
 
 def small_scenario(**kw):
@@ -103,18 +126,39 @@ class TestNmseExperiment:
         var_t = sc.sampler().theta_variance
         assert rec.nmse_theta <= (4 / 64) ** 2 / var_t
 
-    def test_deterministic_across_runs_and_workers(self, tmp_path):
-        sc1 = small_scenario()
-        sc2 = small_scenario(workers=3)
-        r1 = run_nmse_experiment(sc1)
+    def test_deterministic_across_runs(self, tmp_path):
+        sc = small_scenario()
+        r1 = run_nmse_experiment(sc)
         r2 = run_nmse_experiment(small_scenario())
-        r3 = run_nmse_experiment(sc2)
-        p1, p2, p3 = (tmp_path / f"{i}.csv" for i in range(3))
-        write_records_csv(p1, r1, sc1.as_header_dict())
-        write_records_csv(p2, r2, sc1.as_header_dict())
-        write_records_csv(p3, r3, sc1.as_header_dict())  # same header on purpose
+        p1, p2 = (tmp_path / f"{i}.csv" for i in range(2))
+        write_records_csv(p1, r1, sc.as_header_dict())
+        write_records_csv(p2, r2, sc.as_header_dict())
         assert p1.read_bytes() == p2.read_bytes()
-        assert p1.read_bytes() == p3.read_bytes()
+
+
+class TestSimulate:
+    def test_trial_major_rows_share_one_user_per_trial(self):
+        sc = small_scenario(trials=3)
+        rows = list(simulate(sc, "single"))
+        keys = [(r.trial, r.snr_index, r.scheme) for r in rows]
+        assert keys == [(t, i, s) for t in range(3) for i in range(2)
+                        for s in ("full-csi", "proposed", "joint")]
+        for t in range(3):
+            assert len({r.users for r in rows if r.trial == t}) == 1
+
+    def test_multi_rows_carry_one_estimate_and_rate_per_user(self):
+        sc = small_scenario(trials=2, m_users=3, snr_ref_db_grid=(20.0,))
+        for row in simulate(sc, "multi"):
+            assert len(row.users) == len(row.estimates) == len(row.rates) == 3
+
+    def test_reductions_of_given_rows_equal_a_fresh_run(self):
+        sc = small_scenario()
+        rows = list(simulate(sc, "nmse"))
+        assert run_nmse_experiment(sc, rows) == run_nmse_experiment(sc)
+
+    def test_invalid_mode(self):
+        with pytest.raises(ValueError):
+            next(simulate(small_scenario(), "triple"))
 
 
 class TestRateExperiment:
