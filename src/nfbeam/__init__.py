@@ -3,7 +3,7 @@ far-field DFT codebook: beam-pattern closed forms, a width-inversion
 location estimator with three baselines, and Monte-Carlo experiments for
 NMSE, achievable rate, and training overhead."""
 
-from .beamforming import PrecodingMatrix, multiuser_precode, multiuser_rate, single_user_rate
+from .beamforming import multiuser_precode, multiuser_rate, single_user_rate
 from .beampattern import (
     AlphaBeta,
     BeamPattern,
@@ -22,16 +22,14 @@ from .beampattern import (
 from .channel import (
     SPEED_OF_LIGHT,
     ArrayConfig,
-    ChannelVector,
     PolarPoint,
     channel_gain,
-    element_distance,
+    element_distances,
     los_channel,
     near_field_steering,
     region_boundaries,
 )
 from .codebooks import (
-    Codeword,
     DftCodebook,
     PolarCodebook,
     build_dft_codebook,
@@ -53,7 +51,7 @@ from .estimators import (
     joint_training,
     proposed_training,
 )
-from .numerics import NoiseModel, erf_complex, erfi
+from .numerics import NoiseModel, erf_complex
 from .simharness import (
     MetricsRecord,
     ScenarioConfig,

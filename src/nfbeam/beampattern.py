@@ -25,9 +25,6 @@ from .codebooks import DftCodebook
 from .errors import DomainError, EmptyMainSetError
 from .numerics import erf_complex
 
-RAW = "raw"
-CENTRAL_NORMALIZED = "central-normalized"
-
 
 @dataclass(frozen=True)
 class AlphaBeta:
@@ -52,7 +49,6 @@ class AlphaBeta:
 class BeamPattern:
     grid: np.ndarray
     gains: np.ndarray
-    normalization: str = RAW
 
 
 @dataclass(frozen=True)
@@ -118,12 +114,9 @@ def central_gain(ab: AlphaBeta) -> float:
 
 
 def normalized_closed_form_gain(ab: AlphaBeta) -> float:
-    """Normalized gain in reduced coordinates: (1/2)|erf(.) - erf(.)|."""
-    a, b = ab.alpha, ab.beta
-    sa = math.sqrt(a)
-    z1 = _E34 * math.sqrt(math.pi) * (b - 2 * a) / (2 * sa)
-    z2 = _E34 * math.sqrt(math.pi) * (b + 2 * a) / (2 * sa)
-    return 0.5 * abs(erf_complex(z1) - erf_complex(z2))
+    """Normalized gain in reduced coordinates: |f~| / central_gain, i.e.
+    (1/2)|erf(.) - erf(.)|."""
+    return 2.0 * math.sqrt(ab.alpha) * abs(closed_form_f(ab))
 
 
 def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: DftCodebook) -> BeamPattern:
@@ -134,13 +127,11 @@ def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: DftCodebook) -
     """
     gains = exact_gain_grid(cfg, p, codebook)
     g0 = exact_gain(cfg, p, p.theta)
-    return BeamPattern(grid=codebook.angle_grid, gains=gains / g0,
-                       normalization=CENTRAL_NORMALIZED)
+    return BeamPattern(grid=codebook.angle_grid, gains=gains / g0)
 
 
 def raw_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: DftCodebook) -> BeamPattern:
-    return BeamPattern(grid=codebook.angle_grid,
-                       gains=exact_gain_grid(cfg, p, codebook), normalization=RAW)
+    return BeamPattern(grid=codebook.angle_grid, gains=exact_gain_grid(cfg, p, codebook))
 
 
 def _contiguous_run(above: np.ndarray, center: int) -> tuple[int, int]:
@@ -153,27 +144,23 @@ def _contiguous_run(above: np.ndarray, center: int) -> tuple[int, int]:
     return lo, hi
 
 
-def measure_width(pattern: BeamPattern, rho: float, contiguous: bool = True) -> MainAngleSet:
+def measure_width(pattern: BeamPattern, rho: float) -> MainAngleSet:
     """Main angle set at threshold rho and its range.
 
-    With contiguous=True (the default) only the connected run of grid
-    points around the strongest sample is kept, so sidelobe ripples and
-    noise spikes cannot stretch the measured width.
+    Only the connected run of grid points around the strongest sample is
+    kept, so sidelobe ripples and noise spikes cannot stretch the
+    measured width.
     """
     if not 0 < rho < 1:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     above = pattern.gains > rho
     if not above.any():
         raise EmptyMainSetError(f"no grid gain exceeds rho = {rho}")
-    if contiguous:
-        peak = int(np.argmax(pattern.gains))
-        if not above[peak]:
-            raise EmptyMainSetError(f"peak gain {pattern.gains[peak]} below rho = {rho}")
-        lo, hi = _contiguous_run(above, peak)
-        angles = pattern.grid[lo:hi + 1][above[lo:hi + 1]]
-    else:
-        angles = pattern.grid[above]
-    return MainAngleSet(angles=np.asarray(angles, dtype=float), rho=rho)
+    peak = int(np.argmax(pattern.gains))
+    if not above[peak]:
+        raise EmptyMainSetError(f"peak gain {pattern.gains[peak]} below rho = {rho}")
+    lo, hi = _contiguous_run(above, peak)
+    return MainAngleSet(angles=np.asarray(pattern.grid[lo:hi + 1], dtype=float), rho=rho)
 
 
 def interpolated_width(pattern: BeamPattern, rho: float) -> float:

@@ -64,34 +64,12 @@ class PolarPoint:
         if not self.r > 0:
             raise ValueError(f"r must be positive, got {self.r}")
 
-    @property
-    def aod_rad(self) -> float:
-        """Physical angle of departure in radians."""
-        return math.asin(self.theta)
 
-
-@dataclass(frozen=True)
-class ChannelVector:
-    """LoS channel h with its gain and phase-reference distance."""
-
-    h: np.ndarray
-    gain: float
-    r: float
-
-
-def element_distance(cfg: ArrayConfig, p: PolarPoint, n: int) -> float:
-    """Exact distance from element n to the user.
+def element_distances(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
+    """Exact distance from each element to the user.
 
     r^(n) = sqrt(r^2 + delta_n^2 d^2 - 2 r theta delta_n d)
     """
-    if not 0 <= n < cfg.n_antennas:
-        raise IndexError(f"element index {n} out of range 0..{cfg.n_antennas - 1}")
-    delta = (2 * n - cfg.n_antennas + 1) / 2.0
-    d = cfg.spacing
-    return math.sqrt(p.r**2 + delta**2 * d**2 - 2 * p.r * p.theta * delta * d)
-
-
-def _element_distances(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     delta = cfg.element_offsets()
     d = cfg.spacing
     return np.sqrt(p.r**2 + delta**2 * d**2 - 2 * p.r * p.theta * delta * d)
@@ -104,7 +82,7 @@ def near_field_steering(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     r -> infinity this tends entrywise to the far-field DFT codeword at
     the same spatial angle.
     """
-    rn = _element_distances(cfg, p)
+    rn = element_distances(cfg, p)
     return np.exp(-2j * np.pi * (rn - p.r) / cfg.wavelength) / math.sqrt(cfg.n_antennas)
 
 
@@ -113,12 +91,11 @@ def channel_gain(cfg: ArrayConfig, r: float) -> float:
     return cfg.wavelength / (4.0 * math.pi * r)
 
 
-def los_channel(cfg: ArrayConfig, p: PolarPoint) -> ChannelVector:
-    """LoS channel; h^H = sqrt(N) g exp(-j 2 pi r / lambda) b^H(theta, r)."""
+def los_channel(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
+    """LoS channel h; h^H = sqrt(N) g exp(-j 2 pi r / lambda) b^H(theta, r)."""
     g = channel_gain(cfg, p.r)
     phase = np.exp(2j * np.pi * p.r / cfg.wavelength)
-    h = math.sqrt(cfg.n_antennas) * g * phase * near_field_steering(cfg, p)
-    return ChannelVector(h=h, gain=g, r=p.r)
+    return math.sqrt(cfg.n_antennas) * g * phase * near_field_steering(cfg, p)
 
 
 def region_boundaries(cfg: ArrayConfig) -> tuple[float, float]:

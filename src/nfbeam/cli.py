@@ -13,6 +13,7 @@ the current directory).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import types
@@ -22,7 +23,7 @@ from pathlib import Path
 
 from .beampattern import exact_gain, normalized_pattern, raw_pattern
 from .channel import PolarPoint
-from .codebooks import build_dft_codebook, build_polar_codebook, export_codebook_csv
+from .codebooks import build_dft_codebook, build_polar_codebook
 from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
 from .numerics import NoiseModel
 from .simharness import (
@@ -103,6 +104,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
         "k": args.k,
         "reference_mode": args.reference_mode,
         "m_users": getattr(args, "M", None),
+        "beta_polar": getattr(args, "beta_polar", None),
     }
     if getattr(args, "snr_db", None):
         overrides["snr_ref_db_grid"] = tuple(args.snr_db)
@@ -182,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(cd)
     cd.set_defaults(run=_cmd_codebook_dump)
     cd.add_argument("--kind", choices=["dft", "polar"], default="dft")
-    cd.add_argument("--beta-polar", type=float, default=1.6, dest="beta_polar")
+    cd.add_argument("--beta-polar", type=float, dest="beta_polar",
+                    help="polar codebook coherence parameter (default 1.6)")
     return ap
 
 
@@ -217,7 +220,7 @@ def _cmd_train(args) -> int:
     p = PolarPoint(args.theta, args.r)
     sigma2 = calibrate_noise(trainer.cfg, args.snr_ref_db, sc.reference_mode)
     est = trainer.train(args.scheme, p, NoiseModel(sigma2, noise_key(sc.seed, 0)))
-    print(f"scheme={est.scheme} theta={p.theta!r} r={p.r!r} "
+    print(f"scheme={args.scheme} theta={p.theta!r} r={p.r!r} "
           f"theta_hat={est.theta_hat!r} r_hat={est.r_hat!r} pilots={est.pilot_count}")
     return EXIT_OK
 
@@ -242,10 +245,10 @@ def _cmd_experiment(args) -> int:
     scheme = getattr(args, "dump_users", None)
     if scheme and scheme not in sc.schemes:
         raise ConfigError(f"--dump-users scheme {scheme!r} not in {sc.schemes}")
-    out = _out_dir(args)
     header = sc.as_header_dict()
     mode = {"nmse": "nmse", "rate-single": "single", "rate-multi": "multi"}[args.command]
     rows = list(simulate(sc, mode))
+    out = _out_dir(args)
     if mode == "nmse":
         records = run_nmse_experiment(sc, rows)
         path = out / f"nmse_N{sc.n_antennas}_seed{sc.seed}.csv"
@@ -287,13 +290,17 @@ def _cmd_codebook_dump(args) -> int:
     cfg = sc.array()
     if args.kind == "dft":
         book = build_dft_codebook(cfg)
+        thetas, radii = book.angle_grid, [math.inf] * len(book)
         out = _out_dir(args) / f"codebook_dft_N{cfg.n_antennas}.csv"
     else:
-        book = build_polar_codebook(cfg, args.beta_polar)
-        out = _out_dir(args) / f"codebook_polar_N{cfg.n_antennas}_beta{args.beta_polar}.csv"
+        book = build_polar_codebook(cfg, sc.beta_polar)
+        thetas, radii = book.thetas, book.radii
+        out = _out_dir(args) / f"codebook_polar_N{cfg.n_antennas}_beta{sc.beta_polar}.csv"
         print(f"ring scale Z = {book.z_delta!r} m, "
               f"S = {book.avg_samples_per_angle!r} samples/angle")
-    export_codebook_csv(book, out)
+    rows = ((i, "far" if math.isinf(r) else "near", t, r)
+            for i, (t, r) in enumerate(zip(thetas, radii)))
+    write_csv(out, ("index", "label", "theta", "r"), rows, sc.as_header_dict())
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -21,24 +21,6 @@ from .errors import EmptyGridError
 FAR_FIELD = math.inf
 
 
-@dataclass(frozen=True)
-class Codeword:
-    """Unit-norm weight vector with its (theta, r) label; r == inf marks a
-    far-field DFT codeword."""
-
-    w: np.ndarray
-    theta: float
-    r: float = FAR_FIELD
-
-    @property
-    def is_far_field(self) -> bool:
-        return math.isinf(self.r)
-
-    @property
-    def label(self) -> str:
-        return "far" if self.is_far_field else "near"
-
-
 def dft_angle_grid(n: int) -> np.ndarray:
     """phi_n = (2n - N + 1)/N, uniformly spaced with step 2/N."""
     return (2 * np.arange(n) - n + 1) / n
@@ -52,13 +34,6 @@ class DftCodebook:
 
     def __len__(self) -> int:
         return self.matrix.shape[1]
-
-    def codeword(self, n: int) -> Codeword:
-        return Codeword(w=self.matrix[:, n].copy(), theta=float(self.angle_grid[n]))
-
-    @property
-    def codewords(self) -> list[Codeword]:
-        return [self.codeword(n) for n in range(len(self))]
 
     def nearest_index(self, theta: float) -> int:
         return int(np.argmin(np.abs(self.angle_grid - theta)))
@@ -95,42 +70,24 @@ class PolarCodebook:
         layer as the s = 0 sample, so len(self) == N * S exactly."""
         return len(self) / self.cfg.n_antennas
 
-    @property
-    def avg_rings_per_angle(self) -> float:
-        """Average finite-distance rings per angle (far layer excluded)."""
-        return float(np.mean(self.angle_count - 1))
-
     def entries_at(self, angle_index: int) -> slice:
         s = int(self.angle_start[angle_index])
         return slice(s, s + int(self.angle_count[angle_index]))
-
-    def codeword(self, i: int) -> Codeword:
-        return Codeword(w=self.matrix[:, i].copy(), theta=float(self.thetas[i]),
-                        r=float(self.radii[i]))
 
 
 def ring_scale(cfg: ArrayConfig, beta_polar: float) -> float:
     return cfg.n_antennas**2 * cfg.spacing**2 / (2.0 * beta_polar**2 * cfg.wavelength)
 
 
-def build_polar_codebook(
-    cfg: ArrayConfig,
-    beta_polar: float = 1.6,
-    r_min: float | None = None,
-) -> PolarCodebook:
+def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = 1.6) -> PolarCodebook:
     """Polar codebook on the DFT angle grid.
 
     Per angle theta_n: rings r = Z (1 - theta_n^2)/s, s = 1, 2, ...,
-    truncated to [r_min, R_Ray], plus one far-field codeword. r_min
-    defaults to the Fresnel distance; rings below it are dropped.
+    truncated to [R_Fre, R_Ray], plus one far-field codeword.
     """
     if beta_polar <= 0:
         raise ValueError(f"beta_polar must be positive, got {beta_polar}")
     r_fre, r_ray = region_boundaries(cfg)
-    if r_min is None:
-        r_min = r_fre
-    if not r_min < r_ray:
-        raise ValueError(f"r_min {r_min} must lie below the Rayleigh distance {r_ray}")
 
     z = ring_scale(cfg, beta_polar)
     grid = dft_angle_grid(cfg.n_antennas)
@@ -150,7 +107,7 @@ def build_polar_codebook(
         radii.append(FAR_FIELD)
         span = z * (1.0 - t * t)
         s = 1
-        while span / s >= r_min:
+        while span / s >= r_fre:
             r = span / s
             if r <= r_ray:
                 cols.append(near_field_steering(cfg, PolarPoint(float(t), r)))
@@ -162,7 +119,7 @@ def build_polar_codebook(
 
     if n_rings_total == 0:
         raise EmptyGridError(
-            f"no distance ring survives truncation to [{r_min}, {r_ray}] at any angle"
+            f"no distance ring survives truncation to [{r_fre}, {r_ray}] at any angle"
         )
     return PolarCodebook(
         cfg=cfg,
@@ -175,15 +132,3 @@ def build_polar_codebook(
         angle_count=count,
     )
 
-
-def export_codebook_csv(book: DftCodebook | PolarCodebook, path) -> None:
-    """Dump (index, label, theta, r) rows for inspection."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("index,label,theta,r\n")
-        if isinstance(book, DftCodebook):
-            for i, t in enumerate(book.angle_grid):
-                f.write(f"{i},far,{float(t)!r},inf\n")
-        else:
-            for i in range(len(book)):
-                label = "far" if math.isinf(book.radii[i]) else "near"
-                f.write(f"{i},{label},{float(book.thetas[i])!r},{float(book.radii[i])!r}\n")

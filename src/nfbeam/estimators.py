@@ -17,7 +17,7 @@ import numpy as np
 
 from .beampattern import _contiguous_run
 from .channel import ArrayConfig, PolarPoint, los_channel, near_field_steering, region_boundaries
-from .codebooks import Codeword, DftCodebook, PolarCodebook, build_dft_codebook
+from .codebooks import DftCodebook, PolarCodebook
 from .errors import EmptyMainSetError
 from .numerics import NoiseModel
 
@@ -50,23 +50,21 @@ class SweepResult:
 class AngleEstimate:
     theta_hat: float
     candidate_indices: tuple[int, ...]   # grid indices, ascending
-    main_set: np.ndarray                 # angles of the selected set above rho2
 
 
 @dataclass(frozen=True)
 class LocationEstimate:
     theta_hat: float
     r_hat: float
-    codeword: Codeword
+    w: np.ndarray                 # unit-norm data beam: the chosen codeword
     pilot_count: int
     candidates: tuple[tuple[float, float, float], ...]  # (theta, r, refine power)
     distance_stage_evals: int = 0
-    scheme: str = ""
 
 
 def beam_sweep(cfg: ArrayConfig, p: PolarPoint, codebook, noise: NoiseModel) -> SweepResult:
     """One pilot per codeword: y(v_n) = h^H v_n + w_n with s = 1."""
-    h = los_channel(cfg, p).h
+    h = los_channel(cfg, p)
     matrix = codebook.matrix
     y = h.conj() @ matrix + noise.sample(matrix.shape[1])
     return SweepResult(samples=y, pilot_count=matrix.shape[1], codebook=codebook)
@@ -113,7 +111,7 @@ def estimate_angle(sweep: SweepResult, ec: EstimatorConfig, clustering: bool = T
     # k members closest to the median, ties toward the smaller angle
     order = sorted(members, key=lambda i: (abs(grid[i] - theta_hat), grid[i]))
     cands = tuple(sorted(int(i) for i in order[: ec.k]))
-    return AngleEstimate(theta_hat=theta_hat, candidate_indices=cands, main_set=angles)
+    return AngleEstimate(theta_hat=theta_hat, candidate_indices=cands)
 
 
 def estimate_distance(sweep: SweepResult, candidate_index: int):
@@ -126,7 +124,7 @@ def estimate_distance(sweep: SweepResult, candidate_index: int):
     interval of width B holds B/(2/N) grid points on average, so the run
     length, not the span max - min (one step shorter), is the unbiased
     reading. A single-bin run carries no distance information and falls
-    back to the Rayleigh distance. Returns (r_hat, width, model_evals).
+    back to the Rayleigh distance. Returns (r_hat, width).
     """
     cfg = sweep.codebook.cfg
     grid = sweep.codebook.angle_grid
@@ -135,73 +133,64 @@ def estimate_distance(sweep: SweepResult, candidate_index: int):
     lo, hi = _contiguous_run(amp / amp[candidate_index] > 0.5, candidate_index)
     width = (hi - lo + 1) * 2.0 / cfg.n_antennas
     if hi == lo:
-        return r_ray, width, 1
+        return r_ray, width
     theta_i = float(grid[candidate_index])
     r_hat = cfg.n_antennas * cfg.spacing * (1.0 - theta_i**2) / width
-    return float(min(max(r_hat, r_fre), r_ray)), width, 1
+    return float(min(max(r_hat, r_fre), r_ray)), width
 
 
 def _refine(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
-            cands: list[tuple[float, float]], evals: int, sweep: SweepResult,
-            scheme: str) -> LocationEstimate:
+            cands: list[tuple[float, float]], evals: int,
+            sweep: SweepResult) -> LocationEstimate:
     """Transmit one pilot per candidate codeword, keep the strongest."""
-    h = los_channel(cfg, p).h
-    w = noise.sample(len(cands))
+    h = los_channel(cfg, p)
+    pilot_noise = noise.sample(len(cands))
     powers = []
     vecs = []
     for i, (t, r) in enumerate(cands):
         v = near_field_steering(cfg, PolarPoint(t, r))
         vecs.append(v)
-        powers.append(abs(np.vdot(h, v) + w[i]))
+        powers.append(abs(np.vdot(h, v) + pilot_noise[i]))
     best = int(np.argmax(powers))
     t, r = cands[best]
     return LocationEstimate(
         theta_hat=t,
         r_hat=r,
-        codeword=Codeword(w=vecs[best], theta=t, r=r),
+        w=vecs[best],
         pilot_count=sweep.pilot_count + len(cands),
         candidates=tuple((t_, r_, float(pw)) for (t_, r_), pw in zip(cands, powers)),
         distance_stage_evals=evals,
-        scheme=scheme,
     )
 
 
 def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
-                      ec: EstimatorConfig, codebook: DftCodebook | None = None) -> LocationEstimate:
+                      ec: EstimatorConfig, codebook: DftCodebook) -> LocationEstimate:
     """Clustered median angle, then direct width inversion per candidate.
 
     Pilot budget: N sweep pilots plus one refinement pilot per candidate
     (k when the main set holds at least k angles). The distance stage is
-    a constant number of arithmetic evaluations per candidate.
+    one width inversion per candidate.
     """
-    if codebook is None:
-        codebook = build_dft_codebook(cfg)
     sweep = beam_sweep(cfg, p, codebook, noise)
     ang = estimate_angle(sweep, ec, clustering=True)
-    cands = []
-    evals = 0
-    for ci in ang.candidate_indices:
-        r_hat, _, ev = estimate_distance(sweep, ci)
-        evals += ev
-        cands.append((float(codebook.angle_grid[ci]), r_hat))
-    return _refine(cfg, p, noise, cands, evals, sweep, "proposed")
+    cands = [(float(codebook.angle_grid[ci]), estimate_distance(sweep, ci)[0])
+             for ci in ang.candidate_indices]
+    return _refine(cfg, p, noise, cands, len(cands), sweep)
 
 
 def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
                    ec: EstimatorConfig, z_mu_grid: np.ndarray,
-                   codebook: DftCodebook | None = None) -> LocationEstimate:
+                   codebook: DftCodebook) -> LocationEstimate:
     """Baseline: global (unclustered) median angle; the distance is found
     by searching the z_mu grid for the best width-model match, so the
     distance stage costs |z_mu| model evaluations per candidate."""
-    if codebook is None:
-        codebook = build_dft_codebook(cfg)
     sweep = beam_sweep(cfg, p, codebook, noise)
     ang = estimate_angle(sweep, ec, clustering=False)
     nd = cfg.n_antennas * cfg.spacing
     cands = []
     evals = 0
     for ci in ang.candidate_indices:
-        _, width, _ = estimate_distance(sweep, ci)
+        _, width = estimate_distance(sweep, ci)
         theta_i = float(codebook.angle_grid[ci])
         predicted = nd * (1.0 - theta_i**2) / z_mu_grid
         evals += z_mu_grid.size
@@ -210,20 +199,18 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
         else:
             r_hat = float(z_mu_grid[int(np.argmin(np.abs(predicted - width)))])
         cands.append((theta_i, r_hat))
-    return _refine(cfg, p, noise, cands, evals, sweep, "joint")
+    return _refine(cfg, p, noise, cands, evals, sweep)
 
 
 def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
                   ec: EstimatorConfig, polar: PolarCodebook,
-                  codebook: DftCodebook | None = None) -> LocationEstimate:
+                  codebook: DftCodebook) -> LocationEstimate:
     """Baseline: global median angle, then an exhaustive distance sweep
     with the polar codebook entries at each candidate angle."""
-    if codebook is None:
-        codebook = build_dft_codebook(cfg)
     sweep = beam_sweep(cfg, p, codebook, noise)
     ang = estimate_angle(sweep, ec, clustering=False)
     _, r_ray = region_boundaries(cfg)
-    h = los_channel(cfg, p).h
+    h = los_channel(cfg, p)
     extra = 0
     best_power = -1.0
     best: tuple[float, float, np.ndarray] | None = None
@@ -243,18 +230,17 @@ def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     t, r, w = best
     return LocationEstimate(
         theta_hat=t, r_hat=r,
-        codeword=Codeword(w=w.copy(), theta=t, r=r),
+        w=w.copy(),
         pilot_count=sweep.pilot_count + extra,
         candidates=tuple(powers),
         distance_stage_evals=extra,
-        scheme="fast",
     )
 
 
 def exhaustive_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
                         polar: PolarCodebook) -> LocationEstimate:
     """Baseline: argmax |y| over every polar codebook entry."""
-    h = los_channel(cfg, p).h
+    h = los_channel(cfg, p)
     y = h.conj() @ polar.matrix + noise.sample(len(polar))
     _, r_ray = region_boundaries(cfg)
     j = int(np.argmax(np.abs(y)))
@@ -262,11 +248,10 @@ def exhaustive_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     r = float(min(polar.radii[j], r_ray))
     return LocationEstimate(
         theta_hat=t, r_hat=r,
-        codeword=Codeword(w=polar.matrix[:, j].copy(), theta=t, r=float(polar.radii[j])),
+        w=polar.matrix[:, j].copy(),
         pilot_count=len(polar),
         candidates=((t, r, float(abs(y[j]))),),
         distance_stage_evals=0,
-        scheme="exhaustive",
     )
 
 

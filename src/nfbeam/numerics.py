@@ -101,11 +101,6 @@ def erf_complex(z: complex) -> complex:
     return 1.0 - cmath.exp(-z * z) * _faddeeva_cf(1j * z)
 
 
-def erfi(v: complex) -> complex:
-    """Imaginary error function, erfi(v) = -i erf(i v)."""
-    return -1j * erf_complex(1j * complex(v))
-
-
 @dataclass
 class NoiseModel:
     """Seedable complex AWGN stream with total variance sigma2.
@@ -131,10 +126,3 @@ class NoiseModel:
         re = self._rng.standard_normal(n)
         im = self._rng.standard_normal(n)
         return std * (re + 1j * im)
-
-    def sample_one(self) -> complex:
-        return complex(self.sample(1)[0])
-
-    def fork(self) -> "NoiseModel":
-        """Fresh stream with the same key, restarted from the beginning."""
-        return NoiseModel(self.sigma2, self.seed)

@@ -112,9 +112,10 @@ class ScenarioConfig:
         self.estimator()
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 1 <= self.m_users <= self.n_antennas:
-            raise ValueError(f"m_users must be in [1, n_antennas = {self.n_antennas}], "
-                             f"got {self.m_users}")
+        if self.m_users < 1:
+            raise ValueError(f"m_users must be >= 1, got {self.m_users}")
+        if self.reference_mode not in (TOTAL_ENERGY, PER_ANTENNA):
+            raise ValueError(f"unknown reference mode {self.reference_mode!r}")
         if len(self.snr_ref_db_grid) == 0:
             raise ValueError("snr_ref_db_grid is empty")
         if self.z_mu_size < 1:
@@ -252,6 +253,8 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
     """
     if mode not in ("nmse", "single", "multi"):
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
+    if mode == "multi" and sc.m_users > sc.n_antennas:
+        raise ValueError(f"m_users = {sc.m_users} exceeds n_antennas = {sc.n_antennas}")
     trainer = Trainer(sc)
     cfg = trainer.cfg
     sampler = sc.sampler()
@@ -263,7 +266,7 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         keys = ([noise_key(sc.seed, t, u) for u in range(n_users)] if mode == "multi"
                 else [noise_key(sc.seed, t)])
         if mode == "single":
-            h = los_channel(cfg, users[0]).h
+            h = los_channel(cfg, users[0])
             matched = h / np.linalg.norm(h)
         exact = tuple((p.theta, p.r, 0) for p in users)
         for i, sigma2 in enumerate(sigma2s):
@@ -281,7 +284,7 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                     continue
                 rates = None
                 if mode == "single":
-                    rates = (single_user_rate(cfg, users[0], ests[0].codeword.w, sigma2),)
+                    rates = (single_user_rate(cfg, users[0], ests[0].w, sigma2),)
                 elif mode == "multi":
                     labels = [PolarPoint(e.theta_hat, e.r_hat) for e in ests]
                     rates = _group_rates(cfg, users, labels, sigma2)

@@ -177,8 +177,7 @@ class TestMeasureWidth:
         assert abs(ms.width - 0.096) / 0.096 <= 0.10
 
     def test_threshold_above_everything(self):
-        pat = BeamPattern(grid=np.linspace(-1, 1, 11),
-                          gains=np.full(11, 0.3), normalization="raw")
+        pat = BeamPattern(grid=np.linspace(-1, 1, 11), gains=np.full(11, 0.3))
         with pytest.raises(EmptyMainSetError):
             measure_width(pat, 0.5)
 
@@ -205,11 +204,8 @@ class TestMeasureWidth:
         gains = np.zeros(21)
         gains[9:12] = 1.0
         gains[18] = 0.9  # detached sidelobe spike
-        pat = BeamPattern(grid=grid, gains=gains, normalization="raw")
-        contiguous = measure_width(pat, 0.5)
-        assert contiguous.width == pytest.approx(grid[11] - grid[9])
-        global_set = measure_width(pat, 0.5, contiguous=False)
-        assert global_set.width == pytest.approx(grid[18] - grid[9])
+        pat = BeamPattern(grid=grid, gains=gains)
+        assert measure_width(pat, 0.5).width == pytest.approx(grid[11] - grid[9])
 
     def test_grid_quantization_bound(self, cfg512):
         # grid Range differs from the interpolated crossing width by at

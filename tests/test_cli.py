@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import nfbeam.simharness
+from nfbeam import ArrayConfig, build_polar_codebook
 from nfbeam.cli import EXIT_CONFIG, EXIT_OK, load_config_file, main
 from nfbeam.simharness import ScenarioConfig
 
@@ -164,6 +165,26 @@ class TestCodebookDump:
         assert rc == EXIT_OK
         assert "ring scale Z" in capsys.readouterr().out
 
+    def test_config_beta_polar_used_and_written(self, tmp_path):
+        cfg = tmp_path / "book.cfg"
+        cfg.write_text("n_antennas=64\nbeta_polar=1.2\n")
+        for kind in ("dft", "polar"):
+            assert run(["codebook-dump", "--kind", kind, "--config", str(cfg),
+                        "--out", str(tmp_path)]) == EXIT_OK
+        polar = build_polar_codebook(ArrayConfig(64, 100e9), 1.2)
+        for name, n_rows in (("codebook_dft_N64.csv", 64),
+                             ("codebook_polar_N64_beta1.2.csv", len(polar))):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert "# beta_polar=1.2" in lines
+            rows = [ln for ln in lines if not ln.startswith("#")]
+            assert rows[0] == "index,label,theta,r"
+            assert len(rows) == 1 + n_rows
+        assert any(",near," in ln for ln in rows)
+        # the flag overrides the file value
+        assert run(["codebook-dump", "--kind", "polar", "--config", str(cfg),
+                    "--beta-polar", "1.8", "--out", str(tmp_path)]) == EXIT_OK
+        assert (tmp_path / "codebook_polar_N64_beta1.8.csv").is_file()
+
 
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -222,6 +243,20 @@ class TestErrors:
         assert rc == EXIT_CONFIG
         assert "theta range" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_nmse_ignores_m_users_at_small_n(self, tmp_path):
+        # the default m_users = 10 exceeds N = 8, but nmse has no users group
+        rc = run(["nmse", "--N", "8", "--trials", "2", "--snr-db", "20",
+                  "--schemes", "proposed", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+
+    def test_rate_multi_more_users_than_antennas(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = run(["rate-multi", "--N", "8", "--M", "10", "--trials", "2",
+                  "--snr-db", "20", "--schemes", "proposed", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert "m_users" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # a huge coherence parameter shrinks every distance ring below

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nfbeam import (
-    ArrayConfig,
     PolarPoint,
     build_dft_codebook,
     build_polar_codebook,
@@ -12,7 +11,7 @@ from nfbeam import (
     los_channel,
     region_boundaries,
 )
-from nfbeam.codebooks import export_codebook_csv, ring_scale
+from nfbeam.codebooks import ring_scale
 from nfbeam.errors import EmptyGridError
 
 
@@ -41,7 +40,7 @@ class TestDftCodebook:
         _, r_ray = region_boundaries(cfg256)
         book = build_dft_codebook(cfg256)
         for theta in [-0.513, 0.0333, 0.742]:
-            h = los_channel(cfg256, PolarPoint(theta, 100 * r_ray)).h
+            h = los_channel(cfg256, PolarPoint(theta, 100 * r_ray))
             gains = np.abs(h.conj() @ book.matrix) / np.linalg.norm(h)
             assert int(np.argmax(gains)) == book.nearest_index(theta)
 
@@ -49,14 +48,9 @@ class TestDftCodebook:
         _, r_ray = region_boundaries(cfg256)
         book = build_dft_codebook(cfg256)
         theta = float(book.angle_grid[100])
-        h = los_channel(cfg256, PolarPoint(theta, 100 * r_ray)).h
+        h = los_channel(cfg256, PolarPoint(theta, 100 * r_ray))
         gains = np.abs(h.conj() @ book.matrix) / np.linalg.norm(h)
         assert gains[100] >= 0.999
-
-    def test_codeword_labels(self, cfg64):
-        cw = build_dft_codebook(cfg64).codeword(3)
-        assert cw.is_far_field
-        assert cw.label == "far"
 
 
 class TestPolarCodebook:
@@ -103,32 +97,14 @@ class TestPolarCodebook:
     def test_average_samples_exceed_one(self, cfg256):
         book = build_polar_codebook(cfg256)
         assert book.avg_samples_per_angle > 1.0
-        assert book.avg_rings_per_angle == pytest.approx(
-            book.avg_samples_per_angle - 1.0)
         assert len(book) == cfg256.n_antennas * book.avg_samples_per_angle
 
-    def test_empty_grid_raises(self):
-        cfg = ArrayConfig(16, 100e9)
-        _, r_ray = region_boundaries(cfg)
-        # r_min just below the Rayleigh distance leaves no ring anywhere
+    def test_empty_grid_raises(self, cfg64):
+        # so dense a ring scale puts even the first ring inside R_Fre
         with pytest.raises(EmptyGridError):
-            build_polar_codebook(cfg, beta_polar=1.6, r_min=0.99 * r_ray)
+            build_polar_codebook(cfg64, beta_polar=99.0)
 
     def test_bad_beta_rejected(self, cfg64):
         with pytest.raises(ValueError):
             build_polar_codebook(cfg64, beta_polar=0.0)
 
-
-def test_export_csv(tmp_path, cfg64):
-    dft = build_dft_codebook(cfg64)
-    polar = build_polar_codebook(cfg64)
-    p1 = tmp_path / "dft.csv"
-    p2 = tmp_path / "polar.csv"
-    export_codebook_csv(dft, p1)
-    export_codebook_csv(polar, p2)
-    lines = p1.read_text().splitlines()
-    assert lines[0] == "index,label,theta,r"
-    assert len(lines) == 1 + 64
-    lines = p2.read_text().splitlines()
-    assert len(lines) == 1 + len(polar)
-    assert any(",near," in ln for ln in lines)

@@ -81,8 +81,9 @@ class TestUserSampler:
     dict(r_range=(5.0, 2.0)),
     dict(snr_ref_db_grid=()),
     dict(z_mu_size=0),
-    dict(m_users=65),
+    dict(m_users=0),
     dict(k=0),
+    dict(reference_mode="foo"),
 ])
 def test_scenario_rejects_invalid_values_at_construction(kw):
     with pytest.raises(ValueError):
@@ -159,6 +160,13 @@ class TestSimulate:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             next(simulate(small_scenario(), "triple"))
+
+    def test_more_users_than_antennas_rejected_in_multi_mode_only(self):
+        # m_users is unused outside the multi-user mode
+        sc = small_scenario(m_users=65)
+        assert next(simulate(sc, "nmse")).estimates is not None
+        with pytest.raises(ValueError, match="m_users"):
+            next(simulate(sc, "multi"))
 
 
 class TestRateExperiment:
