@@ -12,6 +12,7 @@ a distance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,6 +46,11 @@ class SweepResult:
     pilot_count: int
     codebook: DftCodebook
 
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        """|y|, computed once for the angle and distance stages."""
+        return np.abs(self.samples)
+
 
 @dataclass(frozen=True)
 class AngleEstimate:
@@ -70,24 +76,26 @@ def beam_sweep(cfg: ArrayConfig, p: PolarPoint, codebook, noise: NoiseModel) -> 
     return SweepResult(samples=y, pilot_count=matrix.shape[1], codebook=codebook)
 
 
-def cluster_indices(samples: np.ndarray, rho2: float, gap: int):
-    """Partition super-threshold indices into gap-limited clusters.
+def cluster_indices(amp: np.ndarray, rho2: float, gap: int):
+    """Super-threshold indices and the gap-limited cluster of them that
+    holds the strongest single sample.
 
-    Returns (clusters, selected) where clusters is a list of index
-    arrays and selected is the position in that list of the cluster
-    containing the strongest single sample.
+    `amp` is the sweep's |y|. Returns (indices, cluster): every index
+    with amp > rho2, ascending, and the run of those indices, cut where
+    two neighbours lie more than `gap` apart, that contains the argmax.
     """
     if rho2 <= 0:
         raise ValueError(f"rho2 must be positive, got {rho2}")
-    amp = np.abs(samples)
-    idx = np.nonzero(amp > rho2)[0]
+    idx = np.flatnonzero(amp > rho2)
     if idx.size == 0:
         raise EmptyMainSetError(f"no sample above rho2 = {rho2}")
-    breaks = np.nonzero(np.diff(idx) > gap)[0]
-    clusters = np.split(idx, breaks + 1)
-    strongest = idx[int(np.argmax(amp[idx]))]
-    selected = next(i for i, c in enumerate(clusters) if c[0] <= strongest <= c[-1])
-    return clusters, selected
+    # position in idx of the last index of every cluster but the final one
+    ends = np.flatnonzero(idx[1:] - idx[:-1] > gap)
+    strongest = int(np.argmax(amp[idx]))
+    j = int(np.searchsorted(ends, strongest))
+    lo = ends[j - 1] + 1 if j > 0 else 0
+    hi = ends[j] + 1 if j < ends.size else idx.size
+    return idx, idx[lo:hi]
 
 
 def estimate_angle(sweep: SweepResult, ec: EstimatorConfig, clustering: bool = True) -> AngleEstimate:
@@ -99,18 +107,17 @@ def estimate_angle(sweep: SweepResult, ec: EstimatorConfig, clustering: bool = T
     without it (the joint baseline) the global super-threshold set is
     used directly.
     """
-    amp = np.abs(sweep.samples)
+    amp = sweep.amplitudes
     rho2 = ec.rho2_fraction * amp.max()
     if not rho2 > 0:
         raise EmptyMainSetError("all-zero sweep: no sample above the threshold")
-    clusters, sel = cluster_indices(sweep.samples, rho2, ec.cluster_gap)
-    members = clusters[sel] if clustering else np.concatenate(clusters)
-    grid = sweep.codebook.angle_grid
-    angles = grid[members]
-    theta_hat = float(angles.max() + angles.min()) / 2.0
+    idx, cluster = cluster_indices(amp, rho2, ec.cluster_gap)
+    members = cluster if clustering else idx
+    angles = sweep.codebook.angle_grid[members]  # ascending, as members are
+    theta_hat = float(angles[-1] + angles[0]) / 2.0
     # k members closest to the median, ties toward the smaller angle
-    order = sorted(members, key=lambda i: (abs(grid[i] - theta_hat), grid[i]))
-    cands = tuple(sorted(int(i) for i in order[: ec.k]))
+    order = np.lexsort((angles, np.abs(angles - theta_hat)))
+    cands = tuple(int(i) for i in np.sort(members[order[: ec.k]]))
     return AngleEstimate(theta_hat=theta_hat, candidate_indices=cands)
 
 
@@ -129,7 +136,7 @@ def estimate_distance(sweep: SweepResult, candidate_index: int):
     cfg = sweep.codebook.cfg
     grid = sweep.codebook.angle_grid
     r_fre, r_ray = region_boundaries(cfg)
-    amp = np.abs(sweep.samples)
+    amp = sweep.amplitudes
     lo, hi = _contiguous_run(amp / amp[candidate_index] > 0.5, candidate_index)
     width = (hi - lo + 1) * 2.0 / cfg.n_antennas
     if hi == lo:

@@ -110,19 +110,38 @@ class NoiseModel:
     SeedSequence so tuple seeds give independent streams. Real and
     imaginary parts are independent N(0, sigma2/2). A zero sigma2 stream
     emits exact zeros but still advances deterministically.
+
+    The stream keeps the unit normals it has drawn, so `replay` restarts
+    it at another power without re-seeding or redrawing. numpy's draws
+    are sequentially consistent (n draws, then m draws, equal n + m
+    draws), so a replayed stream yields exactly the samples of a fresh
+    NoiseModel(sigma2, seed), whatever chunk sizes it is read in.
     """
 
     sigma2: float
     seed: int | tuple = 0
 
     def __post_init__(self) -> None:
-        if self.sigma2 < 0:
-            raise ValueError(f"sigma2 must be >= 0, got {self.sigma2}")
         self._rng = np.random.default_rng(self.seed)
+        self._units = np.empty(0)  # unit normals drawn so far, in draw order
+        self.replay(self.sigma2)
+
+    def replay(self, sigma2: float) -> NoiseModel:
+        """Restart at the first draw with total variance sigma2."""
+        if sigma2 < 0:
+            raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+        self.sigma2 = sigma2
+        self._pos = 0
+        return self
 
     def sample(self, n: int) -> np.ndarray:
         """Next n complex draws."""
         std = math.sqrt(self.sigma2 / 2.0)
-        re = self._rng.standard_normal(n)
-        im = self._rng.standard_normal(n)
+        mid, end = self._pos + n, self._pos + 2 * n
+        if end > self._units.size:
+            more = self._rng.standard_normal(end - self._units.size)
+            self._units = np.concatenate((self._units, more))
+        re = self._units[self._pos:mid]
+        im = self._units[mid:end]
+        self._pos = end
         return std * (re + 1j * im)

@@ -7,13 +7,14 @@ once, from the key (seed, 0, trial). Reproducibility contract: every
 random stream is keyed by (seed, lane, trial [, user]) so results are
 bit-identical across runs; the noise key omits the SNR index on purpose,
 so one trial sees the same scaled noise at every SNR point (common
-random numbers across the SNR grid). Each scheme receives a fresh stream
-with the same key, which makes the schemes see identical sweep noise
-within a trial.
+random numbers across the SNR grid). A trial builds one stream per key
+and every (SNR point, scheme) training replays it from its first draw,
+which makes the schemes see identical sweep noise within a trial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
@@ -118,6 +119,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown reference mode {self.reference_mode!r}")
         if len(self.snr_ref_db_grid) == 0:
             raise ValueError("snr_ref_db_grid is empty")
+        if not all(math.isfinite(x) for x in self.snr_ref_db_grid):
+            raise ValueError(f"snr_ref_db_grid must be finite, got {self.snr_ref_db_grid}")
+        if not (math.isfinite(self.beta_polar) and self.beta_polar > 0):
+            raise ValueError(f"beta_polar must be finite and positive, got {self.beta_polar}")
         if self.z_mu_size < 1:
             raise ValueError(f"z_mu_size must be >= 1, got {self.z_mu_size}")
         unknown = set(self.schemes) - set(SCHEMES)
@@ -265,6 +270,7 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         users = tuple(sampler.sample(rng) for _ in range(n_users))
         keys = ([noise_key(sc.seed, t, u) for u in range(n_users)] if mode == "multi"
                 else [noise_key(sc.seed, t)])
+        noises = [NoiseModel(sigma2s[0], key) for key in keys]
         if mode == "single":
             h = los_channel(cfg, users[0])
             matched = h / np.linalg.norm(h)
@@ -277,8 +283,8 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                 yield TrialRow(t, i, FULL_CSI, users, exact, _group_rates(cfg, users, users, sigma2))
             for scheme in sc.schemes:
                 try:
-                    ests = [trainer.train(scheme, p, NoiseModel(sigma2, key))
-                            for p, key in zip(users, keys)]
+                    ests = [trainer.train(scheme, p, noise.replay(sigma2))
+                            for p, noise in zip(users, noises)]
                 except EmptyMainSetError:
                     yield TrialRow(t, i, scheme, users, None)
                     continue

@@ -47,3 +47,31 @@ def steering_by_distances(n_antennas: int, wavelength: float,
         rn = element_distance_by_coordinates(n_antennas, spacing, theta, r, n)
         out[n] = np.exp(-2j * np.pi * (rn - r) / wavelength)
     return out / math.sqrt(n_antennas)
+
+
+def estimate_angle_by_loops(amp, grid, rho2_fraction: float, gap: int, k: int,
+                            clustering: bool) -> tuple[float, tuple[int, ...]]:
+    """(theta_hat, candidate indices) of the angle stage, by plain loops.
+
+    Threshold at rho2_fraction times the peak, split the super-threshold
+    indices wherever two neighbours lie more than `gap` apart, keep the
+    cluster of the first strongest sample (or every index without
+    clustering), take the midpoint of its extreme angles, and return the
+    k members closest to it, ties toward the smaller angle, ascending.
+    """
+    amp = [float(a) for a in amp]
+    grid = [float(g) for g in grid]
+    rho2 = rho2_fraction * max(amp)
+    idx = [i for i, a in enumerate(amp) if a > rho2]
+    clusters = [[idx[0]]]
+    for i in idx[1:]:
+        if i - clusters[-1][-1] > gap:
+            clusters.append([i])
+        else:
+            clusters[-1].append(i)
+    strongest = max(idx, key=lambda i: amp[i])  # first of equal maxima
+    members = next(c for c in clusters if strongest in c) if clustering else idx
+    angles = [grid[i] for i in members]
+    theta_hat = (max(angles) + min(angles)) / 2.0
+    order = sorted(members, key=lambda i: (abs(grid[i] - theta_hat), grid[i]))
+    return theta_hat, tuple(sorted(order[:k]))

@@ -130,6 +130,35 @@ class TestChannel:
         assert got == pytest.approx(expected, abs=1e-9)
 
 
+@pytest.mark.parametrize("fn", [near_field_steering, los_channel],
+                         ids=["near_field_steering", "los_channel"])
+class TestMemo:
+    def test_shared_array_raises_on_write(self, fn, cfg64):
+        p = PolarPoint(0.3, 2.0)
+        a = fn(cfg64, p)
+        assert fn(cfg64, PolarPoint(0.3, 2.0)) is a
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            a *= 2.0
+
+    def test_bitwise_equal_to_fresh_computation(self, fn, cfg64):
+        p = PolarPoint(-0.55, 1.3)
+        cached = fn(cfg64, p)
+        near_field_steering.cache_clear()
+        los_channel.cache_clear()
+        fresh = fn(cfg64, p)
+        assert fresh is not cached
+        assert fresh.tobytes() == cached.tobytes()
+
+    def test_size_is_bounded(self, fn, cfg64):
+        maxsize = fn.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024
+        for i in range(maxsize + 10):
+            fn(cfg64, PolarPoint(0.0, 1.0 + i / 1000))
+        assert fn.cache_info().currsize == maxsize
+
+
 class TestRegions:
     def test_headline_values(self, cfg512):
         r_fre, r_ray = region_boundaries(cfg512)

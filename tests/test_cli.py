@@ -244,6 +244,23 @@ class TestErrors:
         assert "theta range" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_config_beta_polar_must_be_positive(self, tmp_path, capsys):
+        # rejected even when no scheme of the run builds a polar codebook
+        cfg = tmp_path / "b.cfg"
+        cfg.write_text("beta_polar=-1\n")
+        rc = run(["nmse", "--N", "64", "--trials", "2", "--snr-db", "20",
+                  "--schemes", "proposed", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "beta_polar" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_non_finite_snr_rejected(self, tmp_path, capsys):
+        rc = run(["nmse", "--N", "64", "--trials", "2", "--snr-db", "nan", "10",
+                  "--schemes", "proposed", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "snr_ref_db_grid" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_nmse_ignores_m_users_at_small_n(self, tmp_path):
         # the default m_users = 10 exceeds N = 8, but nmse has no users group
         rc = run(["nmse", "--N", "8", "--trials", "2", "--snr-db", "20",

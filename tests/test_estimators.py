@@ -72,39 +72,44 @@ class TestBeamSweep:
 
 class TestClusterIndices:
     def test_gap_rule(self):
-        samples = np.zeros(64, dtype=complex)
+        amp = np.zeros(64)
         for i, v in [(10, 1.0), (12, 0.9), (30, 0.8)]:
-            samples[i] = v
-        clusters, sel = cluster_indices(samples, 0.5, gap=8)
-        assert [list(c) for c in clusters] == [[10, 12], [30]]
-        assert sel == 0
+            amp[i] = v
+        idx, cluster = cluster_indices(amp, 0.5, gap=8)
+        assert list(idx) == [10, 12, 30]
+        assert list(cluster) == [10, 12]     # 12 -> 30 is a gap of 18 > 8
 
     def test_strongest_sample_selects_cluster(self):
-        samples = np.zeros(64, dtype=complex)
-        samples[5], samples[6] = 0.6, 0.55         # wide weaker cluster
-        samples[40] = 0.9                           # single strong sample
-        clusters, sel = cluster_indices(samples, 0.5, gap=8)
-        assert list(clusters[sel]) == [40]
+        amp = np.zeros(64)
+        amp[5], amp[6] = 0.6, 0.55         # wide weaker cluster
+        amp[40] = 0.9                       # single strong sample
+        idx, cluster = cluster_indices(amp, 0.5, gap=8)
+        assert list(idx) == [5, 6, 40]
+        assert list(cluster) == [40]
 
     def test_noiseless_near_user_is_one_cluster(self, cfg512, book512):
         sweep = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
-        amp = np.abs(sweep.samples)
-        clusters, sel = cluster_indices(sweep.samples, 0.65 * amp.max(), gap=8)
-        assert len(clusters) == 1
+        amp = sweep.amplitudes
+        idx, cluster = cluster_indices(amp, 0.65 * amp.max(), gap=8)
+        assert np.array_equal(idx, cluster)
 
     def test_two_users_two_clusters(self, cfg256, book256):
         h1 = los_channel(cfg256, PolarPoint(-0.5, 5.0))
         h2 = los_channel(cfg256, PolarPoint(0.5, 5.0))
-        y = (h1 + 0.7 * h2).conj() @ book256.matrix
-        clusters, sel = cluster_indices(y, 0.4 * np.abs(y).max(), gap=8)
-        assert len(clusters) == 2
-        # the selected cluster holds the stronger (unscaled) user
+        amp = np.abs((h1 + 0.7 * h2).conj() @ book256.matrix)
+        idx, cluster = cluster_indices(amp, 0.4 * amp.max(), gap=8)
+        # the selected cluster holds the stronger (unscaled) user, the
+        # other cluster the weaker one
         stronger = book256.nearest_index(-0.5)
-        assert clusters[sel][0] <= stronger <= clusters[sel][-1]
+        assert cluster[0] <= stronger <= cluster[-1]
+        rest = np.setdiff1d(idx, cluster)
+        assert rest.size > 0 and np.all(np.diff(rest) <= 8)
+        assert rest[0] - cluster[-1] > 8
+        assert rest[0] <= book256.nearest_index(0.5) <= rest[-1]
 
     def test_empty_set(self):
         with pytest.raises(EmptyMainSetError):
-            cluster_indices(np.zeros(8, dtype=complex), 0.5, gap=8)
+            cluster_indices(np.zeros(8), 0.5, gap=8)
 
 
 class TestEstimateAngle:

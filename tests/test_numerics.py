@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from nfbeam import NoiseModel, erf_complex
+from nfbeam import ArrayConfig, NoiseModel, build_polar_codebook, erf_complex
 from oracles import erf_real_quadrature, quadrature_f
 
 
@@ -103,3 +103,21 @@ class TestNoiseModel:
         a = NoiseModel(1.0, 11).sample(64)
         b = NoiseModel(4.0, 11).sample(64)
         assert np.allclose(2.0 * a, b, rtol=0, atol=0)
+
+    def test_replay_equals_a_fresh_stream_chunk_for_chunk(self):
+        # chunk sizes of a proposed, a fast, an exhaustive and another
+        # proposed training at N = 64, replayed on one stream; the
+        # exhaustive draw is longer than everything drawn before it
+        n_polar = len(build_polar_codebook(ArrayConfig(64, 100e9)))
+        assert n_polar > 64 + 5 + 7 + 2
+        runs = [(2.0, (64, 3)), (0.5, (64, 5, 7, 2)), (1e-3, (n_polar,)), (0.0, (64, 3))]
+        stream = NoiseModel(1.0, (4, 1, 0))
+        for sigma2, sizes in runs:
+            assert stream.replay(sigma2) is stream
+            fresh = NoiseModel(sigma2, (4, 1, 0))
+            for n in sizes:
+                assert stream.sample(n).tobytes() == fresh.sample(n).tobytes()
+
+    def test_replay_rejects_negative_power(self):
+        with pytest.raises(ValueError):
+            NoiseModel(1.0, 0).replay(-1.0)

@@ -1,0 +1,55 @@
+"""Property tests of the angle stage against a plain-loop oracle."""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from nfbeam import ArrayConfig, EstimatorConfig, build_dft_codebook, estimate_angle
+from nfbeam.estimators import SweepResult
+from oracles import estimate_angle_by_loops
+
+BOOK = build_dft_codebook(ArrayConfig(64, 100e9))
+
+# Few distinct levels, mostly zero: equal maxima, equal distances to the
+# midpoint and several gap-separated clusters all come up often.
+levels = st.sampled_from([0.0] * 6 + [0.25, 0.5, 0.7, 0.9, 1.0])
+# Unit phases under which |y| is exact, so the amplitudes are the levels.
+phases = st.sampled_from([1.0, -1.0, 1j, -1j])
+sweeps = st.lists(st.tuples(levels, phases), min_size=64, max_size=64)
+configs = st.builds(EstimatorConfig, k=st.integers(1, 6), cluster_gap=st.integers(1, 12),
+                    rho2_fraction=st.sampled_from([0.2, 0.45, 0.65, 0.85]))
+
+
+def sweep_of(samples):
+    return SweepResult(samples=np.asarray(samples, dtype=complex), pilot_count=64,
+                       codebook=BOOK)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sweeps, configs, st.booleans())
+def test_estimate_angle_matches_loop_oracle(pairs, ec, clustering):
+    samples = [a * ph for a, ph in pairs]
+    amp = [a for a, _ in pairs]
+    assume(max(amp) > 0)
+    est = estimate_angle(sweep_of(samples), ec, clustering=clustering)
+    theta_hat, cands = estimate_angle_by_loops(amp, BOOK.angle_grid, ec.rho2_fraction,
+                                               ec.cluster_gap, ec.k, clustering)
+    assert est.theta_hat == theta_hat
+    assert est.candidate_indices == cands
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweeps, configs, st.booleans(), st.floats(1e-6, 1e6))
+def test_estimate_angle_invariant_to_positive_rescaling(pairs, ec, clustering, scale):
+    amp = np.array([a for a, _ in pairs])
+    peak = amp.max()
+    assume(peak > 0)
+    # rounding may move a level that sits on the threshold across it
+    assume(np.all(np.abs(amp - ec.rho2_fraction * peak) > 1e-9 * peak))
+    samples = np.array([a * ph for a, ph in pairs])
+    a = estimate_angle(sweep_of(samples), ec, clustering=clustering)
+    b = estimate_angle(sweep_of(scale * samples), ec, clustering=clustering)
+    assert a == b

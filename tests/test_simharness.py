@@ -3,16 +3,39 @@ import math
 import numpy as np
 import pytest
 
-from nfbeam import ArrayConfig, calibrate_noise, channel_gain, region_boundaries
+from nfbeam import (
+    ArrayConfig,
+    NoiseModel,
+    PolarPoint,
+    calibrate_noise,
+    channel_gain,
+    exhaustive_training,
+    fast_training,
+    joint_training,
+    los_channel,
+    multiuser_precode,
+    multiuser_rate,
+    near_field_steering,
+    proposed_training,
+    region_boundaries,
+    single_user_rate,
+)
+from nfbeam.errors import EmptyMainSetError
 from nfbeam.simharness import (
+    FULL_CSI,
     PER_ANTENNA,
+    SCHEMES,
     TOTAL_ENERGY,
     ScenarioConfig,
+    Trainer,
+    TrialRow,
     UserSampler,
+    noise_key,
     overhead_report,
     run_nmse_experiment,
     run_rate_experiment,
     simulate,
+    user_rng_key,
     write_records_csv,
 )
 
@@ -84,6 +107,10 @@ class TestUserSampler:
     dict(m_users=0),
     dict(k=0),
     dict(reference_mode="foo"),
+    dict(beta_polar=-1.0),
+    dict(beta_polar=float("inf")),
+    dict(snr_ref_db_grid=(float("nan"), 10.0)),
+    dict(snr_ref_db_grid=(10.0, float("-inf"))),
 ])
 def test_scenario_rejects_invalid_values_at_construction(kw):
     with pytest.raises(ValueError):
@@ -167,6 +194,68 @@ class TestSimulate:
         assert next(simulate(sc, "nmse")).estimates is not None
         with pytest.raises(ValueError, match="m_users"):
             next(simulate(sc, "multi"))
+
+
+def reference_rows(sc, mode):
+    """`simulate` written out plainly: each (trial, SNR point, scheme)
+    training calls the public training function on a fresh
+    NoiseModel(sigma2, noise_key(...)), and every rate is computed anew."""
+    tr = Trainer(sc)
+    cfg = tr.cfg
+    trainings = {
+        "proposed": lambda p, noise: proposed_training(cfg, p, noise, tr.ec, tr.codebook),
+        "joint": lambda p, noise: joint_training(cfg, p, noise, tr.ec, tr.z_mu, tr.codebook),
+        "fast": lambda p, noise: fast_training(cfg, p, noise, tr.ec, tr.polar, tr.codebook),
+        "exhaustive": lambda p, noise: exhaustive_training(cfg, p, noise, tr.polar),
+    }
+    sampler = sc.sampler()
+    n_users = sc.m_users if mode == "multi" else 1
+    for t in range(sc.trials):
+        rng = np.random.default_rng(user_rng_key(sc.seed, t))
+        users = tuple(sampler.sample(rng) for _ in range(n_users))
+        exact = tuple((p.theta, p.r, 0) for p in users)
+        for i, snr_db in enumerate(sc.snr_ref_db_grid):
+            sigma2 = calibrate_noise(cfg, snr_db, sc.reference_mode)
+
+            def rates(labels, beams):
+                if mode == "single":
+                    return (single_user_rate(cfg, users[0], beams[0], sigma2),)
+                if mode == "multi":
+                    v = multiuser_precode(cfg, labels, sigma2)
+                    return tuple(float(x) for x in multiuser_rate(cfg, users, v, sigma2))
+                return None
+
+            if mode != "nmse":
+                h = los_channel(cfg, users[0])
+                yield TrialRow(t, i, FULL_CSI, users, exact,
+                               rates(users, [h / np.linalg.norm(h)]))
+            for scheme in sc.schemes:
+                keys = ([noise_key(sc.seed, t, u) for u in range(n_users)] if mode == "multi"
+                        else [noise_key(sc.seed, t)])
+                try:
+                    ests = [trainings[scheme](p, NoiseModel(sigma2, key))
+                            for p, key in zip(users, keys)]
+                except EmptyMainSetError:
+                    yield TrialRow(t, i, scheme, users, None)
+                    continue
+                labels = [PolarPoint(e.theta_hat, e.r_hat) for e in ests]
+                yield TrialRow(t, i, scheme, users,
+                               tuple((e.theta_hat, e.r_hat, e.pilot_count) for e in ests),
+                               rates(labels, [e.w for e in ests]))
+
+
+@pytest.mark.parametrize("mode", ["nmse", "single", "multi"])
+def test_simulate_rows_equal_fresh_stream_reference(mode):
+    # at -20 and -5 dB the estimates depend on the noise draws: a stream
+    # read from the wrong position changes 10 of the 36 nmse rows
+    sc = ScenarioConfig(n_antennas=32, snr_ref_db_grid=(-20.0, -5.0, 10.0), trials=3, seed=9,
+                        m_users=3, schemes=SCHEMES, reference_mode=TOTAL_ENERGY)
+    rows = list(simulate(sc, mode))
+    near_field_steering.cache_clear()
+    los_channel.cache_clear()
+    expected = list(reference_rows(sc, mode))
+    assert len(rows) == len(expected) == 3 * 3 * (4 + (mode != "nmse"))
+    assert rows == expected
 
 
 class TestRateExperiment:
