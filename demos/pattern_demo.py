@@ -41,7 +41,9 @@ for r in [8.0, 16.0, 32.0]:
     print(f"   central gain: exact {exact_gain(cfg, p, 0.0):.4f}, "
           f"1/(2 sqrt(alpha)) = {central_gain(ab):.4f}")
     print(f"   half-gain width: measured {got:.4f}, law N d (1-t^2)/r = {law:.4f} "
-          f"({abs(got-law)/law:.1%} off), {grid_set.angles.size} grid beams above 1/2")
+          f"({abs(got-law)/law:.1%} off)")
+    print(f"   on the grid: {grid_set.angles.size} beams above 1/2 x step 2/N "
+          f"= {grid_set.width:.4f}")
 
 print("\nA far-field user for contrast (width law does not apply there):")
 p = PolarPoint(0.0, 5 * r_ray)

@@ -15,9 +15,8 @@ from .beampattern import (
     interpolated_width,
     measure_width,
     normalized_pattern,
-    raw_pattern,
     taylor_f,
-    taylor_gain,
+    width_law,
 )
 from .channel import (
     SPEED_OF_LIGHT,

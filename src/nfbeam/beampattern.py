@@ -9,8 +9,8 @@ the quadratic-phase model of the sweep gain is the oscillatory integral
 
 whose closed form under completing the square is an erf difference. The
 half-gain (rho = 1/2) width of the normalized pattern collapses to
-B = N d (1 - theta^2) / r when alpha is large; that law is what the
-distance estimator inverts.
+B = N d (1 - theta^2) / r when alpha is large; that law (`width_law`) is
+what the distance estimator inverts.
 """
 
 from __future__ import annotations
@@ -47,20 +47,18 @@ class AlphaBeta:
 
 @dataclass(frozen=True)
 class BeamPattern:
+    """Sweep gains over the DFT angle grid (step 2/len(grid))."""
+
     grid: np.ndarray
     gains: np.ndarray
 
 
 @dataclass(frozen=True)
 class MainAngleSet:
-    """Grid angles whose (normalized) gain exceeds the threshold rho."""
+    """The main run of grid angles above a threshold, and its width."""
 
     angles: np.ndarray
-    rho: float
-
-    @property
-    def width(self) -> float:
-        return float(self.angles.max() - self.angles.min())
+    width: float
 
 
 def exact_gain(cfg: ArrayConfig, p: PolarPoint, phi: float) -> float:
@@ -88,10 +86,6 @@ def taylor_f(cfg: ArrayConfig, p: PolarPoint, phi: float) -> complex:
         + delta**2 * cfg.spacing * (1.0 - p.theta**2) / (2.0 * p.r)
     )
     return complex(np.exp(1j * phase).sum() / cfg.n_antennas)
-
-
-def taylor_gain(cfg: ArrayConfig, p: PolarPoint, phi: float) -> float:
-    return abs(taylor_f(cfg, p, phi))
 
 
 _E34 = complex(math.cos(3 * math.pi / 4), math.sin(3 * math.pi / 4))
@@ -130,11 +124,8 @@ def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: DftCodebook) -
     return BeamPattern(grid=codebook.angle_grid, gains=gains / g0)
 
 
-def raw_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: DftCodebook) -> BeamPattern:
-    return BeamPattern(grid=codebook.angle_grid, gains=exact_gain_grid(cfg, p, codebook))
-
-
-def _contiguous_run(above: np.ndarray, center: int) -> tuple[int, int]:
+def contiguous_run(above: np.ndarray, center: int) -> tuple[int, int]:
+    """Bounds (lo, hi) of the run of True entries of `above` around `center`."""
     lo = center
     while lo > 0 and above[lo - 1]:
         lo -= 1
@@ -144,13 +135,16 @@ def _contiguous_run(above: np.ndarray, center: int) -> tuple[int, int]:
     return lo, hi
 
 
-def measure_width(pattern: BeamPattern, rho: float) -> MainAngleSet:
-    """Main angle set at threshold rho and its range.
+def run_width(lo: int, hi: int, grid_size: int) -> float:
+    """Width of the run lo..hi on the DFT grid of N = grid_size points:
+    run length times the step 2/N. A half-gain interval of width B holds
+    B/(2/N) grid points on average, so this, not the span max - min (one
+    step shorter), is the unbiased reading."""
+    return (hi - lo + 1) * 2.0 / grid_size
 
-    Only the connected run of grid points around the strongest sample is
-    kept, so sidelobe ripples and noise spikes cannot stretch the
-    measured width.
-    """
+
+def _main_run(pattern: BeamPattern, rho: float) -> tuple[int, int]:
+    """Run of grid points above rho around the strongest sample."""
     if not 0 < rho < 1:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     above = pattern.gains > rho
@@ -159,19 +153,23 @@ def measure_width(pattern: BeamPattern, rho: float) -> MainAngleSet:
     peak = int(np.argmax(pattern.gains))
     if not above[peak]:
         raise EmptyMainSetError(f"peak gain {pattern.gains[peak]} below rho = {rho}")
-    lo, hi = _contiguous_run(above, peak)
-    return MainAngleSet(angles=np.asarray(pattern.grid[lo:hi + 1], dtype=float), rho=rho)
+    return contiguous_run(above, peak)
+
+
+def measure_width(pattern: BeamPattern, rho: float) -> MainAngleSet:
+    """Main angle set at threshold rho and its `run_width`. Only the run
+    around the strongest sample is kept, so sidelobe ripples and noise
+    spikes cannot stretch the measured width."""
+    lo, hi = _main_run(pattern, rho)
+    return MainAngleSet(angles=np.asarray(pattern.grid[lo:hi + 1], dtype=float),
+                        width=run_width(lo, hi, pattern.grid.size))
 
 
 def interpolated_width(pattern: BeamPattern, rho: float) -> float:
     """Half-gain width with sub-grid crossings by linear interpolation
     between adjacent grid gains; used to validate the closed-form width
     law against something finer than the grid resolution."""
-    above = pattern.gains > rho
-    if not above.any():
-        raise EmptyMainSetError(f"no grid gain exceeds rho = {rho}")
-    peak = int(np.argmax(pattern.gains))
-    lo, hi = _contiguous_run(above, peak)
+    lo, hi = _main_run(pattern, rho)
     g, x = pattern.gains, pattern.grid
     if lo > 0:
         left = x[lo] + (rho - g[lo]) * (x[lo - 1] - x[lo]) / (g[lo - 1] - g[lo])
@@ -184,8 +182,14 @@ def interpolated_width(pattern: BeamPattern, rho: float) -> float:
     return float(right - left)
 
 
+def width_law(cfg: ArrayConfig, theta, x):
+    """The half-gain width law B = N d (1 - theta^2) / r, evaluated at
+    x = r. It is its own inverse: at x = B it returns r. Takes arrays."""
+    return cfg.n_antennas * cfg.spacing * (1.0 - theta**2) / x
+
+
 def closed_form_width(cfg: ArrayConfig, p: PolarPoint) -> float:
     """Half-gain beam width B = N d (1 - theta^2) / r."""
     if not abs(p.theta) < 1.0:
         raise DomainError("theta = +-1 degenerates the width law")
-    return cfg.n_antennas * cfg.spacing * (1.0 - p.theta**2) / p.r
+    return width_law(cfg, p.theta, p.r)

@@ -21,7 +21,7 @@ import typing
 from dataclasses import astuple
 from pathlib import Path
 
-from .beampattern import exact_gain, normalized_pattern, raw_pattern
+from .beampattern import exact_gain, exact_gain_grid, normalized_pattern
 from .channel import PolarPoint
 from .codebooks import build_dft_codebook, build_polar_codebook
 from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
@@ -194,18 +194,18 @@ def _cmd_pattern(args) -> int:
     cfg = sc.array()
     p = PolarPoint(args.theta, args.r)
     book = build_dft_codebook(cfg)
-    raw = raw_pattern(cfg, p, book)
+    raw = exact_gain_grid(cfg, p, book)
     norm = normalized_pattern(cfg, p, book)
     out = _out_dir(args) / f"pattern_N{cfg.n_antennas}_theta{args.theta}_r{args.r}.csv"
     header = sc.as_header_dict()
     header.update({"theta": repr(args.theta), "r": repr(args.r),
                    "central_gain": repr(exact_gain(cfg, p, p.theta))})
     write_csv(out, ("phi", "gain_raw", "gain_normalized"),
-              zip(raw.grid, raw.gains, norm.gains), header)
+              zip(norm.grid, raw, norm.gains), header)
     print(f"wrote {out}")
     if args.svg:
         svg = line_plot_svg(
-            {"raw": (raw.grid, raw.gains), "normalized": (norm.grid, norm.gains)},
+            {"raw": (norm.grid, raw), "normalized": (norm.grid, norm.gains)},
             xlabel="spatial angle phi", ylabel="gain",
             title=f"sweep pattern, N={cfg.n_antennas}, theta={args.theta}, r={args.r} m")
         out_svg = out.with_suffix(".svg")

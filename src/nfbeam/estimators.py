@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .beampattern import _contiguous_run
+from .beampattern import contiguous_run, run_width, width_law
 from .channel import ArrayConfig, PolarPoint, los_channel, near_field_steering, region_boundaries
 from .codebooks import DftCodebook, PolarCodebook
 from .errors import EmptyMainSetError
@@ -43,7 +43,6 @@ class SweepResult:
     """Received pilot samples for one sweep of a codebook."""
 
     samples: np.ndarray
-    pilot_count: int
     codebook: DftCodebook
 
     @cached_property
@@ -68,12 +67,15 @@ class LocationEstimate:
     distance_stage_evals: int = 0
 
 
+def _pilots(h: np.ndarray, matrix: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """One pilot per column of `matrix`: y = h^H M + w with s = 1."""
+    return h.conj() @ matrix + noise.sample(matrix.shape[1])
+
+
 def beam_sweep(cfg: ArrayConfig, p: PolarPoint, codebook, noise: NoiseModel) -> SweepResult:
-    """One pilot per codeword: y(v_n) = h^H v_n + w_n with s = 1."""
-    h = los_channel(cfg, p)
-    matrix = codebook.matrix
-    y = h.conj() @ matrix + noise.sample(matrix.shape[1])
-    return SweepResult(samples=y, pilot_count=matrix.shape[1], codebook=codebook)
+    """One pilot per codeword: y(v_n) = h^H v_n + w_n."""
+    return SweepResult(samples=_pilots(los_channel(cfg, p), codebook.matrix, noise),
+                       codebook=codebook)
 
 
 def cluster_indices(amp: np.ndarray, rho2: float, gap: int):
@@ -126,29 +128,26 @@ def estimate_distance(sweep: SweepResult, candidate_index: int):
 
     The sweep is renormalized by the sample at the candidate angle (a
     grid angle, so no extra pilot is needed); the half-gain width is the
-    length of the contiguous super-half run around the candidate times
-    the grid step 2/N, and the width law is inverted for r. A half-gain
-    interval of width B holds B/(2/N) grid points on average, so the run
-    length, not the span max - min (one step shorter), is the unbiased
-    reading. A single-bin run carries no distance information and falls
-    back to the Rayleigh distance. Returns (r_hat, width).
+    contiguous super-half run around the candidate, read as in
+    `beampattern.run_width`, and the width law is inverted for r. A
+    single-bin run carries no distance information and falls back to the
+    Rayleigh distance. Returns (r_hat, width).
     """
     cfg = sweep.codebook.cfg
     grid = sweep.codebook.angle_grid
     r_fre, r_ray = region_boundaries(cfg)
     amp = sweep.amplitudes
-    lo, hi = _contiguous_run(amp / amp[candidate_index] > 0.5, candidate_index)
-    width = (hi - lo + 1) * 2.0 / cfg.n_antennas
+    lo, hi = contiguous_run(amp / amp[candidate_index] > 0.5, candidate_index)
+    width = run_width(lo, hi, grid.size)
     if hi == lo:
         return r_ray, width
-    theta_i = float(grid[candidate_index])
-    r_hat = cfg.n_antennas * cfg.spacing * (1.0 - theta_i**2) / width
+    r_hat = width_law(cfg, float(grid[candidate_index]), width)
     return float(min(max(r_hat, r_fre), r_ray)), width
 
 
 def _refine(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
             cands: list[tuple[float, float]], evals: int,
-            sweep: SweepResult) -> LocationEstimate:
+            sweep_pilots: int) -> LocationEstimate:
     """Transmit one pilot per candidate codeword, keep the strongest."""
     h = los_channel(cfg, p)
     pilot_noise = noise.sample(len(cands))
@@ -164,7 +163,7 @@ def _refine(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
         theta_hat=t,
         r_hat=r,
         w=vecs[best],
-        pilot_count=sweep.pilot_count + len(cands),
+        pilot_count=sweep_pilots + len(cands),
         candidates=tuple((t_, r_, float(pw)) for (t_, r_), pw in zip(cands, powers)),
         distance_stage_evals=evals,
     )
@@ -182,7 +181,7 @@ def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     ang = estimate_angle(sweep, ec, clustering=True)
     cands = [(float(codebook.angle_grid[ci]), estimate_distance(sweep, ci)[0])
              for ci in ang.candidate_indices]
-    return _refine(cfg, p, noise, cands, len(cands), sweep)
+    return _refine(cfg, p, noise, cands, len(cands), len(codebook))
 
 
 def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
@@ -193,20 +192,32 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     distance stage costs |z_mu| model evaluations per candidate."""
     sweep = beam_sweep(cfg, p, codebook, noise)
     ang = estimate_angle(sweep, ec, clustering=False)
-    nd = cfg.n_antennas * cfg.spacing
     cands = []
     evals = 0
     for ci in ang.candidate_indices:
         _, width = estimate_distance(sweep, ci)
         theta_i = float(codebook.angle_grid[ci])
-        predicted = nd * (1.0 - theta_i**2) / z_mu_grid
+        predicted = width_law(cfg, theta_i, z_mu_grid)
         evals += z_mu_grid.size
         if width <= 2.0 / cfg.n_antennas:  # single-bin run: Rayleigh fallback
             r_hat = float(z_mu_grid[-1])
         else:
             r_hat = float(z_mu_grid[int(np.argmin(np.abs(predicted - width)))])
         cands.append((theta_i, r_hat))
-    return _refine(cfg, p, noise, cands, evals, sweep)
+    return _refine(cfg, p, noise, cands, evals, len(codebook))
+
+
+def _polar_estimate(polar: PolarCodebook, picks: list[tuple[int, float]],
+                    pilot_count: int, evals: int) -> LocationEstimate:
+    """Estimate from (polar entry index, |y|) picks: the first strongest
+    pick wins, and every range is clipped to the Rayleigh distance."""
+    _, r_ray = region_boundaries(polar.cfg)
+    cands = tuple((float(polar.thetas[j]), float(min(polar.radii[j], r_ray)), float(a))
+                  for j, a in picks)
+    best = int(np.argmax([a for _, a in picks]))
+    t, r, _ = cands[best]
+    return LocationEstimate(theta_hat=t, r_hat=r, w=polar.matrix[:, picks[best][0]].copy(),
+                            pilot_count=pilot_count, candidates=cands, distance_stage_evals=evals)
 
 
 def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
@@ -216,50 +227,24 @@ def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     with the polar codebook entries at each candidate angle."""
     sweep = beam_sweep(cfg, p, codebook, noise)
     ang = estimate_angle(sweep, ec, clustering=False)
-    _, r_ray = region_boundaries(cfg)
     h = los_channel(cfg, p)
     extra = 0
-    best_power = -1.0
-    best: tuple[float, float, np.ndarray] | None = None
-    powers = []
+    picks = []
     for ci in ang.candidate_indices:
         sl = polar.entries_at(ci)
-        y = h.conj() @ polar.matrix[:, sl] + noise.sample(sl.stop - sl.start)
-        extra += sl.stop - sl.start
-        amp = np.abs(y)
+        amp = np.abs(_pilots(h, polar.matrix[:, sl], noise))
+        extra += amp.size
         j = int(np.argmax(amp))
-        powers.append((float(polar.thetas[sl][j]),
-                       float(min(polar.radii[sl][j], r_ray)),
-                       float(amp[j])))
-        if amp[j] > best_power:
-            best_power = float(amp[j])
-            best = (powers[-1][0], powers[-1][1], polar.matrix[:, sl][:, j])
-    t, r, w = best
-    return LocationEstimate(
-        theta_hat=t, r_hat=r,
-        w=w.copy(),
-        pilot_count=sweep.pilot_count + extra,
-        candidates=tuple(powers),
-        distance_stage_evals=extra,
-    )
+        picks.append((sl.start + j, amp[j]))
+    return _polar_estimate(polar, picks, len(codebook) + extra, extra)
 
 
 def exhaustive_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
                         polar: PolarCodebook) -> LocationEstimate:
     """Baseline: argmax |y| over every polar codebook entry."""
-    h = los_channel(cfg, p)
-    y = h.conj() @ polar.matrix + noise.sample(len(polar))
-    _, r_ray = region_boundaries(cfg)
-    j = int(np.argmax(np.abs(y)))
-    t = float(polar.thetas[j])
-    r = float(min(polar.radii[j], r_ray))
-    return LocationEstimate(
-        theta_hat=t, r_hat=r,
-        w=polar.matrix[:, j].copy(),
-        pilot_count=len(polar),
-        candidates=((t, r, float(abs(y[j]))),),
-        distance_stage_evals=0,
-    )
+    amp = np.abs(_pilots(los_channel(cfg, p), polar.matrix, noise))
+    j = int(np.argmax(amp))
+    return _polar_estimate(polar, [(j, amp[j])], len(polar), 0)
 
 
 def default_z_mu_grid(cfg: ArrayConfig, size: int = 64) -> np.ndarray:

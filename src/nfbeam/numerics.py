@@ -128,8 +128,8 @@ class NoiseModel:
 
     def replay(self, sigma2: float) -> NoiseModel:
         """Restart at the first draw with total variance sigma2."""
-        if sigma2 < 0:
-            raise ValueError(f"sigma2 must be >= 0, got {sigma2}")
+        if not 0 <= sigma2 < math.inf:
+            raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
         self.sigma2 = sigma2
         self._pos = 0
         return self

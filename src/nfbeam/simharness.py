@@ -59,14 +59,20 @@ def calibrate_noise(cfg: ArrayConfig, snr_ref_db: float, mode: str = TOTAL_ENERG
 
     total-energy: sigma^2 = ||h(ref)||^2 / SNR = N g(5m)^2 / SNR.
     per-antenna:  sigma^2 = g(5m)^2 / SNR (differs by a fixed N factor).
+    An SNR whose linear value, or the noise power it gives, is not
+    finite and positive is rejected.
     """
+    if mode not in (TOTAL_ENERGY, PER_ANTENNA):
+        raise ValueError(f"unknown reference mode {mode!r}")
     g = channel_gain(cfg, REFERENCE_POINT.r)
-    snr = 10.0 ** (snr_ref_db / 10.0)
-    if mode == TOTAL_ENERGY:
-        return cfg.n_antennas * g * g / snr
-    if mode == PER_ANTENNA:
-        return g * g / snr
-    raise ValueError(f"unknown reference mode {mode!r}")
+    signal = cfg.n_antennas * g * g if mode == TOTAL_ENERGY else g * g
+    try:
+        sigma2 = signal / 10.0 ** (snr_ref_db / 10.0)
+    except (OverflowError, ZeroDivisionError):  # 10^(dB/10) beyond float range
+        sigma2 = math.nan
+    if not 0.0 < sigma2 < math.inf:
+        raise ValueError(f"reference SNR {snr_ref_db} dB gives no finite positive noise power")
+    return sigma2
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,11 @@ class ScenarioConfig:
             raise ValueError(f"unknown reference mode {self.reference_mode!r}")
         if len(self.snr_ref_db_grid) == 0:
             raise ValueError("snr_ref_db_grid is empty")
-        if not all(math.isfinite(x) for x in self.snr_ref_db_grid):
-            raise ValueError(f"snr_ref_db_grid must be finite, got {self.snr_ref_db_grid}")
+        for x in self.snr_ref_db_grid:
+            try:
+                calibrate_noise(cfg, x, self.reference_mode)
+            except ValueError as exc:
+                raise ValueError(f"snr_ref_db_grid: {exc}") from None
         if not (math.isfinite(self.beta_polar) and self.beta_polar > 0):
             raise ValueError(f"beta_polar must be finite and positive, got {self.beta_polar}")
         if self.z_mu_size < 1:

@@ -3,18 +3,23 @@
 These deliberately avoid the package's own closed forms: quadrature for
 the oscillatory gain integral, coordinate geometry for element
 distances, and plain midpoint integration for the real error function.
+The training oracles take the channel and the pilot products from the
+package and redo the selection logic with plain loops.
 """
 
 import math
 
 import numpy as np
 
+from nfbeam import los_channel, region_boundaries
+
 
 def quadrature_f(alpha: float, beta: float, panels: int = 2 ** 16) -> complex:
-    """Midpoint-rule value of (1/2) int_{-1}^{1} exp(j pi (a x^2 - b x)) dx."""
+    """Midpoint-rule value of (1/2) int_{-1}^{1} exp(j pi (a x^2 - b x)) dx,
+    summing cos and sin of the real phase."""
     x = (np.arange(panels) + 0.5) * (2.0 / panels) - 1.0
-    vals = np.exp(1j * np.pi * (alpha * x * x - beta * x))
-    return complex(0.5 * (2.0 / panels) * vals.sum())
+    phase = np.pi * (alpha * x * x - beta * x)
+    return 0.5 * (2.0 / panels) * complex(np.cos(phase).sum(), np.sin(phase).sum())
 
 
 def erf_real_quadrature(x: float, panels: int = 200001) -> float:
@@ -75,3 +80,39 @@ def estimate_angle_by_loops(amp, grid, rho2_fraction: float, gap: int, k: int,
     theta_hat = (max(angles) + min(angles)) / 2.0
     order = sorted(members, key=lambda i: (abs(grid[i] - theta_hat), grid[i]))
     return theta_hat, tuple(sorted(order[:k]))
+
+
+def _first_strongest(h, polar, groups, noise):
+    """Sweep each group of polar entries in order, one pilot per entry
+    drawn from the stream, and return (theta, r clipped to R_Ray, w,
+    pilots) of the first entry with the largest |y|."""
+    _, r_ray = region_boundaries(polar.cfg)
+    best, best_amp, pilots = None, -1.0, 0
+    for cols in groups:
+        y = h.conj() @ polar.matrix[:, cols] + noise.sample(len(cols))
+        pilots += len(cols)
+        for j, yj in zip(cols, y):
+            if abs(yj) > best_amp:
+                best, best_amp = j, abs(yj)
+    return (float(polar.thetas[best]), float(min(polar.radii[best], r_ray)),
+            polar.matrix[:, best], pilots)
+
+
+def fast_training_by_loops(cfg, p, noise, ec, polar, codebook):
+    """(theta_hat, r_hat, w, pilot_count) of the fast baseline: a DFT
+    sweep, the unclustered angle stage, then per candidate a sweep of
+    the polar entries labelled with its grid angle."""
+    h = los_channel(cfg, p)
+    y = h.conj() @ codebook.matrix + noise.sample(len(codebook))
+    _, cands = estimate_angle_by_loops(np.abs(y), codebook.angle_grid, ec.rho2_fraction,
+                                       ec.cluster_gap, ec.k, clustering=False)
+    groups = [[j for j in range(len(polar)) if polar.thetas[j] == codebook.angle_grid[ci]]
+              for ci in cands]
+    theta, r, w, pilots = _first_strongest(h, polar, groups, noise)
+    return theta, r, w, len(codebook) + pilots
+
+
+def exhaustive_training_by_loops(cfg, p, noise, polar):
+    """(theta_hat, r_hat, w, pilot_count) of the exhaustive baseline: one
+    sweep of every polar entry."""
+    return _first_strongest(los_channel(cfg, p), polar, [list(range(len(polar)))], noise)

@@ -10,15 +10,15 @@ from nfbeam import (
     central_gain,
     closed_form_f,
     closed_form_width,
+    dft_angle_grid,
     exact_gain,
     interpolated_width,
     measure_width,
     normalized_pattern,
-    raw_pattern,
     region_boundaries,
-    taylor_gain,
+    taylor_f,
 )
-from nfbeam.beampattern import BeamPattern, normalized_closed_form_gain
+from nfbeam.beampattern import BeamPattern, exact_gain_grid, normalized_closed_form_gain
 from nfbeam.errors import DomainError, EmptyMainSetError
 from oracles import quadrature_f
 
@@ -74,18 +74,19 @@ class TestTaylorModel:
             p = PolarPoint(theta, r)
             half_lobe = closed_form_width(cfg512, p) / 2
             for dphi in np.linspace(-half_lobe, half_lobe, 21):
-                err = abs(taylor_gain(cfg512, p, theta + dphi)
+                err = abs(abs(taylor_f(cfg512, p, theta + dphi))
                           - exact_gain(cfg512, p, theta + dphi))
                 assert err <= bound
 
     def test_matched_phase_far_limit(self, cfg512):
         _, r_ray = region_boundaries(cfg512)
-        assert taylor_gain(cfg512, PolarPoint(0.3, 1000 * r_ray), 0.3) == pytest.approx(1.0, abs=1e-6)
+        far = PolarPoint(0.3, 1000 * r_ray)
+        assert abs(taylor_f(cfg512, far, 0.3)) == pytest.approx(1.0, abs=1e-6)
 
     def test_fig2_plateau_level(self, cfg512):
         # raw plateau sits near 0.2 before normalization
         for phi in [-0.03, 0.0, 0.02]:
-            assert 0.15 <= taylor_gain(cfg512, FIG2, phi) <= 0.26
+            assert 0.15 <= abs(taylor_f(cfg512, FIG2, phi)) <= 0.26
 
 
 class TestClosedForm:
@@ -195,17 +196,18 @@ class TestMeasureWidth:
         # on the raw pattern (peak ~0.23) any rho above the peak empties
         # the main set
         book = build_dft_codebook(cfg512)
-        pat = raw_pattern(cfg512, FIG2, book)
+        pat = BeamPattern(grid=book.angle_grid, gains=exact_gain_grid(cfg512, FIG2, book))
         with pytest.raises(EmptyMainSetError):
             measure_width(pat, 0.9)
 
     def test_contiguous_drops_detached_spike(self):
-        grid = np.linspace(-1, 1, 21)
-        gains = np.zeros(21)
+        grid = dft_angle_grid(20)
+        gains = np.zeros(20)
         gains[9:12] = 1.0
         gains[18] = 0.9  # detached sidelobe spike
         pat = BeamPattern(grid=grid, gains=gains)
-        assert measure_width(pat, 0.5).width == pytest.approx(grid[11] - grid[9])
+        # a 3-bin run reads as 3 grid steps
+        assert measure_width(pat, 0.5).width == pytest.approx(grid[12] - grid[9])
 
     def test_grid_quantization_bound(self, cfg512):
         # grid Range differs from the interpolated crossing width by at

@@ -261,6 +261,23 @@ class TestErrors:
         assert "snr_ref_db_grid" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+    def test_nmse_extreme_snr_rejected(self, tmp_path, capsys, snr_db):
+        # 10^400 overflows a float and 10^-400 underflows to zero
+        rc = run(["nmse", "--N", "32", "--trials", "1", "--snr-db", snr_db,
+                  "--schemes", "proposed", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "snr_ref_db_grid" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("snr_db", ["4000", "-4000"])
+    def test_train_extreme_snr_rejected(self, tmp_path, capsys, snr_db):
+        rc = run(["train", "--N", "32", "--theta", "0.1", "--r", "3",
+                  "--snr-ref-db", snr_db, "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "reference SNR" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_nmse_ignores_m_users_at_small_n(self, tmp_path):
         # the default m_users = 10 exceeds N = 8, but nmse has no users group
         rc = run(["nmse", "--N", "8", "--trials", "2", "--snr-db", "20",

@@ -1,15 +1,18 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from nfbeam import (
+    ArrayConfig,
     EstimatorConfig,
     NoiseModel,
     PolarPoint,
     beam_sweep,
     build_dft_codebook,
     build_polar_codebook,
+    calibrate_noise,
     channel_gain,
     cluster_indices,
     default_z_mu_grid,
@@ -20,12 +23,15 @@ from nfbeam import (
     fast_training,
     joint_training,
     los_channel,
+    measure_width,
     near_field_steering,
     proposed_training,
     region_boundaries,
 )
+from nfbeam.beampattern import BeamPattern
 from nfbeam.errors import EmptyMainSetError
-from nfbeam.estimators import SweepResult
+from nfbeam.estimators import SweepResult, _polar_estimate
+from oracles import exhaustive_training_by_loops, fast_training_by_loops
 
 
 def silent(seed=0):
@@ -53,7 +59,7 @@ class TestBeamSweep:
         theta = float(book256.angle_grid[50])
         sweep = beam_sweep(cfg256, PolarPoint(theta, 50 * r_ray), book256, silent())
         assert int(np.argmax(np.abs(sweep.samples))) == 50
-        assert sweep.pilot_count == 256
+        assert sweep.samples.size == 256
 
     def test_noiseless_matches_gain_composition(self, cfg256, book256):
         p = PolarPoint(0.21, 6.0)
@@ -134,8 +140,7 @@ class TestEstimateAngle:
 
     def test_scale_invariance(self, cfg512, book512):
         sweep = beam_sweep(cfg512, PolarPoint(0.2, 10.0), book512, silent())
-        scaled = SweepResult(samples=37.0 * sweep.samples,
-                             pilot_count=sweep.pilot_count, codebook=sweep.codebook)
+        scaled = SweepResult(samples=37.0 * sweep.samples, codebook=sweep.codebook)
         a = estimate_angle(sweep, EstimatorConfig())
         b = estimate_angle(scaled, EstimatorConfig())
         assert a.theta_hat == b.theta_hat
@@ -147,13 +152,12 @@ class TestEstimateAngle:
         samples = np.zeros(256, dtype=complex)
         samples[100] = 1.0
         samples[102] = 1.0
-        sweep = SweepResult(samples=samples, pilot_count=256, codebook=book256)
+        sweep = SweepResult(samples=samples, codebook=book256)
         est = estimate_angle(sweep, EstimatorConfig(k=1, rho2_fraction=0.9))
         assert est.candidate_indices == (100,)
 
     def test_all_zero_sweep_is_an_outage(self, book256):
-        sweep = SweepResult(samples=np.zeros(256, dtype=complex), pilot_count=256,
-                            codebook=book256)
+        sweep = SweepResult(samples=np.zeros(256, dtype=complex), codebook=book256)
         with pytest.raises(EmptyMainSetError):
             estimate_angle(sweep, EstimatorConfig())
 
@@ -171,7 +175,7 @@ class TestEstimateDistance:
             samples = np.full(256, 0.1, dtype=complex)
             start = 128 - run_length // 2
             samples[start: start + run_length] = 1.0
-            return SweepResult(samples=samples, pilot_count=256, codebook=book256)
+            return SweepResult(samples=samples, codebook=book256)
 
         r1, w1 = estimate_distance(synthetic(8), 128)
         r2, w2 = estimate_distance(synthetic(16), 128)
@@ -183,13 +187,13 @@ class TestEstimateDistance:
         # equal measured width at theta = 0 and 0.6 gives r ratio 1 : 0.64
         samples = np.full(512, 0.1, dtype=complex)
         samples[100:113] = 1.0
-        sweep = SweepResult(samples=samples, pilot_count=512, codebook=book512)
+        sweep = SweepResult(samples=samples, codebook=book512)
         r_at_100, _ = estimate_distance(sweep, 106)
         theta_at = float(book512.angle_grid[106])
         shifted = np.full(512, 0.1, dtype=complex)
         center = book512.nearest_index(0.6)
         shifted[center - 6: center + 7] = 1.0
-        sweep2 = SweepResult(samples=shifted, pilot_count=512, codebook=book512)
+        sweep2 = SweepResult(samples=shifted, codebook=book512)
         r_at_06, _ = estimate_distance(sweep2, center)
         expected_ratio = (1 - book512.angle_grid[center] ** 2) / (1 - theta_at**2)
         assert r_at_06 / r_at_100 == pytest.approx(expected_ratio, rel=1e-9)
@@ -198,7 +202,7 @@ class TestEstimateDistance:
         _, r_ray = region_boundaries(cfg256)
         samples = np.full(256, 0.1, dtype=complex)
         samples[77] = 1.0
-        sweep = SweepResult(samples=samples, pilot_count=256, codebook=book256)
+        sweep = SweepResult(samples=samples, codebook=book256)
         r_hat, width = estimate_distance(sweep, 77)
         assert width == pytest.approx(2 / 256)  # one bin is one grid step wide
         assert r_hat == r_ray
@@ -207,12 +211,29 @@ class TestEstimateDistance:
         samples = np.full(256, 0.1, dtype=complex)
         samples[100:105] = 1.0
         samples[130] = 0.6  # detached super-half spike
-        sweep = SweepResult(samples=samples, pilot_count=256, codebook=book256)
+        sweep = SweepResult(samples=samples, codebook=book256)
         _, w_contig = estimate_distance(sweep, 102)
         # run length x grid step: the span between the end bins plus one step
         step = 2 / 256
         assert w_contig == pytest.approx(
             book256.angle_grid[104] - book256.angle_grid[100] + step)
+
+    def test_width_equals_measure_width_on_the_same_run(self, cfg256, book256):
+        # one width reading: the distance stage and measure_width read the
+        # run around the peak as run length x grid step, for users from
+        # a single-bin run (alpha < 1) up to a developed plateau (alpha > 4)
+        r_fre, _ = region_boundaries(cfg256)
+        alphas = []
+        for theta, r in itertools.product([-0.6, -0.2, 0.0, 0.1, 0.45],
+                                          [r_fre, 2.5, 3.0, 4.0, 6.0, 10.0, 15.0, 25.0]):
+            p = PolarPoint(theta, r)
+            alphas.append(256**2 * cfg256.spacing * (1 - p.theta**2) / (8 * p.r))
+            sweep = beam_sweep(cfg256, p, book256, silent())
+            amp = np.abs(sweep.samples)
+            peak = int(np.argmax(amp))
+            pattern = BeamPattern(grid=book256.angle_grid, gains=amp / amp[peak])
+            assert estimate_distance(sweep, peak)[1] == measure_width(pattern, 0.5).width
+        assert min(alphas) < 1 < 4 < max(alphas)
 
     def test_width_law_inverse_at_first_candidate(self, cfg512, book512):
         # the inverted width law lands within 10% of the true 8 m
@@ -317,6 +338,15 @@ class TestFastTraining:
         assert est.r_hat in (pytest.approx(finite[0]), pytest.approx(finite[1]))
 
 
+def test_polar_pick_keeps_first_of_equal_maxima(cfg256, polar256):
+    # noisy sweeps never tie, so the tie rule is pinned on hand-made picks
+    _, r_ray = region_boundaries(cfg256)
+    est = _polar_estimate(polar256, [(5, 1.0), (9, 2.0), (40, 2.0)], 300, 44)
+    assert (est.theta_hat, est.r_hat) == (polar256.thetas[9], min(polar256.radii[9], r_ray))
+    assert np.array_equal(est.w, polar256.matrix[:, 9])
+    assert (est.pilot_count, est.distance_stage_evals, len(est.candidates)) == (300, 44, 3)
+
+
 class TestExhaustiveTraining:
     def test_pilot_budget_is_codebook_size(self, cfg256, polar256):
         est = exhaustive_training(cfg256, PolarPoint(0.1, 5.0), silent(), polar256)
@@ -352,7 +382,7 @@ class TestClusteringRobustness:
         spike_at = 400  # far from the broadside lobe
         spiked = sweep.samples.copy()
         spiked[spike_at] = 0.8 * amp.max()
-        s2 = SweepResult(samples=spiked, pilot_count=512, codebook=book512)
+        s2 = SweepResult(samples=spiked, codebook=book512)
         with_spike = estimate_angle(s2, ec, clustering=True)
         assert with_spike.theta_hat == base.theta_hat
         joint_spiked = estimate_angle(s2, ec, clustering=False)
@@ -368,3 +398,23 @@ def test_schemes_share_sweep_noise_under_same_key(cfg256, book256):
     a = proposed_training(cfg256, p, NoiseModel(sigma2, (3, 9)), EstimatorConfig(), book256)
     b = joint_training(cfg256, p, NoiseModel(sigma2, (3, 9)), EstimatorConfig(), z, book256)
     assert a.theta_hat == b.theta_hat
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_polar_baselines_equal_loop_oracles(n):
+    # noisy sweeps, users out to twice R_Ray so far-field picks get clipped
+    cfg = ArrayConfig(n, 100e9)
+    book, polar = build_dft_codebook(cfg), build_polar_codebook(cfg)
+    r_fre, r_ray = region_boundaries(cfg)
+    ec = EstimatorConfig()
+    rng = np.random.default_rng(n)
+    for u in range(25):
+        p = PolarPoint(float(rng.uniform(-0.8, 0.8)), float(rng.uniform(r_fre, 2 * r_ray)))
+        sigma2 = calibrate_noise(cfg, float(rng.uniform(-10.0, 20.0)), "per-antenna")
+        fast = fast_training(cfg, p, NoiseModel(sigma2, (n, u)), ec, polar, book)
+        exh = exhaustive_training(cfg, p, NoiseModel(sigma2, (n, u)), polar)
+        for est, (theta, r, w, pilots) in (
+                (fast, fast_training_by_loops(cfg, p, NoiseModel(sigma2, (n, u)), ec, polar, book)),
+                (exh, exhaustive_training_by_loops(cfg, p, NoiseModel(sigma2, (n, u)), polar))):
+            assert (est.theta_hat, est.r_hat, est.pilot_count) == (theta, r, pilots)
+            assert np.array_equal(est.w, w)

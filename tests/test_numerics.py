@@ -83,6 +83,12 @@ class TestNoiseModel:
         with pytest.raises(ValueError):
             NoiseModel(-1.0, 0)
 
+    @pytest.mark.parametrize("sigma2", [float("inf"), float("nan")])
+    def test_non_finite_power_rejected(self, sigma2):
+        # an infinite noise power turns every sweep into an outage
+        with pytest.raises(ValueError):
+            NoiseModel(sigma2, 0)
+
     def test_determinism(self):
         a = NoiseModel(2.0, (5, 1)).sample(100)
         b = NoiseModel(2.0, (5, 1)).sample(100)

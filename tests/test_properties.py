@@ -1,4 +1,5 @@
-"""Property tests of the angle stage against a plain-loop oracle."""
+"""Property tests of the angle stage against a plain-loop oracle, and of
+the pilot budgets and range bounds of the four trainings."""
 
 import numpy as np
 import pytest
@@ -7,11 +8,30 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nfbeam import ArrayConfig, EstimatorConfig, build_dft_codebook, estimate_angle
+from nfbeam import (
+    ArrayConfig,
+    EstimatorConfig,
+    NoiseModel,
+    PolarPoint,
+    build_dft_codebook,
+    build_polar_codebook,
+    calibrate_noise,
+    default_z_mu_grid,
+    estimate_angle,
+    exhaustive_training,
+    fast_training,
+    joint_training,
+    proposed_training,
+    region_boundaries,
+)
 from nfbeam.estimators import SweepResult
 from oracles import estimate_angle_by_loops
 
 BOOK = build_dft_codebook(ArrayConfig(64, 100e9))
+CFG32 = ArrayConfig(32, 100e9)
+BOOK32, POLAR32 = build_dft_codebook(CFG32), build_polar_codebook(CFG32)
+Z_MU32 = default_z_mu_grid(CFG32)
+R_FRE32, R_RAY32 = region_boundaries(CFG32)
 
 # Few distinct levels, mostly zero: equal maxima, equal distances to the
 # midpoint and several gap-separated clusters all come up often.
@@ -24,8 +44,7 @@ configs = st.builds(EstimatorConfig, k=st.integers(1, 6), cluster_gap=st.integer
 
 
 def sweep_of(samples):
-    return SweepResult(samples=np.asarray(samples, dtype=complex), pilot_count=64,
-                       codebook=BOOK)
+    return SweepResult(samples=np.asarray(samples, dtype=complex), codebook=BOOK)
 
 
 @settings(max_examples=300, deadline=None)
@@ -53,3 +72,33 @@ def test_estimate_angle_invariant_to_positive_rescaling(pairs, ec, clustering, s
     a = estimate_angle(sweep_of(samples), ec, clustering=clustering)
     b = estimate_angle(sweep_of(scale * samples), ec, clustering=clustering)
     assert a == b
+
+
+# Users from the Fresnel distance out to twice the Rayleigh distance, where
+# the width and polar estimates clamp, at SNRs from noise-dominated to clean.
+users = st.builds(PolarPoint, st.floats(-0.9, 0.9), st.floats(R_FRE32, 2 * R_RAY32))
+snrs = st.floats(-15.0, 40.0)
+keys = st.integers(0, 2**32 - 1)
+
+
+def noise_at(snr_db, key):
+    return NoiseModel(calibrate_noise(CFG32, snr_db, "per-antenna"), key)
+
+
+@settings(max_examples=150, deadline=None)
+@given(users, snrs, keys, configs)
+def test_width_trainings_spend_n_plus_one_pilot_per_candidate(p, snr_db, key, ec):
+    prop = proposed_training(CFG32, p, noise_at(snr_db, key), ec, BOOK32)
+    joint = joint_training(CFG32, p, noise_at(snr_db, key), ec, Z_MU32, BOOK32)
+    for est in (prop, joint):
+        assert est.pilot_count == 32 + len(est.candidates)
+    assert R_FRE32 <= prop.r_hat <= R_RAY32
+
+
+@settings(max_examples=100, deadline=None)
+@given(users, snrs, keys)
+def test_polar_trainings_clip_range_to_rayleigh(p, snr_db, key):
+    fast = fast_training(CFG32, p, noise_at(snr_db, key), EstimatorConfig(), POLAR32, BOOK32)
+    exh = exhaustive_training(CFG32, p, noise_at(snr_db, key), POLAR32)
+    assert fast.r_hat <= R_RAY32
+    assert exh.r_hat <= R_RAY32

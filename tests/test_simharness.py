@@ -63,6 +63,11 @@ class TestCalibrateNoise:
         with pytest.raises(ValueError):
             calibrate_noise(cfg256, 10.0, "per-element")
 
+    @pytest.mark.parametrize("snr_db", [4000.0, -4000.0, float("nan"), float("inf")])
+    def test_snr_without_finite_positive_ratio_rejected(self, cfg256, snr_db):
+        with pytest.raises(ValueError, match="finite positive noise power"):
+            calibrate_noise(cfg256, snr_db)
+
 
 class TestUserSampler:
     def test_degenerate_range(self):
@@ -111,6 +116,9 @@ class TestUserSampler:
     dict(beta_polar=float("inf")),
     dict(snr_ref_db_grid=(float("nan"), 10.0)),
     dict(snr_ref_db_grid=(10.0, float("-inf"))),
+    dict(snr_ref_db_grid=(4000.0,)),
+    dict(snr_ref_db_grid=(10.0, -4000.0)),
+    dict(snr_ref_db_grid=(-3230.0,)),  # finite SNR, infinite noise power
 ])
 def test_scenario_rejects_invalid_values_at_construction(kw):
     with pytest.raises(ValueError):
