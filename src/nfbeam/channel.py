@@ -73,8 +73,8 @@ class PolarPoint:
     def __post_init__(self) -> None:
         if not -1.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must be in [-1, 1], got {self.theta}")
-        if not self.r > 0:
-            raise ValueError(f"r must be positive, got {self.r}")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"r must be finite and positive, got {self.r}")
 
 
 def element_distances(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:

@@ -99,7 +99,7 @@ def _scenario_from_args(args) -> ScenarioConfig:
     overrides = {
         "n_antennas": args.N,
         "carrier_hz": args.fc,
-        "trials": args.trials,
+        "trials": getattr(args, "trials", None),
         "seed": args.seed,
         "k": args.k,
         "reference_mode": args.reference_mode,
@@ -130,17 +130,20 @@ def _add_common(sub):
     sub.add_argument("--out", help="output directory (default: $NFBEAM_OUT or .)")
     sub.add_argument("--N", type=int, help="antenna count")
     sub.add_argument("--fc", type=float, help="carrier frequency in Hz")
-    sub.add_argument("--trials", type=int)
     sub.add_argument("--seed", type=int)
     sub.add_argument("--k", type=int, help="refinement candidate count")
     sub.add_argument("--reference-mode", choices=["total-energy", "per-antenna"],
                      dest="reference_mode")
+
+
+def _add_grid(sub):
+    """Flags of the Monte-Carlo grid; written to the header of every CSV."""
+    sub.add_argument("--trials", type=int)
     sub.add_argument("--snr-db", type=float, nargs="+", dest="snr_db",
                      help="reference SNR grid in dB")
     sub.add_argument("--theta-range", type=float, nargs=2, dest="theta_range")
     sub.add_argument("--r-range", type=float, nargs=2, dest="r_range")
     sub.add_argument("--schemes", help="comma list out of proposed,joint,fast,exhaustive")
-    sub.add_argument("--svg", action="store_true", help="also write an SVG plot")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -150,6 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pat = sp.add_parser("pattern", help="dump a sweep beam pattern")
     _add_common(pat)
+    _add_grid(pat)
+    pat.add_argument("--svg", action="store_true", help="also write an SVG plot")
     pat.set_defaults(run=_cmd_pattern)
     pat.add_argument("--theta", type=float, required=True)
     pat.add_argument("--r", type=float, required=True)
@@ -165,6 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("nmse", "rate-single", "rate-multi"):
         s = sp.add_parser(name, help=f"run the {name} experiment")
         _add_common(s)
+        _add_grid(s)
+        s.add_argument("--svg", action="store_true", help="also write an SVG plot")
         s.set_defaults(run=_cmd_experiment)
         if name == "nmse":
             s.add_argument("--dump-estimates", action="store_true",
@@ -178,10 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     ov = sp.add_parser("overhead", help="pilot overhead and complexity table")
     _add_common(ov)
+    _add_grid(ov)
     ov.set_defaults(run=_cmd_overhead)
 
     cd = sp.add_parser("codebook-dump", help="export a codebook as CSV")
     _add_common(cd)
+    _add_grid(cd)
     cd.set_defaults(run=_cmd_codebook_dump)
     cd.add_argument("--kind", choices=["dft", "polar"], default="dft")
     cd.add_argument("--beta-polar", type=float, dest="beta_polar",

@@ -85,8 +85,8 @@ def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = 1.6) -> PolarCode
     Per angle theta_n: rings r = Z (1 - theta_n^2)/s, s = 1, 2, ...,
     truncated to [R_Fre, R_Ray], plus one far-field codeword.
     """
-    if beta_polar <= 0:
-        raise ValueError(f"beta_polar must be positive, got {beta_polar}")
+    if not (math.isfinite(beta_polar) and beta_polar > 0):
+        raise ValueError(f"beta_polar must be finite and positive, got {beta_polar}")
     r_fre, r_ray = region_boundaries(cfg)
 
     z = ring_scale(cfg, beta_polar)

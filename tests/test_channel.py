@@ -34,6 +34,9 @@ def test_polar_point_validation():
         PolarPoint(1.5, 10.0)
     with pytest.raises(ValueError):
         PolarPoint(0.0, 0.0)
+    for r in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            PolarPoint(0.0, r)
 
 
 def test_element_offsets_centered(cfg512):

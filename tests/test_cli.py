@@ -278,6 +278,30 @@ class TestErrors:
         assert "reference SNR" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("command", ["pattern", "train"])
+    def test_infinite_range_rejected(self, tmp_path, capsys, command):
+        rc = run([command, "--theta", "0", "--r", "inf", "--N", "64",
+                  "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "r must be finite" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["train", "--theta", "0.2", "--r", "5", "--svg"],
+        ["train", "--theta", "0.2", "--r", "5", "--schemes", "joint"],
+        ["train", "--theta", "0.2", "--r", "5", "--snr-db", "10"],
+        ["train", "--theta", "0.2", "--r", "5", "--trials", "7"],
+        ["train", "--theta", "0.2", "--r", "5", "--theta-range", "-0.5", "0.5"],
+        ["train", "--theta", "0.2", "--r", "5", "--r-range", "2", "9"],
+        ["overhead", "--svg"],
+        ["codebook-dump", "--svg"],
+    ], ids=["train-svg", "train-schemes", "train-snr-db", "train-trials",
+            "train-theta-range", "train-r-range", "overhead-svg", "codebook-dump-svg"])
+    def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, argv):
+        rc = run(argv + ["--N", "64", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert not list(tmp_path.iterdir())
+
     def test_nmse_ignores_m_users_at_small_n(self, tmp_path):
         # the default m_users = 10 exceeds N = 8, but nmse has no users group
         rc = run(["nmse", "--N", "8", "--trials", "2", "--snr-db", "20",

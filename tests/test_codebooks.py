@@ -105,6 +105,9 @@ class TestPolarCodebook:
             build_polar_codebook(cfg64, beta_polar=99.0)
 
     def test_bad_beta_rejected(self, cfg64):
-        with pytest.raises(ValueError):
-            build_polar_codebook(cfg64, beta_polar=0.0)
+        # named, not reported as an empty grid: the input is at fault
+        for beta in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta_polar") as info:
+                build_polar_codebook(cfg64, beta_polar=beta)
+            assert not isinstance(info.value, EmptyGridError)
 

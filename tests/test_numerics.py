@@ -51,19 +51,29 @@ def test_erf_at_central_gain_argument():
     assert abs(erf_complex(z) - expected) <= 1e-7
 
 
-def test_erf_series_cf_agree_near_crossover():
-    # both algorithm branches evaluated at the same points around the
-    # crossover radius must agree
-    from nfbeam.numerics import SERIES_RADIUS, _erf_series, _faddeeva_cf
+def test_erf_against_mpmath():
+    # the real axis, the four diagonal rays the closed forms evaluate
+    # (the package reaches |z| ~ 3.9e3 there) and the box [-8, 8]^2
+    mpmath = pytest.importorskip("mpmath")
 
-    for angle in [0.05, math.pi / 4, 3 * math.pi / 4 - 0.05, 1.2]:
-        for radius in [SERIES_RADIUS - 0.1, SERIES_RADIUS, SERIES_RADIUS + 0.1]:
-            z = radius * cmath.exp(1j * angle)
-            if z.real < 0:
-                z = -z  # canonical half-plane, matching erf_complex
-            series = _erf_series(z)
-            cf = 1.0 - cmath.exp(-z * z) * _faddeeva_cf(1j * z)
-            assert abs(series - cf) <= 1e-10
+    def error(z):
+        with mpmath.workdps(30):
+            exact = complex(mpmath.erf(mpmath.mpc(z.real, z.imag)))
+        return abs(erf_complex(z) - exact), abs(exact)
+
+    radii = np.geomspace(1e-12, 4e3, 241)
+    for x in np.concatenate((-radii, radii)):
+        assert erf_complex(x).imag == 0.0
+        assert error(complex(x))[0] <= 1e-13
+    for k in range(4):
+        ray = cmath.exp(1j * (math.pi / 4 + k * math.pi / 2))
+        for t in radii:
+            assert error(t * ray)[0] <= (1e-13 if t <= 45 else 1e-12)
+    grid = np.linspace(-8, 8, 65)
+    for x in grid:
+        for y in grid:
+            err, size = error(complex(x, y))
+            assert err <= 1e-13 * max(1.0, size)
 
 
 def test_erf_large_diagonal_ray_is_bounded():

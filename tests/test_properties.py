@@ -1,5 +1,6 @@
-"""Property tests of the angle stage against a plain-loop oracle, and of
-the pilot budgets and range bounds of the four trainings."""
+"""Property tests of the angle stage against a plain-loop oracle, of the
+pilot budgets and range bounds of the four trainings, and of erf's
+symmetries."""
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nfbeam import (
     build_polar_codebook,
     calibrate_noise,
     default_z_mu_grid,
+    erf_complex,
     estimate_angle,
     exhaustive_training,
     fast_training,
@@ -102,3 +104,20 @@ def test_polar_trainings_clip_range_to_rayleigh(p, snr_db, key):
     exh = exhaustive_training(CFG32, p, noise_at(snr_db, key), POLAR32)
     assert fast.r_hat <= R_RAY32
     assert exh.r_hat <= R_RAY32
+
+
+# Real and imaginary parts out to the largest |z| the closed forms feed
+# erf (~3.9e3 on the diagonal rays), the axes and signed zeros included.
+erf_parts = st.floats(-4e3, 4e3)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(erf_parts, erf_parts)
+def test_erf_is_odd_and_conjugate_symmetric_to_the_bit(x, y):
+    # erf overflows where Im(z)^2 - Re(z)^2 passes ~709; `==` compares
+    # every bit of each part except the sign of a zero
+    assume(y * y - x * x < 700)
+    z = complex(x, y)
+    value = erf_complex(z)
+    assert erf_complex(-z) == -value
+    assert erf_complex(z.conjugate()) == value.conjugate()
