@@ -77,14 +77,35 @@ class PolarPoint:
             raise ValueError(f"r must be finite and positive, got {self.r}")
 
 
-def element_distances(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
-    """Exact distance from each element to the user.
+def _distances(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """N x K matrix of element distances to the users (thetas[k], radii[k]).
 
     r^(n) = sqrt(r^2 + delta_n^2 d^2 - 2 r theta delta_n d)
+
+    r^2 is Python's float power (libm pow), as in the scalar formula this
+    replaced: numpy's square rounds 2 of the ~5,500 ring radii of the
+    N = 1024 polar codebook differently.
     """
-    delta = cfg.element_offsets()
+    delta = cfg.element_offsets()[:, None]
     d = cfg.spacing
-    return np.sqrt(p.r**2 + delta**2 * d**2 - 2 * p.r * p.theta * delta * d)
+    r2 = np.array([r ** 2 for r in radii.tolist()])
+    return np.sqrt(r2 + delta**2 * d**2 - 2 * radii * thetas * delta * d)
+
+
+def element_distances(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
+    """Exact distance from each element to the user."""
+    return _distances(cfg, np.array([p.theta]), np.array([p.r]))[:, 0]
+
+
+def steering_columns(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) -> np.ndarray:
+    """N x K matrix whose column k is b(thetas[k], radii[k]).
+
+    The one steering formula: `near_field_steering` is its single-column
+    case and the polar codebook builds its rings in blocks of it, so a
+    codebook column has the bits of the memoized vector.
+    """
+    rn = _distances(cfg, thetas, radii)
+    return np.exp(-2j * np.pi * (rn - radii) / cfg.wavelength) / math.sqrt(cfg.n_antennas)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -96,9 +117,7 @@ def near_field_steering(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     the same spatial angle. Memoized on (cfg, p): the array is shared and
     read-only, so copy it before writing.
     """
-    rn = element_distances(cfg, p)
-    return _read_only(np.exp(-2j * np.pi * (rn - p.r) / cfg.wavelength)
-                      / math.sqrt(cfg.n_antennas))
+    return _read_only(steering_columns(cfg, np.array([p.theta]), np.array([p.r]))[:, 0])
 
 
 def channel_gain(cfg: ArrayConfig, r: float) -> float:

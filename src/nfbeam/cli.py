@@ -21,6 +21,8 @@ import typing
 from dataclasses import astuple
 from pathlib import Path
 
+from numpy.linalg import LinAlgError
+
 from .beampattern import exact_gain, exact_gain_grid, normalized_pattern
 from .channel import PolarPoint
 from .codebooks import build_dft_codebook, build_polar_codebook
@@ -136,14 +138,18 @@ def _add_common(sub):
                      dest="reference_mode")
 
 
+def _add_schemes(sub):
+    sub.add_argument("--schemes", help="comma list out of proposed,joint,fast,exhaustive")
+
+
 def _add_grid(sub):
-    """Flags of the Monte-Carlo grid; written to the header of every CSV."""
+    """Flags of the Monte-Carlo grid, for the commands that simulate it."""
     sub.add_argument("--trials", type=int)
     sub.add_argument("--snr-db", type=float, nargs="+", dest="snr_db",
                      help="reference SNR grid in dB")
     sub.add_argument("--theta-range", type=float, nargs=2, dest="theta_range")
     sub.add_argument("--r-range", type=float, nargs=2, dest="r_range")
-    sub.add_argument("--schemes", help="comma list out of proposed,joint,fast,exhaustive")
+    _add_schemes(sub)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -153,7 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pat = sp.add_parser("pattern", help="dump a sweep beam pattern")
     _add_common(pat)
-    _add_grid(pat)
     pat.add_argument("--svg", action="store_true", help="also write an SVG plot")
     pat.set_defaults(run=_cmd_pattern)
     pat.add_argument("--theta", type=float, required=True)
@@ -185,12 +190,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ov = sp.add_parser("overhead", help="pilot overhead and complexity table")
     _add_common(ov)
-    _add_grid(ov)
+    _add_schemes(ov)
     ov.set_defaults(run=_cmd_overhead)
 
     cd = sp.add_parser("codebook-dump", help="export a codebook as CSV")
     _add_common(cd)
-    _add_grid(cd)
     cd.set_defaults(run=_cmd_codebook_dump)
     cd.add_argument("--kind", choices=["dft", "polar"], default="dft")
     cd.add_argument("--beta-polar", type=float, dest="beta_polar",
@@ -323,7 +327,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (EmptyMainSetError, EmptyGridError, SingularChannelError) as exc:
+    # LinAlgError subclasses ValueError but is a runtime fault, not a config error
+    except (EmptyMainSetError, EmptyGridError, SingularChannelError, LinAlgError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:

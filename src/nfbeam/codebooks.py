@@ -5,20 +5,27 @@ exp(j pi delta_n phi) / sqrt(N), the r -> infinity limit of the
 near-field steering vector, so that a beam sweep of a far-field user
 peaks at the codeword whose grid angle matches the user. The polar
 codebook adds, per grid angle, distance rings r_{n,s} = Z (1 - theta^2)/s
-plus the far-field (s = 0) codeword.
+plus the far-field (s = 0) codeword. A codebook's arrays are read-only,
+and it memoizes its noiseless sweeps h^H M per channel array, so the
+trainings of one user share one product.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, PolarPoint, near_field_steering, region_boundaries
+from .channel import _MEMO_SIZE, ArrayConfig, _read_only, region_boundaries, steering_columns
 from .errors import EmptyGridError
 
 FAR_FIELD = math.inf
+
+# Ring columns computed per steering call when building a polar codebook:
+# bounds the N x block temporaries (2 MiB each at N = 1024).
+_RING_BLOCK = 128
 
 
 def dft_angle_grid(n: int) -> np.ndarray:
@@ -26,14 +33,52 @@ def dft_angle_grid(n: int) -> np.ndarray:
     return (2 * np.arange(n) - n + 1) / n
 
 
+def _noiseless_product(h: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """h^H M as a read-only array: what the sweep memo computes on a miss."""
+    return _read_only(h.conj() @ matrix)
+
+
+class _Codebook:
+    """What both codebooks share: read-only arrays, and a memo of the
+    noiseless sweeps h^H M that lives and dies with the codebook."""
+
+    _arrays: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in self._arrays:
+            _read_only(getattr(self, name))
+        object.__setattr__(self, "_sweeps", OrderedDict())
+
+    def __len__(self) -> int:
+        return self.matrix.shape[1]
+
+    def noiseless_sweep(self, h: np.ndarray) -> np.ndarray:
+        """h^H M, computed once per channel array and shared read-only.
+
+        Keyed on the identity of `h`, which must not change while it is
+        memoized; the trainings pass the read-only `los_channel` arrays.
+        Each entry holds `h`, so its id cannot be reused while the entry
+        lives. Keeps the `_MEMO_SIZE` most recently used sweeps.
+        """
+        sweeps = self._sweeps
+        entry = sweeps.get(id(h))
+        if entry is not None:
+            sweeps.move_to_end(id(h))
+            return entry[1]
+        s = _noiseless_product(h, self.matrix)
+        sweeps[id(h)] = (h, s)
+        if len(sweeps) > _MEMO_SIZE:
+            sweeps.popitem(last=False)
+        return s
+
+
 @dataclass(frozen=True)
-class DftCodebook:
+class DftCodebook(_Codebook):
     cfg: ArrayConfig
     angle_grid: np.ndarray
     matrix: np.ndarray  # N x N, column n is the codeword at angle_grid[n]
 
-    def __len__(self) -> int:
-        return self.matrix.shape[1]
+    _arrays = ("angle_grid", "matrix")
 
     def nearest_index(self, theta: float) -> int:
         return int(np.argmin(np.abs(self.angle_grid - theta)))
@@ -48,7 +93,7 @@ def build_dft_codebook(cfg: ArrayConfig) -> DftCodebook:
 
 
 @dataclass(frozen=True)
-class PolarCodebook:
+class PolarCodebook(_Codebook):
     """Near-field codebook: per grid angle, a far-field entry plus
     distance rings, flattened into parallel arrays for fast sweeps."""
 
@@ -61,8 +106,7 @@ class PolarCodebook:
     angle_start: np.ndarray   # index of the first entry of each grid angle
     angle_count: np.ndarray   # entries per grid angle (incl. far field)
 
-    def __len__(self) -> int:
-        return self.matrix.shape[1]
+    _arrays = ("thetas", "radii", "matrix", "angle_start", "angle_count")
 
     @property
     def avg_samples_per_angle(self) -> float:
@@ -83,26 +127,23 @@ def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = 1.6) -> PolarCode
     """Polar codebook on the DFT angle grid.
 
     Per angle theta_n: rings r = Z (1 - theta_n^2)/s, s = 1, 2, ...,
-    truncated to [R_Fre, R_Ray], plus one far-field codeword.
+    truncated to [R_Fre, R_Ray], plus one far-field codeword. The labels
+    come first; the matrix is then filled in place, the far-field columns
+    as one block and the rings in blocks of `steering_columns`.
     """
     if not (math.isfinite(beta_polar) and beta_polar > 0):
         raise ValueError(f"beta_polar must be finite and positive, got {beta_polar}")
     r_fre, r_ray = region_boundaries(cfg)
+    n = cfg.n_antennas
 
     z = ring_scale(cfg, beta_polar)
-    grid = dft_angle_grid(cfg.n_antennas)
-    delta = cfg.element_offsets()
-    far = np.exp(1j * np.pi * np.outer(delta, grid)) / math.sqrt(cfg.n_antennas)
-
-    cols: list[np.ndarray] = []
+    grid = dft_angle_grid(n)
     thetas: list[float] = []
     radii: list[float] = []
-    start = np.zeros(cfg.n_antennas, dtype=int)
-    count = np.zeros(cfg.n_antennas, dtype=int)
-    n_rings_total = 0
+    start = np.zeros(n, dtype=int)
+    count = np.zeros(n, dtype=int)
     for i, t in enumerate(grid):
-        start[i] = len(cols)
-        cols.append(far[:, i])
+        start[i] = len(thetas)
         thetas.append(float(t))
         radii.append(FAR_FIELD)
         span = z * (1.0 - t * t)
@@ -110,25 +151,30 @@ def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = 1.6) -> PolarCode
         while span / s >= r_fre:
             r = span / s
             if r <= r_ray:
-                cols.append(near_field_steering(cfg, PolarPoint(float(t), r)))
                 thetas.append(float(t))
                 radii.append(r)
-                n_rings_total += 1
             s += 1
-        count[i] = len(cols) - start[i]
+        count[i] = len(thetas) - start[i]
 
-    if n_rings_total == 0:
+    theta_arr = np.array(thetas)
+    radius_arr = np.array(radii)
+    rings = np.flatnonzero(np.isfinite(radius_arr))
+    if rings.size == 0:
         raise EmptyGridError(
             f"no distance ring survives truncation to [{r_fre}, {r_ray}] at any angle"
         )
+    matrix = np.empty((n, theta_arr.size), dtype=complex)
+    matrix[:, start] = np.exp(1j * np.pi * np.outer(cfg.element_offsets(), grid)) / math.sqrt(n)
+    for lo in range(0, rings.size, _RING_BLOCK):
+        cols = rings[lo:lo + _RING_BLOCK]
+        matrix[:, cols] = steering_columns(cfg, theta_arr[cols], radius_arr[cols])
     return PolarCodebook(
         cfg=cfg,
         beta_polar=beta_polar,
         z_delta=z,
-        thetas=np.array(thetas),
-        radii=np.array(radii),
-        matrix=np.column_stack(cols),
+        thetas=theta_arr,
+        radii=radius_arr,
+        matrix=matrix,
         angle_start=start,
         angle_count=count,
     )
-

@@ -67,15 +67,17 @@ class LocationEstimate:
     distance_stage_evals: int = 0
 
 
-def _pilots(h: np.ndarray, matrix: np.ndarray, noise: NoiseModel) -> np.ndarray:
-    """One pilot per column of `matrix`: y = h^H M + w with s = 1."""
-    return h.conj() @ matrix + noise.sample(matrix.shape[1])
+def _pilots(s: np.ndarray, noise: NoiseModel) -> np.ndarray:
+    """Pilots y = s + w from the noiseless products s = h^H M (unit
+    pilot symbols), one noise draw per pilot."""
+    return s + noise.sample(s.size)
 
 
 def beam_sweep(cfg: ArrayConfig, p: PolarPoint, codebook, noise: NoiseModel) -> SweepResult:
-    """One pilot per codeword: y(v_n) = h^H v_n + w_n."""
-    return SweepResult(samples=_pilots(los_channel(cfg, p), codebook.matrix, noise),
-                       codebook=codebook)
+    """One pilot per codeword: y(v_n) = h^H v_n + w_n; h^H V is the
+    codebook's memoized noiseless sweep."""
+    s = codebook.noiseless_sweep(los_channel(cfg, p))
+    return SweepResult(samples=_pilots(s, noise), codebook=codebook)
 
 
 def cluster_indices(amp: np.ndarray, rho2: float, gap: int):
@@ -232,7 +234,7 @@ def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     picks = []
     for ci in ang.candidate_indices:
         sl = polar.entries_at(ci)
-        amp = np.abs(_pilots(h, polar.matrix[:, sl], noise))
+        amp = np.abs(_pilots(h.conj() @ polar.matrix[:, sl], noise))
         extra += amp.size
         j = int(np.argmax(amp))
         picks.append((sl.start + j, amp[j]))
@@ -242,7 +244,7 @@ def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
 def exhaustive_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
                         polar: PolarCodebook) -> LocationEstimate:
     """Baseline: argmax |y| over every polar codebook entry."""
-    amp = np.abs(_pilots(los_channel(cfg, p), polar.matrix, noise))
+    amp = np.abs(_pilots(polar.noiseless_sweep(los_channel(cfg, p)), noise))
     j = int(np.argmax(amp))
     return _polar_estimate(polar, [(j, amp[j])], len(polar), 0)
 

@@ -24,7 +24,7 @@ import numpy as np
 from .beamforming import multiuser_precode, multiuser_rate, single_user_rate
 from .channel import ArrayConfig, PolarPoint, channel_gain, los_channel, region_boundaries
 from .codebooks import build_dft_codebook, build_polar_codebook
-from .errors import EmptyMainSetError
+from .errors import EmptyMainSetError, SingularChannelError
 from .estimators import (
     EstimatorConfig,
     LocationEstimate,
@@ -263,7 +263,8 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
     trains m_users users per trial under per-user noise keys and rates
     the group under RZF, with a full-CSI row precoded from the true
     positions. A scheme's row is an outage when any of its trainings
-    finds an empty main set.
+    finds an empty main set; a multi-user row, full CSI included, is also
+    an outage when RZF finds its Gram matrix singular.
     """
     if mode not in ("nmse", "single", "multi"):
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
@@ -289,20 +290,25 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                 rates = (single_user_rate(cfg, users[0], matched, sigma2),)
                 yield TrialRow(t, i, FULL_CSI, users, exact, rates)
             elif mode == "multi":
-                yield TrialRow(t, i, FULL_CSI, users, exact, _group_rates(cfg, users, users, sigma2))
+                try:
+                    rates = _group_rates(cfg, users, users, sigma2)
+                except SingularChannelError:
+                    yield TrialRow(t, i, FULL_CSI, users, None)
+                else:
+                    yield TrialRow(t, i, FULL_CSI, users, exact, rates)
             for scheme in sc.schemes:
                 try:
                     ests = [trainer.train(scheme, p, noise.replay(sigma2))
                             for p, noise in zip(users, noises)]
-                except EmptyMainSetError:
+                    rates = None
+                    if mode == "single":
+                        rates = (single_user_rate(cfg, users[0], ests[0].w, sigma2),)
+                    elif mode == "multi":
+                        labels = [PolarPoint(e.theta_hat, e.r_hat) for e in ests]
+                        rates = _group_rates(cfg, users, labels, sigma2)
+                except (EmptyMainSetError, SingularChannelError):
                     yield TrialRow(t, i, scheme, users, None)
                     continue
-                rates = None
-                if mode == "single":
-                    rates = (single_user_rate(cfg, users[0], ests[0].w, sigma2),)
-                elif mode == "multi":
-                    labels = [PolarPoint(e.theta_hat, e.r_hat) for e in ests]
-                    rates = _group_rates(cfg, users, labels, sigma2)
                 yield TrialRow(t, i, scheme, users,
                                tuple((e.theta_hat, e.r_hat, e.pilot_count) for e in ests), rates)
 

@@ -4,7 +4,9 @@ These deliberately avoid the package's own closed forms: quadrature for
 the oscillatory gain integral, coordinate geometry for element
 distances, and plain midpoint integration for the real error function.
 The training oracles take the channel and the pilot products from the
-package and redo the selection logic with plain loops.
+package and redo the selection logic with plain loops; the polar
+codebook oracle builds one column per entry with the scalar steering
+formula.
 """
 
 import math
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from nfbeam import los_channel, region_boundaries
+from nfbeam.codebooks import FAR_FIELD, dft_angle_grid, ring_scale
 
 
 def quadrature_f(alpha: float, beta: float, panels: int = 2 ** 16) -> complex:
@@ -116,3 +119,40 @@ def exhaustive_training_by_loops(cfg, p, noise, polar):
     """(theta_hat, r_hat, w, pilot_count) of the exhaustive baseline: one
     sweep of every polar entry."""
     return _first_strongest(los_channel(cfg, p), polar, [list(range(len(polar)))], noise)
+
+
+def steering_by_formula(cfg, theta: float, r: float) -> np.ndarray:
+    """b(theta, r) for one user, evaluated as scalar expressions of
+    Python floats times numpy arrays."""
+    delta = cfg.element_offsets()
+    d = cfg.spacing
+    rn = np.sqrt(r**2 + delta**2 * d**2 - 2 * r * theta * delta * d)
+    return np.exp(-2j * np.pi * (rn - r) / cfg.wavelength) / math.sqrt(cfg.n_antennas)
+
+
+def polar_codebook_by_loops(cfg, beta_polar: float = 1.6):
+    """(matrix, thetas, radii, angle_start, angle_count, z_delta) of the
+    polar codebook, one column at a time: per grid angle the far-field
+    DFT column, then every ring r = Z (1 - theta^2)/s in [R_Fre, R_Ray]."""
+    r_fre, r_ray = region_boundaries(cfg)
+    z = ring_scale(cfg, beta_polar)
+    grid = dft_angle_grid(cfg.n_antennas)
+    far = np.exp(1j * np.pi * np.outer(cfg.element_offsets(), grid)) / math.sqrt(cfg.n_antennas)
+    cols, thetas, radii, start, count = [], [], [], [], []
+    for i, t in enumerate(grid):
+        start.append(len(cols))
+        cols.append(far[:, i])
+        thetas.append(float(t))
+        radii.append(FAR_FIELD)
+        span = z * (1.0 - t * t)
+        s = 1
+        while span / s >= r_fre:
+            r = span / s
+            if r <= r_ray:
+                cols.append(steering_by_formula(cfg, float(t), float(r)))
+                thetas.append(float(t))
+                radii.append(r)
+            s += 1
+        count.append(len(cols) - start[-1])
+    return (np.column_stack(cols), np.array(thetas), np.array(radii), np.array(start),
+            np.array(count), z)

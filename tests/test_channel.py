@@ -13,7 +13,7 @@ from nfbeam import (
     near_field_steering,
     region_boundaries,
 )
-from oracles import element_distance_by_coordinates, steering_by_distances
+from oracles import element_distance_by_coordinates, steering_by_distances, steering_by_formula
 
 
 def test_array_config_validation():
@@ -85,6 +85,16 @@ class TestSteering:
         p = PolarPoint(0.3, 4.0)
         ref = steering_by_distances(64, cfg64.wavelength, 0.3, 4.0)
         assert np.allclose(near_field_steering(cfg64, p), ref, atol=1e-12)
+
+    def test_equals_scalar_formula_to_the_bit(self):
+        # the matrix form of the formula must not move a bit of a single vector
+        rng = np.random.default_rng(11)
+        for n in (64, 1024):
+            cfg = ArrayConfig(n, 100e9)
+            for theta, r in zip(rng.uniform(-1, 1, 50), rng.uniform(0.5, 500.0, 50)):
+                p = PolarPoint(float(theta), float(r))
+                assert np.array_equal(near_field_steering(cfg, p),
+                                      steering_by_formula(cfg, p.theta, p.r))
 
     def test_far_field_limit_approaches_dft_codeword(self, cfg512):
         theta = 0.5

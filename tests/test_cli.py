@@ -13,6 +13,27 @@ def run(args):
     return main(args)
 
 
+_TRAIN = ["train", "--theta", "0.2", "--r", "5"]
+_PATTERN = ["pattern", "--theta", "0.2", "--r", "5"]
+# The Monte-Carlo grid flags, which only the simulating commands accept.
+_GRID_FLAGS = {
+    "trials": ["--trials", "7"],
+    "snr-db": ["--snr-db", "3"],
+    "theta-range": ["--theta-range", "-0.5", "0.5"],
+    "r-range": ["--r-range", "1", "3"],   # inside [R_Fre, R_Ray] at N = 64
+    "schemes": ["--schemes", "joint"],
+}
+_UNREAD_FLAGS = {
+    "train-svg": _TRAIN + ["--svg"],
+    **{f"train-{k}": _TRAIN + v for k, v in _GRID_FLAGS.items()},
+    **{f"pattern-{k}": _PATTERN + v for k, v in _GRID_FLAGS.items()},
+    **{f"codebook-dump-{k}": ["codebook-dump"] + v for k, v in _GRID_FLAGS.items()},
+    **{f"overhead-{k}": ["overhead"] + v for k, v in _GRID_FLAGS.items() if k != "schemes"},
+    "overhead-svg": ["overhead", "--svg"],
+    "codebook-dump-svg": ["codebook-dump", "--svg"],
+}
+
+
 class TestPattern:
     def test_fig2_trace(self, tmp_path, capsys):
         rc = run(["pattern", "--theta", "0", "--r", "8", "--N", "512",
@@ -286,21 +307,16 @@ class TestErrors:
         assert "r must be finite" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv", [
-        ["train", "--theta", "0.2", "--r", "5", "--svg"],
-        ["train", "--theta", "0.2", "--r", "5", "--schemes", "joint"],
-        ["train", "--theta", "0.2", "--r", "5", "--snr-db", "10"],
-        ["train", "--theta", "0.2", "--r", "5", "--trials", "7"],
-        ["train", "--theta", "0.2", "--r", "5", "--theta-range", "-0.5", "0.5"],
-        ["train", "--theta", "0.2", "--r", "5", "--r-range", "2", "9"],
-        ["overhead", "--svg"],
-        ["codebook-dump", "--svg"],
-    ], ids=["train-svg", "train-schemes", "train-snr-db", "train-trials",
-            "train-theta-range", "train-r-range", "overhead-svg", "codebook-dump-svg"])
+    @pytest.mark.parametrize("argv", list(_UNREAD_FLAGS.values()), ids=list(_UNREAD_FLAGS))
     def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, argv):
         rc = run(argv + ["--N", "64", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert not list(tmp_path.iterdir())
+
+    def test_overhead_reads_schemes(self, tmp_path, capsys):
+        rc = run(["overhead", "--N", "64", "--schemes", "joint", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().out.startswith("joint: 67 pilots")
 
     def test_nmse_ignores_m_users_at_small_n(self, tmp_path):
         # the default m_users = 10 exceeds N = 8, but nmse has no users group
@@ -324,3 +340,16 @@ class TestErrors:
                   "--beta-polar", "99", "--out", str(tmp_path)])
         assert rc == EXIT_RUNTIME
         assert "runtime failure" in capsys.readouterr().err
+
+    def test_linalg_error_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        # numpy's LinAlgError subclasses ValueError; it is no config error
+        from nfbeam.cli import EXIT_RUNTIME
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("injected")
+
+        monkeypatch.setattr(nfbeam.simharness, "multiuser_rate", fail)
+        rc = run(["rate-multi", "--N", "16", "--M", "2", "--trials", "1", "--snr-db", "20",
+                  "--schemes", "proposed", "--out", str(tmp_path)])
+        assert rc == EXIT_RUNTIME
+        assert "runtime failure: injected" in capsys.readouterr().err

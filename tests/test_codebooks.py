@@ -1,9 +1,13 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+import nfbeam.codebooks
 from nfbeam import (
+    ArrayConfig,
     PolarPoint,
     build_dft_codebook,
     build_polar_codebook,
@@ -11,8 +15,11 @@ from nfbeam import (
     los_channel,
     region_boundaries,
 )
+from nfbeam.channel import _MEMO_SIZE
 from nfbeam.codebooks import ring_scale
 from nfbeam.errors import EmptyGridError
+from nfbeam.simharness import ScenarioConfig, simulate
+from oracles import polar_codebook_by_loops
 
 
 class TestDftCodebook:
@@ -111,3 +118,78 @@ class TestPolarCodebook:
                 build_polar_codebook(cfg64, beta_polar=beta)
             assert not isinstance(info.value, EmptyGridError)
 
+
+    @pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
+    def test_equals_per_entry_build(self, n):
+        # at N = 1024 numpy's square and Python's r**2 differ on 2 radii
+        book = build_polar_codebook(ArrayConfig(n, 100e9))
+        matrix, thetas, radii, start, count, z = polar_codebook_by_loops(book.cfg)
+        assert book.matrix.shape == matrix.shape
+        assert np.array_equal(book.matrix, matrix)
+        assert np.array_equal(book.thetas, thetas)
+        assert np.array_equal(book.radii, radii)
+        assert np.array_equal(book.angle_start, start)
+        assert np.array_equal(book.angle_count, count)
+        assert book.z_delta == z
+
+
+def _books(cfg):
+    return {"dft": build_dft_codebook(cfg), "polar": build_polar_codebook(cfg)}
+
+
+@pytest.mark.parametrize("kind", ["dft", "polar"])
+class TestSharedArrays:
+    def test_arrays_are_read_only(self, kind, cfg64):
+        book = _books(cfg64)[kind]
+        names = ("matrix", "angle_grid") if kind == "dft" else ("matrix", "thetas", "radii")
+        for name in names:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(book, name)[0] = 0.0
+
+    def test_memo_hit_equals_fresh_product(self, kind, cfg64):
+        book = _books(cfg64)[kind]
+        h = los_channel(cfg64, PolarPoint(0.21, 3.3))
+        s = book.noiseless_sweep(h)
+        assert book.noiseless_sweep(h) is s
+        assert s.tobytes() == (h.conj() @ book.matrix).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            s[0] = 0.0
+
+    def test_memo_is_bounded(self, kind, cfg64):
+        book = _books(cfg64)[kind]
+        rng = np.random.default_rng(5)
+        for theta, r in zip(rng.uniform(-0.9, 0.9, 200), rng.uniform(2.0, 30.0, 200)):
+            h = los_channel(cfg64, PolarPoint(float(theta), float(r)))
+            assert book.noiseless_sweep(h).tobytes() == (h.conj() @ book.matrix).tobytes()
+            assert len(book._sweeps) <= _MEMO_SIZE
+        assert len(book._sweeps) == _MEMO_SIZE
+
+    def test_memo_dies_with_the_codebook(self, kind, cfg64):
+        book = _books(cfg64)[kind]
+        book.noiseless_sweep(los_channel(cfg64, PolarPoint(-0.4, 5.0)))
+        ref = weakref.ref(book)
+        del book
+        gc.collect()
+        assert ref() is None
+
+
+@pytest.mark.parametrize("mode, products_per_user", [("nmse", 1), ("multi", 2)])
+def test_simulate_computes_each_noiseless_sweep_once(monkeypatch, mode, products_per_user):
+    # nmse: 3 trials x 14 SNR points x 2 schemes sweep one DFT codebook;
+    # multi: all four schemes, so one DFT and one polar sweep per user
+    products = []
+    real = nfbeam.codebooks._noiseless_product
+
+    def counting(h, matrix):
+        products.append(matrix.shape)
+        return real(h, matrix)
+
+    monkeypatch.setattr(nfbeam.codebooks, "_noiseless_product", counting)
+    schemes = ("proposed", "joint") if mode == "nmse" else ("proposed", "joint", "fast",
+                                                            "exhaustive")
+    sc = ScenarioConfig(n_antennas=64, trials=3, m_users=3, schemes=schemes,
+                        snr_ref_db_grid=tuple(range(4, 31, 2)))
+    rows = list(simulate(sc, mode))
+    assert len(rows) == 3 * 14 * (len(schemes) + (mode == "multi"))
+    users = 3 * (3 if mode == "multi" else 1)
+    assert len(products) == users * products_per_user

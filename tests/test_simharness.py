@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import nfbeam.simharness
 from nfbeam import (
     ArrayConfig,
     NoiseModel,
@@ -20,7 +21,7 @@ from nfbeam import (
     region_boundaries,
     single_user_rate,
 )
-from nfbeam.errors import EmptyMainSetError
+from nfbeam.errors import EmptyMainSetError, SingularChannelError
 from nfbeam.simharness import (
     FULL_CSI,
     PER_ANTENNA,
@@ -195,6 +196,30 @@ class TestSimulate:
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             next(simulate(small_scenario(), "triple"))
+
+    def test_singular_rzf_makes_an_outage_row_and_the_run_goes_on(self, monkeypatch):
+        sc = small_scenario(trials=2, m_users=3)
+        clean = list(simulate(sc, "multi"))
+        calls = []
+        real = nfbeam.simharness.multiuser_precode
+
+        def flaky(cfg, positions, sigma2):
+            # rows of trial 0 at 10 dB: full CSI (call 1), proposed, joint (call 3)
+            calls.append(None)
+            if len(calls) in (1, 3):
+                raise SingularChannelError("injected")
+            return real(cfg, positions, sigma2)
+
+        monkeypatch.setattr(nfbeam.simharness, "multiuser_precode", flaky)
+        rows = list(simulate(sc, "multi"))
+        assert len(rows) == len(clean) == 2 * 2 * 3
+        assert [r.estimates is None for r in rows] == [i in (0, 2) for i in range(len(rows))]
+        assert [r for i, r in enumerate(rows) if i not in (0, 2)] == \
+            [r for i, r in enumerate(clean) if i not in (0, 2)]
+        records = {(r.scheme, r.snr_ref_db): r for r in run_rate_experiment(sc, "multi", rows)}
+        assert records[("full-csi", 10.0)].outage_count == 1
+        assert records[("joint", 10.0)].outage_count == 1
+        assert records[("proposed", 10.0)].outage_count == 0
 
     def test_more_users_than_antennas_rejected_in_multi_mode_only(self):
         # m_users is unused outside the multi-user mode
