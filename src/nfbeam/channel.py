@@ -9,6 +9,7 @@ angle in [-1, 1] and r the distance from the array center.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,6 +29,12 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _check_count(name: str, value: object) -> None:
+    """Reject a count that is not an integer; numpy integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ArrayConfig:
     """Uniform linear array at half-wavelength spacing.
@@ -40,6 +47,7 @@ class ArrayConfig:
     carrier_hz: float
 
     def __post_init__(self) -> None:
+        _check_count("n_antennas", self.n_antennas)
         if self.n_antennas < 2:
             raise ValueError(f"need at least 2 antennas, got {self.n_antennas}")
         if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):

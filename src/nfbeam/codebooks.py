@@ -8,6 +8,17 @@ codebook adds, per grid angle, distance rings r_{n,s} = Z (1 - theta^2)/s
 plus the far-field (s = 0) codeword. A codebook's arrays are read-only,
 and it memoizes its noiseless sweeps h^H M per channel array, so the
 trainings of one user share one product.
+
+Mirror rule: both builders evaluate only the angle indices >= N//2
+(for odd N this includes theta = 0) and fill the codewords of angle
+index N-1-i with those of index i, rows reversed. This is exact, bit for
+bit: delta_{N-1-n} = -delta_n and phi_{N-1-i} = -phi_i to the bit, and
+negating both factors leaves a float product unchanged, so
+(-delta)(-phi) = delta phi in the far field; the rings of -theta get the
+same radii, since theta^2 is the same float, and the ring distance is
+formed as ((2 r theta) delta) d, whose two sign flips cancel too. The conjugate
+symmetry of the columns is not used: it would turn the +0 imaginary
+part of an odd N's delta = 0 row into -0.
 """
 
 from __future__ import annotations
@@ -23,8 +34,9 @@ from .errors import EmptyGridError
 
 FAR_FIELD = math.inf
 
-# Ring columns computed per steering call when building a polar codebook:
-# bounds the N x block temporaries (2 MiB each at N = 1024).
+# Columns computed per steering call, or copied per mirror step, when
+# building a codebook: bounds the N x block temporaries (2 MiB each at
+# N = 1024).
 _RING_BLOCK = 128
 
 
@@ -84,11 +96,30 @@ class DftCodebook(_Codebook):
         return int(np.argmin(np.abs(self.angle_grid - theta)))
 
 
+def _far_field_columns(cfg: ArrayConfig, angles: np.ndarray) -> np.ndarray:
+    """N x K matrix whose column k is the DFT codeword at angles[k]:
+    the one far-field formula of both builders."""
+    phase = np.outer(cfg.element_offsets(), angles)
+    return np.exp(1j * np.pi * phase) / math.sqrt(cfg.n_antennas)
+
+
+def _mirror_lower_half(matrix: np.ndarray, sources: np.ndarray) -> None:
+    """Fill columns 0..len(sources)-1 with the row-reversed columns
+    `sources`, in blocks of `_RING_BLOCK` so no temporary exceeds N x block."""
+    for lo in range(0, sources.size, _RING_BLOCK):
+        block = sources[lo:lo + _RING_BLOCK]
+        matrix[:, lo:lo + block.size] = matrix[::-1, block]
+
+
 def build_dft_codebook(cfg: ArrayConfig) -> DftCodebook:
+    """DFT codebook on `dft_angle_grid(N)`: the columns of index >= N//2
+    are evaluated, column N-1-n is column n upside down (the mirror rule)."""
     n = cfg.n_antennas
+    half = n // 2
     grid = dft_angle_grid(n)
-    delta = cfg.element_offsets()
-    matrix = np.exp(1j * np.pi * np.outer(delta, grid)) / math.sqrt(n)
+    matrix = np.empty((n, n), dtype=complex)
+    matrix[:, half:] = _far_field_columns(cfg, grid[half:])
+    _mirror_lower_half(matrix, np.arange(n - 1, n - 1 - half, -1))
     return DftCodebook(cfg=cfg, angle_grid=grid, matrix=matrix)
 
 
@@ -128,8 +159,10 @@ def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = 1.6) -> PolarCode
 
     Per angle theta_n: rings r = Z (1 - theta_n^2)/s, s = 1, 2, ...,
     truncated to [R_Fre, R_Ray], plus one far-field codeword. The labels
-    come first; the matrix is then filled in place, the far-field columns
-    as one block and the rings in blocks of `steering_columns`.
+    come first; the matrix is then filled in place. For the angle indices
+    >= N//2, the far-field columns are one block and the rings blocks of
+    `steering_columns`; every entry of angle index i < N//2 is the same
+    entry of angle N-1-i upside down (the mirror rule).
     """
     if not (math.isfinite(beta_polar) and beta_polar > 0):
         raise ValueError(f"beta_polar must be finite and positive, got {beta_polar}")
@@ -158,16 +191,21 @@ def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = 1.6) -> PolarCode
 
     theta_arr = np.array(thetas)
     radius_arr = np.array(radii)
-    rings = np.flatnonzero(np.isfinite(radius_arr))
-    if rings.size == 0:
+    if np.all(np.isinf(radius_arr)):
         raise EmptyGridError(
             f"no distance ring survives truncation to [{r_fre}, {r_ray}] at any angle"
         )
+    half = n // 2
+    upper = start[half]  # first entry of the evaluated angles
     matrix = np.empty((n, theta_arr.size), dtype=complex)
-    matrix[:, start] = np.exp(1j * np.pi * np.outer(cfg.element_offsets(), grid)) / math.sqrt(n)
+    matrix[:, start[half:]] = _far_field_columns(cfg, grid[half:])
+    rings = upper + np.flatnonzero(np.isfinite(radius_arr[upper:]))
     for lo in range(0, rings.size, _RING_BLOCK):
         cols = rings[lo:lo + _RING_BLOCK]
         matrix[:, cols] = steering_columns(cfg, theta_arr[cols], radius_arr[cols])
+    # entry j of angle i < N//2 mirrors entry j - start[i] of angle N-1-i
+    angle = np.repeat(np.arange(half), count[:half])
+    _mirror_lower_half(matrix, start[n - 1 - angle] + np.arange(upper) - start[angle])
     return PolarCodebook(
         cfg=cfg,
         beta_polar=beta_polar,

@@ -17,7 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .beampattern import contiguous_run, run_width, width_law
-from .channel import ArrayConfig, PolarPoint, los_channel, near_field_steering, region_boundaries
+from .channel import (ArrayConfig, PolarPoint, _check_count, los_channel, near_field_steering,
+                      region_boundaries)
 from .codebooks import DftCodebook, PolarCodebook
 from .errors import EmptyMainSetError
 from .numerics import NoiseModel
@@ -30,6 +31,8 @@ class EstimatorConfig:
     rho2_fraction: float = 0.65   # threshold as a fraction of max |y|
 
     def __post_init__(self) -> None:
+        _check_count("k", self.k)
+        _check_count("cluster_gap", self.cluster_gap)
         if self.k < 1:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.cluster_gap < 1:

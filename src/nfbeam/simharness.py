@@ -22,7 +22,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .beamforming import multiuser_precode, multiuser_rate, single_user_rate
-from .channel import ArrayConfig, PolarPoint, channel_gain, los_channel, region_boundaries
+from .channel import (ArrayConfig, PolarPoint, _check_count, channel_gain, los_channel,
+                      region_boundaries)
 from .codebooks import build_dft_codebook, build_polar_codebook
 from .errors import EmptyMainSetError, SingularChannelError
 from .estimators import (
@@ -117,6 +118,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         cfg = self.array()
         self.estimator()
+        for name in ("trials", "seed", "m_users", "z_mu_size"):
+            _check_count(name, getattr(self, name))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.m_users < 1:

@@ -130,6 +130,19 @@ def steering_by_formula(cfg, theta: float, r: float) -> np.ndarray:
     return np.exp(-2j * np.pi * (rn - r) / cfg.wavelength) / math.sqrt(cfg.n_antennas)
 
 
+def same_bits(a, b) -> bool:
+    """Equal shapes and equal bits. Unlike `np.array_equal` this tells
+    -0.0 from +0.0, the sign a wrong mirror would leave behind."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def dft_matrix_by_formula(cfg) -> np.ndarray:
+    """Every DFT codeword at once: exp(j pi delta_n phi_m) / sqrt(N)."""
+    grid = dft_angle_grid(cfg.n_antennas)
+    return np.exp(1j * np.pi * np.outer(cfg.element_offsets(), grid)) / math.sqrt(cfg.n_antennas)
+
+
 def polar_codebook_by_loops(cfg, beta_polar: float = 1.6):
     """(matrix, thetas, radii, angle_start, angle_count, z_delta) of the
     polar codebook, one column at a time: per grid angle the far-field
@@ -137,7 +150,7 @@ def polar_codebook_by_loops(cfg, beta_polar: float = 1.6):
     r_fre, r_ray = region_boundaries(cfg)
     z = ring_scale(cfg, beta_polar)
     grid = dft_angle_grid(cfg.n_antennas)
-    far = np.exp(1j * np.pi * np.outer(cfg.element_offsets(), grid)) / math.sqrt(cfg.n_antennas)
+    far = dft_matrix_by_formula(cfg)
     cols, thetas, radii, start, count = [], [], [], [], []
     for i, t in enumerate(grid):
         start.append(len(cols))

@@ -23,6 +23,16 @@ def test_array_config_validation():
         ArrayConfig(64, 0.0)
 
 
+@pytest.mark.parametrize("n", [255.5, 256.0, True, "64"])
+def test_array_config_rejects_a_non_integer_antenna_count(n):
+    with pytest.raises(ValueError, match="n_antennas"):
+        ArrayConfig(n, 100e9)
+
+
+def test_array_config_accepts_numpy_integers():
+    assert ArrayConfig(np.int64(64), 100e9).element_offsets().size == 64
+
+
 def test_wavelength_and_spacing(cfg512):
     assert cfg512.wavelength == SPEED_OF_LIGHT / 100e9
     assert cfg512.spacing == cfg512.wavelength / 2

@@ -19,7 +19,7 @@ from nfbeam.channel import _MEMO_SIZE
 from nfbeam.codebooks import ring_scale
 from nfbeam.errors import EmptyGridError
 from nfbeam.simharness import ScenarioConfig, simulate
-from oracles import polar_codebook_by_loops
+from oracles import dft_matrix_by_formula, polar_codebook_by_loops, same_bits
 
 
 class TestDftCodebook:
@@ -50,6 +50,11 @@ class TestDftCodebook:
             h = los_channel(cfg256, PolarPoint(theta, 100 * r_ray))
             gains = np.abs(h.conj() @ book.matrix) / np.linalg.norm(h)
             assert int(np.argmax(gains)) == book.nearest_index(theta)
+
+    @pytest.mark.parametrize("n", [2, 3, 63, 64, 255, 256, 1024])
+    def test_equals_direct_formula_to_the_bit(self, n):
+        cfg = ArrayConfig(n, 100e9)
+        assert same_bits(build_dft_codebook(cfg).matrix, dft_matrix_by_formula(cfg))
 
     def test_on_grid_far_user_gain_near_one(self, cfg256):
         _, r_ray = region_boundaries(cfg256)
@@ -118,19 +123,34 @@ class TestPolarCodebook:
                 build_polar_codebook(cfg64, beta_polar=beta)
             assert not isinstance(info.value, EmptyGridError)
 
-
-    @pytest.mark.parametrize("n", [32, 64, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("n", [32, 63, 64, 128, 255, 256, 512, 1024])
     def test_equals_per_entry_build(self, n):
-        # at N = 1024 numpy's square and Python's r**2 differ on 2 radii
+        # at N = 1024 numpy's square and Python's r**2 differ on 2 radii;
+        # odd N has a middle angle that is evaluated, not mirrored
         book = build_polar_codebook(ArrayConfig(n, 100e9))
         matrix, thetas, radii, start, count, z = polar_codebook_by_loops(book.cfg)
-        assert book.matrix.shape == matrix.shape
-        assert np.array_equal(book.matrix, matrix)
-        assert np.array_equal(book.thetas, thetas)
-        assert np.array_equal(book.radii, radii)
-        assert np.array_equal(book.angle_start, start)
-        assert np.array_equal(book.angle_count, count)
+        assert same_bits(book.matrix, matrix)
+        assert same_bits(book.thetas, thetas)
+        assert same_bits(book.radii, radii)
+        assert same_bits(book.angle_start, start)
+        assert same_bits(book.angle_count, count)
         assert book.z_delta == z
+
+    @pytest.mark.parametrize("n", [64, 65, 256])
+    def test_rings_are_evaluated_for_the_upper_half_only(self, monkeypatch, n):
+        # the entries of angle index < N//2 are mirrored copies
+        asked = []
+        real = nfbeam.codebooks.steering_columns
+
+        def counting(cfg, thetas, radii):
+            asked.append(len(thetas))
+            return real(cfg, thetas, radii)
+
+        monkeypatch.setattr(nfbeam.codebooks, "steering_columns", counting)
+        book = build_polar_codebook(ArrayConfig(n, 100e9))
+        upper = book.radii[book.angle_start[n // 2]:]
+        assert sum(asked) == np.count_nonzero(np.isfinite(upper))
+        assert sum(asked) < np.count_nonzero(np.isfinite(book.radii))
 
 
 def _books(cfg):

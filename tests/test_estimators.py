@@ -38,6 +38,14 @@ def silent(seed=0):
     return NoiseModel(0.0, seed)
 
 
+@pytest.mark.parametrize("field", ["k", "cluster_gap"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True])
+def test_estimator_config_rejects_non_integer_counts(field, value):
+    with pytest.raises(ValueError, match=field):
+        EstimatorConfig(**{field: value})
+    assert getattr(EstimatorConfig(**{field: np.int32(2)}), field) == 2
+
+
 @pytest.fixture(scope="module")
 def book512(cfg512):
     return build_dft_codebook(cfg512)

@@ -1,6 +1,6 @@
 """Property tests of the angle stage against a plain-loop oracle, of the
-pilot budgets and range bounds of the four trainings, and of erf's
-symmetries."""
+pilot budgets and range bounds of the four trainings, of erf's
+symmetries, and of the mirror identity the codebook builders rely on."""
 
 import numpy as np
 import pytest
@@ -26,8 +26,10 @@ from nfbeam import (
     proposed_training,
     region_boundaries,
 )
+from nfbeam.channel import steering_columns
+from nfbeam.codebooks import _far_field_columns, dft_angle_grid
 from nfbeam.estimators import SweepResult
-from oracles import estimate_angle_by_loops
+from oracles import estimate_angle_by_loops, same_bits
 
 BOOK = build_dft_codebook(ArrayConfig(64, 100e9))
 CFG32 = ArrayConfig(32, 100e9)
@@ -121,3 +123,20 @@ def test_erf_is_odd_and_conjugate_symmetric_to_the_bit(x, y):
     value = erf_complex(z)
     assert erf_complex(-z) == -value
     assert erf_complex(z.conjugate()) == value.conjugate()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 1024), st.floats(-1.0, 1.0), st.data())
+def test_mirrored_angle_gives_the_codeword_upside_down_to_the_bit(n, theta, data):
+    # the codebook builders copy angle index N-1-i from index i, rows
+    # reversed; a `_distances` or far-field formula that is not odd in
+    # (theta, delta) to the bit breaks this identity
+    cfg = ArrayConfig(n, 100e9)
+    r = np.array([data.draw(st.floats(*region_boundaries(cfg)))])
+    assert same_bits(steering_columns(cfg, np.array([-theta]), r),
+                     steering_columns(cfg, np.array([theta]), r)[::-1])
+    grid = dft_angle_grid(n)
+    i = data.draw(st.integers(0, n // 2 - 1))  # the mirrored angle indices
+    assert same_bits(grid[n - 1 - i], -grid[i])
+    assert same_bits(_far_field_columns(cfg, grid[[n - 1 - i]]),
+                     _far_field_columns(cfg, grid[[i]])[::-1])

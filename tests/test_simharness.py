@@ -126,6 +126,23 @@ def test_scenario_rejects_invalid_values_at_construction(kw):
         ScenarioConfig(**{"n_antennas": 64, **kw})
 
 
+@pytest.mark.parametrize("field", ["n_antennas", "trials", "seed", "m_users", "z_mu_size", "k",
+                                   "cluster_gap"])
+@pytest.mark.parametrize("value", [2.5, 64.0, True])
+def test_scenario_rejects_non_integer_counts_by_name(field, value):
+    # a float or bool count used to pass construction and fail later
+    # with a TypeError, or run on a wrong grid
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{"n_antennas": 64, field: value})
+
+
+def test_scenario_accepts_numpy_integer_counts():
+    sc = ScenarioConfig(n_antennas=np.int64(64), trials=np.int32(2), seed=np.int64(1),
+                        m_users=np.int64(3), z_mu_size=np.int64(8), k=np.int16(2),
+                        cluster_gap=np.int64(4), schemes=("proposed",))
+    assert next(simulate(sc, "nmse")).estimates is not None
+
+
 @pytest.mark.parametrize("carrier", [float("nan"), float("inf"), 0.0, -1e9])
 def test_array_rejects_non_finite_or_non_positive_carrier(carrier):
     with pytest.raises(ValueError):
