@@ -29,8 +29,7 @@ from .channel import (
     region_boundaries,
 )
 from .codebooks import (
-    DftCodebook,
-    PolarCodebook,
+    Codebook,
     build_dft_codebook,
     build_polar_codebook,
     dft_angle_grid,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayConfig, PolarPoint, near_field_steering
-from .codebooks import DftCodebook
+from .codebooks import Codebook
 from .errors import DomainError, EmptyMainSetError
 from .numerics import erf_complex
 
@@ -68,7 +68,7 @@ def exact_gain(cfg: ArrayConfig, p: PolarPoint, phi: float) -> float:
     return float(abs(np.vdot(b, a)))
 
 
-def exact_gain_grid(cfg: ArrayConfig, p: PolarPoint, codebook: DftCodebook) -> np.ndarray:
+def exact_gain_grid(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> np.ndarray:
     """Exact gains against every codeword of the sweep codebook."""
     b = near_field_steering(cfg, p)
     return np.abs(b.conj() @ codebook.matrix)
@@ -113,7 +113,7 @@ def normalized_closed_form_gain(ab: AlphaBeta) -> float:
     return 2.0 * math.sqrt(ab.alpha) * abs(closed_form_f(ab))
 
 
-def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: DftCodebook) -> BeamPattern:
+def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> BeamPattern:
     """Sweep gains divided by the exact gain at phi = theta.
 
     The channel-level and steering-level normalizations coincide: the

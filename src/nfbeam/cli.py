@@ -25,7 +25,7 @@ from numpy.linalg import LinAlgError
 
 from .beampattern import exact_gain, exact_gain_grid, normalized_pattern
 from .channel import PolarPoint
-from .codebooks import build_dft_codebook, build_polar_codebook
+from .codebooks import build_dft_codebook, build_polar_codebook, ring_scale
 from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
 from .numerics import NoiseModel
 from .simharness import (
@@ -70,8 +70,7 @@ def _parse_value(name: str, raw: str):
     item_types = typing.get_args(tp)
     items = [x.strip() for x in raw.split(",") if x.strip()]
     if item_types[-1] is not Ellipsis and len(items) != len(item_types):
-        raise ConfigError(f"{name} takes {len(item_types)} comma-separated values, "
-                          f"got {raw.strip()!r}")
+        raise ValueError(f"takes {len(item_types)} comma-separated values, got {raw.strip()!r}")
     return tuple(item_types[0](x) for x in items)
 
 
@@ -90,7 +89,10 @@ def load_config_file(path: str) -> dict:
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key: {key}")
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = _parse_value(key, raw)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return values
 
 
@@ -303,16 +305,14 @@ def _cmd_codebook_dump(args) -> int:
     cfg = sc.array()
     if args.kind == "dft":
         book = build_dft_codebook(cfg)
-        thetas, radii = book.angle_grid, [math.inf] * len(book)
         out = _out_dir(args) / f"codebook_dft_N{cfg.n_antennas}.csv"
     else:
         book = build_polar_codebook(cfg, sc.beta_polar)
-        thetas, radii = book.thetas, book.radii
         out = _out_dir(args) / f"codebook_polar_N{cfg.n_antennas}_beta{sc.beta_polar}.csv"
-        print(f"ring scale Z = {book.z_delta!r} m, "
+        print(f"ring scale Z = {ring_scale(cfg, sc.beta_polar)!r} m, "
               f"S = {book.avg_samples_per_angle!r} samples/angle")
     rows = ((i, "far" if math.isinf(r) else "near", t, r)
-            for i, (t, r) in enumerate(zip(thetas, radii)))
+            for i, (t, r) in enumerate(zip(book.thetas, book.radii)))
     write_csv(out, ("index", "label", "theta", "r"), rows, sc.as_header_dict())
     print(f"wrote {out}")
     return EXIT_OK

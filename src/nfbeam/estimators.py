@@ -19,7 +19,7 @@ import numpy as np
 from .beampattern import contiguous_run, run_width, width_law
 from .channel import (ArrayConfig, PolarPoint, _check_count, los_channel, near_field_steering,
                       region_boundaries)
-from .codebooks import DftCodebook, PolarCodebook
+from .codebooks import Codebook
 from .errors import EmptyMainSetError
 from .numerics import NoiseModel
 
@@ -46,7 +46,7 @@ class SweepResult:
     """Received pilot samples for one sweep of a codebook."""
 
     samples: np.ndarray
-    codebook: DftCodebook
+    codebook: Codebook
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -175,7 +175,7 @@ def _refine(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
 
 
 def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
-                      ec: EstimatorConfig, codebook: DftCodebook) -> LocationEstimate:
+                      ec: EstimatorConfig, codebook: Codebook) -> LocationEstimate:
     """Clustered median angle, then direct width inversion per candidate.
 
     Pilot budget: N sweep pilots plus one refinement pilot per candidate
@@ -191,7 +191,7 @@ def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
 
 def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
                    ec: EstimatorConfig, z_mu_grid: np.ndarray,
-                   codebook: DftCodebook) -> LocationEstimate:
+                   codebook: Codebook) -> LocationEstimate:
     """Baseline: global (unclustered) median angle; the distance is found
     by searching the z_mu grid for the best width-model match, so the
     distance stage costs |z_mu| model evaluations per candidate."""
@@ -212,7 +212,7 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     return _refine(cfg, p, noise, cands, evals, len(codebook))
 
 
-def _polar_estimate(polar: PolarCodebook, picks: list[tuple[int, float]],
+def _polar_estimate(polar: Codebook, picks: list[tuple[int, float]],
                     pilot_count: int, evals: int) -> LocationEstimate:
     """Estimate from (polar entry index, |y|) picks: the first strongest
     pick wins, and every range is clipped to the Rayleigh distance."""
@@ -226,8 +226,7 @@ def _polar_estimate(polar: PolarCodebook, picks: list[tuple[int, float]],
 
 
 def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
-                  ec: EstimatorConfig, polar: PolarCodebook,
-                  codebook: DftCodebook) -> LocationEstimate:
+                  ec: EstimatorConfig, polar: Codebook, codebook: Codebook) -> LocationEstimate:
     """Baseline: global median angle, then an exhaustive distance sweep
     with the polar codebook entries at each candidate angle."""
     sweep = beam_sweep(cfg, p, codebook, noise)
@@ -245,7 +244,7 @@ def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
 
 
 def exhaustive_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
-                        polar: PolarCodebook) -> LocationEstimate:
+                        polar: Codebook) -> LocationEstimate:
     """Baseline: argmax |y| over every polar codebook entry."""
     amp = np.abs(_pilots(polar.noiseless_sweep(los_channel(cfg, p)), noise))
     j = int(np.argmax(amp))

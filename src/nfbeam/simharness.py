@@ -137,6 +137,8 @@ class ScenarioConfig:
             raise ValueError(f"beta_polar must be finite and positive, got {self.beta_polar}")
         if self.z_mu_size < 1:
             raise ValueError(f"z_mu_size must be >= 1, got {self.z_mu_size}")
+        if len(self.schemes) == 0:
+            raise ValueError("schemes is empty")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")

@@ -144,7 +144,7 @@ def dft_matrix_by_formula(cfg) -> np.ndarray:
 
 
 def polar_codebook_by_loops(cfg, beta_polar: float = 1.6):
-    """(matrix, thetas, radii, angle_start, angle_count, z_delta) of the
+    """(matrix, thetas, radii, angle_start, angle_count) of the
     polar codebook, one column at a time: per grid angle the far-field
     DFT column, then every ring r = Z (1 - theta^2)/s in [R_Fre, R_Ray]."""
     r_fre, r_ray = region_boundaries(cfg)
@@ -168,4 +168,4 @@ def polar_codebook_by_loops(cfg, beta_polar: float = 1.6):
             s += 1
         count.append(len(cols) - start[-1])
     return (np.column_stack(cols), np.array(thetas), np.array(radii), np.array(start),
-            np.array(count), z)
+            np.array(count))

@@ -220,6 +220,27 @@ class TestErrors:
         assert rc == EXIT_CONFIG
         assert "warp_factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["trials=2.5", "carrier_hz=abc", "theta_range=0.1"])
+    def test_unparsable_config_value_names_line_and_key(self, tmp_path, capsys, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"n_antennas=64\n{line}\n")
+        rc = run(["nmse", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{cfg}:2:" in err
+        assert line.split("=")[0] in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_empty_scheme_list_rejected(self, tmp_path, capsys):
+        # used to run and write a CSV holding a header and no records
+        cfg = tmp_path / "s.cfg"
+        cfg.write_text("schemes=\n")
+        rc = run(["nmse", "--config", str(cfg), "--N", "32", "--trials", "2",
+                  "--snr-db", "10", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "schemes" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_config_file_values_used_and_flags_override(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text(

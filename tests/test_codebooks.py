@@ -78,7 +78,7 @@ class TestPolarCodebook:
         radii = book.radii[sl]
         assert math.isinf(radii[0])
         finite = radii[1:]
-        z = book.z_delta * (1 - book.thetas[sl.start] ** 2)
+        z = ring_scale(cfg512, 1.6) * (1 - book.thetas[sl.start] ** 2)
         expected = [z / s for s in range(1, finite.size + 1)]
         assert np.allclose(finite, expected, rtol=1e-12)
         assert finite.min() >= r_fre
@@ -128,13 +128,12 @@ class TestPolarCodebook:
         # at N = 1024 numpy's square and Python's r**2 differ on 2 radii;
         # odd N has a middle angle that is evaluated, not mirrored
         book = build_polar_codebook(ArrayConfig(n, 100e9))
-        matrix, thetas, radii, start, count, z = polar_codebook_by_loops(book.cfg)
+        matrix, thetas, radii, start, count = polar_codebook_by_loops(book.cfg)
         assert same_bits(book.matrix, matrix)
         assert same_bits(book.thetas, thetas)
         assert same_bits(book.radii, radii)
         assert same_bits(book.angle_start, start)
         assert same_bits(book.angle_count, count)
-        assert book.z_delta == z
 
     @pytest.mark.parametrize("n", [64, 65, 256])
     def test_rings_are_evaluated_for_the_upper_half_only(self, monkeypatch, n):
@@ -153,6 +152,32 @@ class TestPolarCodebook:
         assert sum(asked) < np.count_nonzero(np.isfinite(book.radii))
 
 
+class TestSharedGrid:
+    """Both codebooks are one type on one angle grid."""
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 255, 256])
+    def test_dft_book_is_a_book_without_rings(self, n):
+        book = build_dft_codebook(ArrayConfig(n, 100e9))
+        assert same_bits(book.thetas, book.angle_grid)
+        assert same_bits(book.angle_grid, dft_angle_grid(n))
+        assert np.all(np.isinf(book.radii))
+        assert np.all(book.angle_count == 1)
+        assert np.array_equal(book.angle_start, np.arange(n))
+        assert book.avg_samples_per_angle == 1.0
+
+    @pytest.mark.parametrize("n", [15, 64, 255, 256])
+    def test_polar_far_field_entries_are_the_dft_book(self, n):
+        # fast_training passes a DFT index to `entries_at`
+        cfg = ArrayConfig(n, 28e9)
+        polar, dft = build_polar_codebook(cfg), build_dft_codebook(cfg)
+        assert same_bits(polar.thetas[polar.angle_start], dft_angle_grid(n))
+        assert same_bits(polar.angle_grid, dft.angle_grid)
+        assert np.all(np.isinf(polar.radii[polar.angle_start]))
+        assert same_bits(polar.matrix[:, polar.angle_start], dft.matrix)
+        for i in (0, n // 2, n - 1):
+            assert dft.nearest_index(float(polar.thetas[polar.angle_start[i]])) == i
+
+
 def _books(cfg):
     return {"dft": build_dft_codebook(cfg), "polar": build_polar_codebook(cfg)}
 
@@ -161,10 +186,9 @@ def _books(cfg):
 class TestSharedArrays:
     def test_arrays_are_read_only(self, kind, cfg64):
         book = _books(cfg64)[kind]
-        names = ("matrix", "angle_grid") if kind == "dft" else ("matrix", "thetas", "radii")
-        for name in names:
+        for name in ("angle_grid", "thetas", "radii", "matrix", "angle_start", "angle_count"):
             with pytest.raises(ValueError, match="read-only"):
-                getattr(book, name)[0] = 0.0
+                getattr(book, name)[0] = 0
 
     def test_memo_hit_equals_fresh_product(self, kind, cfg64):
         book = _books(cfg64)[kind]

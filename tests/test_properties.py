@@ -1,6 +1,7 @@
 """Property tests of the angle stage against a plain-loop oracle, of the
-pilot budgets and range bounds of the four trainings, of erf's
-symmetries, and of the mirror identity the codebook builders rely on."""
+pilot budgets and range bounds of the four trainings, of the closed-form
+sweep response against its quadratic-phase sum, of erf's symmetries, and
+of the mirror identity the codebook builder relies on."""
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from nfbeam import (
+    AlphaBeta,
     ArrayConfig,
     EstimatorConfig,
     NoiseModel,
@@ -17,6 +19,7 @@ from nfbeam import (
     build_dft_codebook,
     build_polar_codebook,
     calibrate_noise,
+    closed_form_f,
     default_z_mu_grid,
     erf_complex,
     estimate_angle,
@@ -25,6 +28,7 @@ from nfbeam import (
     joint_training,
     proposed_training,
     region_boundaries,
+    taylor_f,
 )
 from nfbeam.channel import steering_columns
 from nfbeam.codebooks import _far_field_columns, dft_angle_grid
@@ -106,6 +110,19 @@ def test_polar_trainings_clip_range_to_rayleigh(p, snr_db, key):
     exh = exhaustive_training(CFG32, p, noise_at(snr_db, key), POLAR32)
     assert fast.r_hat <= R_RAY32
     assert exh.r_hat <= R_RAY32
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(32, 1024), st.floats(-0.9, 0.9), st.data())
+def test_closed_form_matches_quadratic_phase_sum(n, theta, data):
+    # criterion 1's bound, off its grid: any N, theta, r in [R_Fre, R_Ray]
+    # and any DFT angle within 0.2 of theta
+    cfg = ArrayConfig(n, 100e9)
+    p = PolarPoint(theta, data.draw(st.floats(*region_boundaries(cfg))))
+    grid = dft_angle_grid(n)
+    phi = float(data.draw(st.sampled_from(grid[np.abs(grid - theta) <= 0.2])))
+    ab = AlphaBeta.from_geometry(cfg, p, phi)
+    assert abs(closed_form_f(ab) - taylor_f(cfg, p, phi)) <= 0.03
 
 
 # Real and imaginary parts out to the largest |z| the closed forms feed

@@ -120,6 +120,7 @@ class TestUserSampler:
     dict(snr_ref_db_grid=(4000.0,)),
     dict(snr_ref_db_grid=(10.0, -4000.0)),
     dict(snr_ref_db_grid=(-3230.0,)),  # finite SNR, infinite noise power
+    dict(schemes=()),
 ])
 def test_scenario_rejects_invalid_values_at_construction(kw):
     with pytest.raises(ValueError):
