@@ -124,13 +124,16 @@ def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> B
     return BeamPattern(grid=codebook.angle_grid, gains=gains / g0)
 
 
-def contiguous_run(above: np.ndarray, center: int) -> tuple[int, int]:
-    """Bounds (lo, hi) of the run of True entries of `above` around `center`."""
+def contiguous_run(values, center: int, rho: float, scale: float = 1.0) -> tuple[int, int]:
+    """Bounds (lo, hi) of the run around `center` of the entries with
+    values[j] / scale > rho, tested one entry at a time walking outward.
+    `values` is any sequence: an array, or a memoryview of one, which
+    yields Python floats and walks faster."""
     lo = center
-    while lo > 0 and above[lo - 1]:
+    while lo > 0 and values[lo - 1] / scale > rho:
         lo -= 1
     hi = center
-    while hi < above.size - 1 and above[hi + 1]:
+    while hi < len(values) - 1 and values[hi + 1] / scale > rho:
         hi += 1
     return lo, hi
 
@@ -153,7 +156,7 @@ def _main_run(pattern: BeamPattern, rho: float) -> tuple[int, int]:
     peak = int(np.argmax(pattern.gains))
     if not above[peak]:
         raise EmptyMainSetError(f"peak gain {pattern.gains[peak]} below rho = {rho}")
-    return contiguous_run(above, peak)
+    return contiguous_run(pattern.gains, peak, rho)
 
 
 def measure_width(pattern: BeamPattern, rho: float) -> MainAngleSet:

@@ -85,6 +85,13 @@ class PolarPoint:
             raise ValueError(f"r must be finite and positive, got {self.r}")
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def _geometry(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only columns delta_n and delta_n^2 d^2 of `_distances`."""
+    delta = cfg.element_offsets()[:, None]
+    return _read_only(delta), _read_only(delta**2 * cfg.spacing**2)
+
+
 def _distances(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """N x K matrix of element distances to the users (thetas[k], radii[k]).
 
@@ -94,10 +101,9 @@ def _distances(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) -> np.nd
     replaced: numpy's square rounds 2 of the ~5,500 ring radii of the
     N = 1024 polar codebook differently.
     """
-    delta = cfg.element_offsets()[:, None]
-    d = cfg.spacing
+    delta, delta2_d2 = _geometry(cfg)
     r2 = np.array([r ** 2 for r in radii.tolist()])
-    return np.sqrt(r2 + delta**2 * d**2 - 2 * radii * thetas * delta * d)
+    return np.sqrt(r2 + delta2_d2 - 2 * radii * thetas * delta * cfg.spacing)
 
 
 def element_distances(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
@@ -144,8 +150,9 @@ def los_channel(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     return _read_only(math.sqrt(cfg.n_antennas) * g * phase * near_field_steering(cfg, p))
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def region_boundaries(cfg: ArrayConfig) -> tuple[float, float]:
-    """(Fresnel distance, Rayleigh distance) for this aperture."""
+    """(Fresnel distance, Rayleigh distance) for this aperture; memoized."""
     D = cfg.aperture
     lam = cfg.wavelength
     r_fresnel = 0.5 * math.sqrt(D**3 / lam)

@@ -52,6 +52,20 @@ def _noiseless_product(h: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return _read_only(h.conj() @ matrix)
 
 
+def _memo(memo: OrderedDict, h: np.ndarray, make):
+    """memo's value for the channel array `h`, from make() on a miss;
+    keeps the `_MEMO_SIZE` most recently used channels."""
+    entry = memo.get(id(h))
+    if entry is not None:
+        memo.move_to_end(id(h))
+        return entry[1]
+    value = make()
+    memo[id(h)] = (h, value)
+    if len(memo) > _MEMO_SIZE:
+        memo.popitem(last=False)
+    return value
+
+
 @dataclass(frozen=True)
 class Codebook:
     """Per grid angle, a far-field codeword plus distance rings, flattened
@@ -69,6 +83,7 @@ class Codebook:
         for name in ("angle_grid", "thetas", "radii", "matrix", "angle_start", "angle_count"):
             _read_only(getattr(self, name))
         object.__setattr__(self, "_sweeps", OrderedDict())
+        object.__setattr__(self, "_slices", OrderedDict())
 
     def __len__(self) -> int:
         return self.matrix.shape[1]
@@ -81,16 +96,17 @@ class Codebook:
         Each entry holds `h`, so its id cannot be reused while the entry
         lives. Keeps the `_MEMO_SIZE` most recently used sweeps.
         """
-        sweeps = self._sweeps
-        entry = sweeps.get(id(h))
-        if entry is not None:
-            sweeps.move_to_end(id(h))
-            return entry[1]
-        s = _noiseless_product(h, self.matrix)
-        sweeps[id(h)] = (h, s)
-        if len(sweeps) > _MEMO_SIZE:
-            sweeps.popitem(last=False)
-        return s
+        return _memo(self._sweeps, h, lambda: _noiseless_product(h, self.matrix))
+
+    def noiseless_slice(self, h: np.ndarray, angle_index: int) -> np.ndarray:
+        """h^H M over the entries of one grid angle, memoized per channel
+        like `noiseless_sweep`. It multiplies the slice itself: a slice of
+        the full sweep is summed in another order and differs in bits."""
+        products = _memo(self._slices, h, dict)
+        if angle_index not in products:
+            cols = self.matrix[:, self.entries_at(angle_index)]
+            products[angle_index] = _noiseless_product(h, cols)
+        return products[angle_index]
 
     def nearest_index(self, theta: float) -> int:
         return int(np.argmin(np.abs(self.angle_grid - theta)))

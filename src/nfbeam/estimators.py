@@ -11,8 +11,7 @@ a distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,15 +42,15 @@ class EstimatorConfig:
 
 @dataclass
 class SweepResult:
-    """Received pilot samples for one sweep of a codebook."""
+    """Received pilot samples for one sweep of a codebook, and their |y|
+    for the angle and distance stages."""
 
     samples: np.ndarray
     codebook: Codebook
+    amplitudes: np.ndarray = field(init=False, repr=False)
 
-    @cached_property
-    def amplitudes(self) -> np.ndarray:
-        """|y|, computed once for the angle and distance stages."""
-        return np.abs(self.samples)
+    def __post_init__(self) -> None:
+        self.amplitudes = np.abs(self.samples)
 
 
 @dataclass(frozen=True)
@@ -87,22 +86,24 @@ def cluster_indices(amp: np.ndarray, rho2: float, gap: int):
     """Super-threshold indices and the gap-limited cluster of them that
     holds the strongest single sample.
 
-    `amp` is the sweep's |y|. Returns (indices, cluster): every index
-    with amp > rho2, ascending, and the run of those indices, cut where
-    two neighbours lie more than `gap` apart, that contains the argmax.
+    `amp` is the sweep's |y|. Returns (indices, cluster) as lists: every
+    index with amp > rho2, ascending, and the run of those indices, cut
+    where two neighbours lie more than `gap` apart, that contains the
+    first strongest sample. One array pass finds the indices; the rest
+    walks the short list.
     """
     if rho2 <= 0:
         raise ValueError(f"rho2 must be positive, got {rho2}")
-    idx = np.flatnonzero(amp > rho2)
-    if idx.size == 0:
+    above = (amp > rho2).nonzero()[0]
+    if above.size == 0:
         raise EmptyMainSetError(f"no sample above rho2 = {rho2}")
-    # position in idx of the last index of every cluster but the final one
-    ends = np.flatnonzero(idx[1:] - idx[:-1] > gap)
-    strongest = int(np.argmax(amp[idx]))
-    j = int(np.searchsorted(ends, strongest))
-    lo = ends[j - 1] + 1 if j > 0 else 0
-    hi = ends[j] + 1 if j < ends.size else idx.size
-    return idx, idx[lo:hi]
+    idx, vals = above.tolist(), amp[above].tolist()
+    lo = hi = vals.index(max(vals))
+    while lo > 0 and idx[lo] - idx[lo - 1] <= gap:
+        lo -= 1
+    while hi < len(idx) - 1 and idx[hi + 1] - idx[hi] <= gap:
+        hi += 1
+    return idx, idx[lo:hi + 1]
 
 
 def estimate_angle(sweep: SweepResult, ec: EstimatorConfig, clustering: bool = True) -> AngleEstimate:
@@ -120,11 +121,12 @@ def estimate_angle(sweep: SweepResult, ec: EstimatorConfig, clustering: bool = T
         raise EmptyMainSetError("all-zero sweep: no sample above the threshold")
     idx, cluster = cluster_indices(amp, rho2, ec.cluster_gap)
     members = cluster if clustering else idx
-    angles = sweep.codebook.angle_grid[members]  # ascending, as members are
-    theta_hat = float(angles[-1] + angles[0]) / 2.0
+    grid = memoryview(sweep.codebook.angle_grid)
+    angles = [grid[i] for i in members]  # ascending, as members are
+    theta_hat = (angles[-1] + angles[0]) / 2.0
     # k members closest to the median, ties toward the smaller angle
-    order = np.lexsort((angles, np.abs(angles - theta_hat)))
-    cands = tuple(int(i) for i in np.sort(members[order[: ec.k]]))
+    nearest = sorted(zip([abs(a - theta_hat) for a in angles], angles, members))[:ec.k]
+    cands = tuple(sorted(i for _, _, i in nearest))
     return AngleEstimate(theta_hat=theta_hat, candidate_indices=cands)
 
 
@@ -136,13 +138,16 @@ def estimate_distance(sweep: SweepResult, candidate_index: int):
     contiguous super-half run around the candidate, read as in
     `beampattern.run_width`, and the width law is inverted for r. A
     single-bin run carries no distance information and falls back to the
-    Rayleigh distance. Returns (r_hat, width).
+    Rayleigh distance. A candidate without power has no run and raises
+    EmptyMainSetError. Returns (r_hat, width).
     """
     cfg = sweep.codebook.cfg
     grid = sweep.codebook.angle_grid
     r_fre, r_ray = region_boundaries(cfg)
-    amp = sweep.amplitudes
-    lo, hi = contiguous_run(amp / amp[candidate_index] > 0.5, candidate_index)
+    amp = memoryview(sweep.amplitudes)  # indexes as Python floats
+    if not amp[candidate_index] > 0:
+        raise EmptyMainSetError(f"candidate index {candidate_index} has no power")
+    lo, hi = contiguous_run(amp, candidate_index, 0.5, amp[candidate_index])
     width = run_width(lo, hi, grid.size)
     if hi == lo:
         return r_ray, width
@@ -155,21 +160,17 @@ def _refine(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
             sweep_pilots: int) -> LocationEstimate:
     """Transmit one pilot per candidate codeword, keep the strongest."""
     h = los_channel(cfg, p)
-    pilot_noise = noise.sample(len(cands))
-    powers = []
-    vecs = []
-    for i, (t, r) in enumerate(cands):
-        v = near_field_steering(cfg, PolarPoint(t, r))
-        vecs.append(v)
-        powers.append(abs(np.vdot(h, v) + pilot_noise[i]))
-    best = int(np.argmax(powers))
+    pilot_noise = noise.sample(len(cands)).tolist()
+    vecs = [near_field_steering(cfg, PolarPoint(t, r)) for t, r in cands]
+    powers = [abs(complex(np.vdot(h, v)) + z) for v, z in zip(vecs, pilot_noise)]
+    best = powers.index(max(powers))  # the first strongest
     t, r = cands[best]
     return LocationEstimate(
         theta_hat=t,
         r_hat=r,
         w=vecs[best],
         pilot_count=sweep_pilots + len(cands),
-        candidates=tuple((t_, r_, float(pw)) for (t_, r_), pw in zip(cands, powers)),
+        candidates=tuple((t_, r_, pw) for (t_, r_), pw in zip(cands, powers)),
         distance_stage_evals=evals,
     )
 
@@ -207,7 +208,7 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
         if width <= 2.0 / cfg.n_antennas:  # single-bin run: Rayleigh fallback
             r_hat = float(z_mu_grid[-1])
         else:
-            r_hat = float(z_mu_grid[int(np.argmin(np.abs(predicted - width)))])
+            r_hat = float(z_mu_grid[np.abs(predicted - width).argmin()])
         cands.append((theta_i, r_hat))
     return _refine(cfg, p, noise, cands, evals, len(codebook))
 
@@ -235,11 +236,10 @@ def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     extra = 0
     picks = []
     for ci in ang.candidate_indices:
-        sl = polar.entries_at(ci)
-        amp = np.abs(_pilots(h.conj() @ polar.matrix[:, sl], noise))
+        amp = np.abs(_pilots(polar.noiseless_slice(h, ci), noise))
         extra += amp.size
         j = int(np.argmax(amp))
-        picks.append((sl.start + j, amp[j]))
+        picks.append((int(polar.angle_start[ci]) + j, amp[j]))
     return _polar_estimate(polar, picks, len(codebook) + extra, extra)
 
 

@@ -4,7 +4,9 @@ These deliberately avoid the package's own closed forms: quadrature for
 the oscillatory gain integral, coordinate geometry for element
 distances, and plain midpoint integration for the real error function.
 The training oracles take the channel and the pilot products from the
-package and redo the selection logic with plain loops; the polar
+package and redo the selection logic with plain loops: the width
+trainings read the half-gain run from a mask of the whole sweep and form
+one steering vector and one `vdot` per refinement candidate. The polar
 codebook oracle builds one column per entry with the scalar steering
 formula.
 """
@@ -83,6 +85,79 @@ def estimate_angle_by_loops(amp, grid, rho2_fraction: float, gap: int, k: int,
     theta_hat = (max(angles) + min(angles)) / 2.0
     order = sorted(members, key=lambda i: (abs(grid[i] - theta_hat), grid[i]))
     return theta_hat, tuple(sorted(order[:k]))
+
+
+def width_distance_by_mask(cfg, amp, grid, ci) -> tuple[float, float]:
+    """(r_hat, width) of the distance stage, reading the run from a mask
+    of every sample divided by the candidate's: the run of True around
+    ci, times the grid step, inverted by r = N d (1 - theta^2) / width
+    and clamped to [R_Fre, R_Ray]; a single-bin run gives R_Ray."""
+    above = amp / amp[ci] > 0.5
+    lo = hi = ci
+    while lo > 0 and above[lo - 1]:
+        lo -= 1
+    while hi < above.size - 1 and above[hi + 1]:
+        hi += 1
+    width = (hi - lo + 1) * 2.0 / grid.size
+    r_fre, r_ray = region_boundaries(cfg)
+    if hi == lo:
+        return r_ray, width
+    r = cfg.n_antennas * cfg.spacing * (1.0 - float(grid[ci]) ** 2) / width
+    return float(min(max(r, r_fre), r_ray)), width
+
+
+def _refine_by_loops(cfg, p, noise, cands, sweep_pilots):
+    """(theta_hat, r_hat, candidates, pilot_count, w) after one refinement
+    pilot per (theta, r) candidate; the first strongest wins."""
+    h = los_channel(cfg, p)
+    pilot_noise = noise.sample(len(cands))
+    powers, vecs = [], []
+    for (t, r), z in zip(cands, pilot_noise):
+        vecs.append(steering_by_formula(cfg, t, r))
+        powers.append(float(abs(np.vdot(h, vecs[-1]) + z)))
+    best = powers.index(max(powers))
+    return (*cands[best], tuple((t, r, pw) for (t, r), pw in zip(cands, powers)),
+            sweep_pilots + len(cands), vecs[best])
+
+
+def _dft_sweep_amplitudes(cfg, p, noise, codebook):
+    y = los_channel(cfg, p).conj() @ codebook.matrix + noise.sample(len(codebook))
+    return np.abs(y)
+
+
+def proposed_training_by_loops(cfg, p, noise, ec, codebook):
+    """(theta_hat, r_hat, candidates, pilot_count, w) of the proposed
+    scheme: a DFT sweep, the clustered angle stage, one mask reading of
+    the width per candidate, then the refinement."""
+    amp = _dft_sweep_amplitudes(cfg, p, noise, codebook)
+    grid = codebook.angle_grid
+    _, cis = estimate_angle_by_loops(amp, grid, ec.rho2_fraction, ec.cluster_gap, ec.k,
+                                     clustering=True)
+    cands = [(float(grid[ci]), width_distance_by_mask(cfg, amp, grid, ci)[0]) for ci in cis]
+    return _refine_by_loops(cfg, p, noise, cands, len(codebook))
+
+
+def joint_training_by_loops(cfg, p, noise, ec, z_mu_grid, codebook):
+    """(theta_hat, r_hat, candidates, pilot_count, w) of the joint
+    baseline: the unclustered angle stage, then per candidate the grid
+    distance whose predicted width N d (1 - theta^2) / z lies nearest the
+    mask reading (the first of equal gaps), or the last grid distance for
+    a single-bin run."""
+    amp = _dft_sweep_amplitudes(cfg, p, noise, codebook)
+    grid = codebook.angle_grid
+    _, cis = estimate_angle_by_loops(amp, grid, ec.rho2_fraction, ec.cluster_gap, ec.k,
+                                     clustering=False)
+    cands = []
+    for ci in cis:
+        theta = float(grid[ci])
+        _, width = width_distance_by_mask(cfg, amp, grid, ci)
+        if width <= 2.0 / cfg.n_antennas:
+            cands.append((theta, float(z_mu_grid[-1])))
+            continue
+        scale = cfg.n_antennas * cfg.spacing * (1.0 - theta**2)
+        gaps = [abs(scale / z - width) for z in z_mu_grid.tolist()]
+        cands.append((theta, float(z_mu_grid[gaps.index(min(gaps))])))
+    return _refine_by_loops(cfg, p, noise, cands, len(codebook))
 
 
 def _first_strongest(h, polar, groups, noise):

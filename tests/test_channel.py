@@ -13,7 +13,9 @@ from nfbeam import (
     near_field_steering,
     region_boundaries,
 )
-from oracles import element_distance_by_coordinates, steering_by_distances, steering_by_formula
+from nfbeam.channel import _geometry
+from oracles import (element_distance_by_coordinates, same_bits, steering_by_distances,
+                     steering_by_formula)
 
 
 def test_array_config_validation():
@@ -180,6 +182,16 @@ class TestMemo:
         for i in range(maxsize + 10):
             fn(cfg64, PolarPoint(0.0, 1.0 + i / 1000))
         assert fn.cache_info().currsize == maxsize
+
+
+def test_cached_geometry_is_read_only_and_shared(cfg64):
+    delta, delta2_d2 = _geometry(cfg64)
+    assert _geometry(ArrayConfig(64, 100e9))[0] is delta
+    for a in (delta, delta2_d2):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
+    assert same_bits(delta[:, 0], cfg64.element_offsets())
+    assert same_bits(delta2_d2, cfg64.element_offsets()[:, None] ** 2 * cfg64.spacing ** 2)
 
 
 class TestRegions:

@@ -217,15 +217,29 @@ class TestSharedArrays:
         assert ref() is None
 
 
+def test_slice_memo_equals_fresh_slice_product(cfg256):
+    # the product of the slice itself: at N = 256 most slices of the
+    # full sweep differ from it in the last bits
+    polar = build_polar_codebook(cfg256)
+    h = los_channel(cfg256, PolarPoint(0.21, 3.3))
+    for i in range(0, 256, 5):
+        s = polar.noiseless_slice(h, i)
+        assert polar.noiseless_slice(h, i) is s
+        assert same_bits(s, h.conj() @ polar.matrix[:, polar.entries_at(i)])
+        with pytest.raises(ValueError, match="read-only"):
+            s[0] = 0.0
+
+
 @pytest.mark.parametrize("mode, products_per_user", [("nmse", 1), ("multi", 2)])
 def test_simulate_computes_each_noiseless_sweep_once(monkeypatch, mode, products_per_user):
     # nmse: 3 trials x 14 SNR points x 2 schemes sweep one DFT codebook;
-    # multi: all four schemes, so one DFT and one polar sweep per user
+    # multi: all four schemes, so one DFT and one polar sweep per user,
+    # plus fast's products over the polar entries of single grid angles
     products = []
     real = nfbeam.codebooks._noiseless_product
 
     def counting(h, matrix):
-        products.append(matrix.shape)
+        products.append((id(h), matrix.__array_interface__["data"][0], matrix.shape))
         return real(h, matrix)
 
     monkeypatch.setattr(nfbeam.codebooks, "_noiseless_product", counting)
@@ -236,4 +250,8 @@ def test_simulate_computes_each_noiseless_sweep_once(monkeypatch, mode, products
     rows = list(simulate(sc, mode))
     assert len(rows) == 3 * 14 * (len(schemes) + (mode == "multi"))
     users = 3 * (3 if mode == "multi" else 1)
-    assert len(products) == users * products_per_user
+    sweeps = [p for p in products if p[2][1] >= 64]  # a slice holds a few entries
+    assert len(sweeps) == users * products_per_user
+    # no product, full sweep or slice, is formed twice for one channel
+    assert len(set(products)) == len(products)
+    assert (len(products) > len(sweeps)) == (mode == "multi")

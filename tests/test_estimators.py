@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import nfbeam
 from nfbeam import (
     ArrayConfig,
     EstimatorConfig,
@@ -243,6 +244,16 @@ class TestEstimateDistance:
             assert estimate_distance(sweep, peak)[1] == measure_width(pattern, 0.5).width
         assert min(alphas) < 1 < 4 < max(alphas)
 
+    def test_candidate_without_power_is_rejected(self, cfg64):
+        # the two flanks are equal, so a mask of |y| / 0 would read a
+        # three-bin run around index 5
+        book = build_dft_codebook(cfg64)
+        samples = np.zeros(64, dtype=complex)
+        samples[4] = samples[6] = 1.0
+        with pytest.raises(EmptyMainSetError, match="candidate index 5 has no power"):
+            estimate_distance(SweepResult(samples, book), 5)
+        assert estimate_distance(SweepResult(samples, book), 4)[1] == 2 / 64
+
     def test_width_law_inverse_at_first_candidate(self, cfg512, book512):
         # the inverted width law lands within 10% of the true 8 m
         sweep = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
@@ -406,6 +417,37 @@ def test_schemes_share_sweep_noise_under_same_key(cfg256, book256):
     a = proposed_training(cfg256, p, NoiseModel(sigma2, (3, 9)), EstimatorConfig(), book256)
     b = joint_training(cfg256, p, NoiseModel(sigma2, (3, 9)), EstimatorConfig(), z, book256)
     assert a.theta_hat == b.theta_hat
+
+
+def test_fast_multiplies_each_angle_slice_once_per_channel(monkeypatch, cfg64):
+    # a second SNR point with the same candidates reuses every product
+    products = []
+    real = nfbeam.codebooks._noiseless_product
+
+    def counting(h, matrix):
+        products.append(matrix.shape)
+        return real(h, matrix)
+
+    monkeypatch.setattr(nfbeam.codebooks, "_noiseless_product", counting)
+    book, polar = build_dft_codebook(cfg64), build_polar_codebook(cfg64)
+    p, ec = PolarPoint(0.3, 3.0), EstimatorConfig()
+    noise = NoiseModel(0.0, (4, 2))
+
+    def train_at(snr_db):
+        sigma2 = calibrate_noise(cfg64, snr_db, "per-antenna")
+        est = fast_training(cfg64, p, noise.replay(sigma2), ec, polar, book)
+        theta, r, w, pilots = fast_training_by_loops(cfg64, p, NoiseModel(sigma2, (4, 2)), ec,
+                                                     polar, book)
+        assert (est.theta_hat, est.r_hat, est.pilot_count) == (theta, r, pilots)
+        assert np.array_equal(est.w, w)
+        return est
+
+    a = train_at(40.0)
+    first = list(products)
+    b = train_at(50.0)
+    assert [c[0] for c in a.candidates] == [c[0] for c in b.candidates]
+    assert len(first) == 1 + len(a.candidates)   # the DFT sweep, then one per slice
+    assert products == first
 
 
 @pytest.mark.parametrize("n", [32, 64])

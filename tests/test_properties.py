@@ -1,7 +1,8 @@
-"""Property tests of the angle stage against a plain-loop oracle, of the
-pilot budgets and range bounds of the four trainings, of the closed-form
-sweep response against its quadratic-phase sum, of erf's symmetries, and
-of the mirror identity the codebook builder relies on."""
+"""Property tests of the angle and distance stages and the two width
+trainings against plain-loop oracles, of the pilot budgets and range
+bounds of the four trainings, of the closed-form sweep response against
+its quadratic-phase sum, of erf's symmetries, and of the mirror identity
+the codebook builder relies on."""
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from nfbeam import (
     default_z_mu_grid,
     erf_complex,
     estimate_angle,
+    estimate_distance,
     exhaustive_training,
     fast_training,
     joint_training,
@@ -32,8 +34,10 @@ from nfbeam import (
 )
 from nfbeam.channel import steering_columns
 from nfbeam.codebooks import _far_field_columns, dft_angle_grid
+from nfbeam.errors import EmptyMainSetError
 from nfbeam.estimators import SweepResult
-from oracles import estimate_angle_by_loops, same_bits
+from oracles import (estimate_angle_by_loops, joint_training_by_loops,
+                     proposed_training_by_loops, same_bits, width_distance_by_mask)
 
 BOOK = build_dft_codebook(ArrayConfig(64, 100e9))
 CFG32 = ArrayConfig(32, 100e9)
@@ -82,6 +86,27 @@ def test_estimate_angle_invariant_to_positive_rescaling(pairs, ec, clustering, s
     assert a == b
 
 
+# Amplitudes spread over six decades, zeros included, under the same phases.
+spread_sweeps = st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)), phases),
+                         min_size=64, max_size=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sweeps, spread_sweeps))
+def test_estimate_distance_matches_the_mask_reading_on_every_index(pairs):
+    # the level sweeps put samples at exactly half the candidate's, where
+    # the run ends; a candidate without power has no run
+    sweep = sweep_of([a * ph for a, ph in pairs])
+    amp = np.array([a for a, _ in pairs])
+    for ci in range(amp.size):
+        if amp[ci] > 0:
+            assert same_bits(np.array(estimate_distance(sweep, ci)),
+                             np.array(width_distance_by_mask(BOOK.cfg, amp, BOOK.angle_grid, ci)))
+        else:
+            with pytest.raises(EmptyMainSetError, match=f"index {ci} "):
+                estimate_distance(sweep, ci)
+
+
 # Users from the Fresnel distance out to twice the Rayleigh distance, where
 # the width and polar estimates clamp, at SNRs from noise-dominated to clean.
 users = st.builds(PolarPoint, st.floats(-0.9, 0.9), st.floats(R_FRE32, 2 * R_RAY32))
@@ -101,6 +126,20 @@ def test_width_trainings_spend_n_plus_one_pilot_per_candidate(p, snr_db, key, ec
     for est in (prop, joint):
         assert est.pilot_count == 32 + len(est.candidates)
     assert R_FRE32 <= prop.r_hat <= R_RAY32
+
+
+@settings(max_examples=150, deadline=None)
+@given(users, snrs, keys, configs)
+def test_width_trainings_equal_loop_oracles_to_the_bit(p, snr_db, key, ec):
+    for est, (theta, r, cands, pilots, w) in (
+            (proposed_training(CFG32, p, noise_at(snr_db, key), ec, BOOK32),
+             proposed_training_by_loops(CFG32, p, noise_at(snr_db, key), ec, BOOK32)),
+            (joint_training(CFG32, p, noise_at(snr_db, key), ec, Z_MU32, BOOK32),
+             joint_training_by_loops(CFG32, p, noise_at(snr_db, key), ec, Z_MU32, BOOK32))):
+        assert same_bits(np.array([est.theta_hat, est.r_hat]), np.array([theta, r]))
+        assert same_bits(np.array(est.candidates), np.array(cands))
+        assert est.pilot_count == pilots
+        assert same_bits(est.w, w)
 
 
 @settings(max_examples=100, deadline=None)
