@@ -29,9 +29,10 @@ def multiuser_precode(cfg: ArrayConfig, positions: Sequence[PolarPoint],
                       sigma2: float) -> np.ndarray:
     """Regularized zero-forcing on channels rebuilt from position labels.
 
-    Returns the N x M matrix V ~ H (H^H H + M sigma^2 I)^{-1}, rescaled
-    to unit total power; column u serves user u. With M = 1 this reduces
-    to a scaled matched filter.
+    Returns the N x M matrix V ~ H (H^H H + M sigma^2 I)^{-1}, formed by
+    a linear solve rather than an inverse and rescaled to unit total
+    power; column u serves user u. With M = 1 this reduces to a scaled
+    matched filter.
     """
     if len(positions) == 0:
         raise ValueError("need at least one user")
@@ -41,7 +42,7 @@ def multiuser_precode(cfg: ArrayConfig, positions: Sequence[PolarPoint],
     m = H.shape[1]
     gram = H.conj().T @ H + m * sigma2 * np.eye(m)
     try:
-        V = H @ np.linalg.inv(gram)
+        V = np.linalg.solve(gram, H.conj().T).conj().T  # H gram^{-1}, as gram is Hermitian
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError(f"regularized Gram matrix is singular: {exc}") from exc
     norm = np.linalg.norm(V)
@@ -53,15 +54,13 @@ def multiuser_precode(cfg: ArrayConfig, positions: Sequence[PolarPoint],
 def multiuser_rate(cfg: ArrayConfig, users: Sequence[PolarPoint],
                    V: np.ndarray, sigma2: float) -> np.ndarray:
     """Per-user SINR rates R_u with true channels under the N x M
-    precoder V; interference is the power received from every other
-    user's column."""
+    precoder V, from the one product |H^H V|^2: user u's signal is the
+    power received through column u, its interference the power through
+    every other user's column."""
     if V.shape[1] != len(users):
         raise ValueError(f"precoder has {V.shape[1]} columns for {len(users)} users")
-    rates = np.empty(len(users))
-    for u, p in enumerate(users):
-        h = los_channel(cfg, p)
-        rx = np.abs(h.conj() @ V) ** 2
-        signal = rx[u]
-        interference = rx.sum() - signal
-        rates[u] = math.log2(1.0 + signal / (interference + sigma2))
-    return rates
+    H = np.column_stack([los_channel(cfg, p) for p in users])
+    rx = np.abs(H.conj().T @ V) ** 2
+    signal = np.diagonal(rx)
+    interference = rx.sum(axis=1) - signal
+    return np.log2(1.0 + signal / (interference + sigma2))

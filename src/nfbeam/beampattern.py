@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayConfig, PolarPoint, near_field_steering
-from .codebooks import Codebook
+from .codebooks import Codebook, _far_field_columns
 from .errors import DomainError, EmptyMainSetError
 from .numerics import erf_complex
 
@@ -64,7 +64,7 @@ class MainAngleSet:
 def exact_gain(cfg: ArrayConfig, p: PolarPoint, phi: float) -> float:
     """|b^H(theta, r) a(phi)| by the direct N-term sum."""
     b = near_field_steering(cfg, p)
-    a = np.exp(1j * np.pi * cfg.element_offsets() * phi) / math.sqrt(cfg.n_antennas)
+    a = _far_field_columns(cfg, np.array([phi]))[:, 0]
     return float(abs(np.vdot(b, a)))
 
 

@@ -29,10 +29,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_count(name: str, value: object) -> None:
-    """Reject a count that is not an integer; numpy integers pass, bools do not."""
+def _check_count(name: str, value: object, minimum: int = 1) -> None:
+    """Reject a count that is not an integer >= minimum, naming it; numpy
+    integers pass, bools do not."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,7 @@ class ArrayConfig:
     carrier_hz: float
 
     def __post_init__(self) -> None:
-        _check_count("n_antennas", self.n_antennas)
-        if self.n_antennas < 2:
-            raise ValueError(f"need at least 2 antennas, got {self.n_antennas}")
+        _check_count("n_antennas", self.n_antennas, 2)
         if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
             raise ValueError(f"carrier must be finite and positive, got {self.carrier_hz}")
 
@@ -95,15 +96,11 @@ def _geometry(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
 def _distances(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """N x K matrix of element distances to the users (thetas[k], radii[k]).
 
-    r^(n) = sqrt(r^2 + delta_n^2 d^2 - 2 r theta delta_n d)
-
-    r^2 is Python's float power (libm pow), as in the scalar formula this
-    replaced: numpy's square rounds 2 of the ~5,500 ring radii of the
-    N = 1024 polar codebook differently.
+    r^(n) = sqrt(r^2 + delta_n^2 d^2 - 2 r theta delta_n d), with r^2
+    formed as r * r in one array pass.
     """
     delta, delta2_d2 = _geometry(cfg)
-    r2 = np.array([r ** 2 for r in radii.tolist()])
-    return np.sqrt(r2 + delta2_d2 - 2 * radii * thetas * delta * cfg.spacing)
+    return np.sqrt(radii * radii + delta2_d2 - 2 * radii * thetas * delta * cfg.spacing)
 
 
 def element_distances(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:

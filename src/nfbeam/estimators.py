@@ -32,10 +32,6 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         _check_count("k", self.k)
         _check_count("cluster_gap", self.cluster_gap)
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.cluster_gap < 1:
-            raise ValueError(f"cluster_gap must be >= 1, got {self.cluster_gap}")
         if not 0 < self.rho2_fraction < 1:
             raise ValueError(f"rho2_fraction must be in (0, 1), got {self.rho2_fraction}")
 
@@ -229,14 +225,15 @@ def _polar_estimate(polar: Codebook, picks: list[tuple[int, float]],
 def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
                   ec: EstimatorConfig, polar: Codebook, codebook: Codebook) -> LocationEstimate:
     """Baseline: global median angle, then an exhaustive distance sweep
-    with the polar codebook entries at each candidate angle."""
+    with the polar codebook entries at each candidate angle, whose
+    noiseless products are read out of the memoized polar sweep."""
     sweep = beam_sweep(cfg, p, codebook, noise)
     ang = estimate_angle(sweep, ec, clustering=False)
-    h = los_channel(cfg, p)
+    s = polar.noiseless_sweep(los_channel(cfg, p))
     extra = 0
     picks = []
     for ci in ang.candidate_indices:
-        amp = np.abs(_pilots(polar.noiseless_slice(h, ci), noise))
+        amp = np.abs(_pilots(s[polar.entries_at(ci)], noise))
         extra += amp.size
         j = int(np.argmax(amp))
         picks.append((int(polar.angle_start[ci]) + j, amp[j]))

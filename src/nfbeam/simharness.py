@@ -118,12 +118,9 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         cfg = self.array()
         self.estimator()
-        for name in ("trials", "seed", "m_users", "z_mu_size"):
+        for name in ("trials", "m_users", "z_mu_size"):
             _check_count(name, getattr(self, name))
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.m_users < 1:
-            raise ValueError(f"m_users must be >= 1, got {self.m_users}")
+        _check_count("seed", self.seed, 0)
         if self.reference_mode not in (TOTAL_ENERGY, PER_ANTENNA):
             raise ValueError(f"unknown reference mode {self.reference_mode!r}")
         if len(self.snr_ref_db_grid) == 0:
@@ -135,13 +132,14 @@ class ScenarioConfig:
                 raise ValueError(f"snr_ref_db_grid: {exc}") from None
         if not (math.isfinite(self.beta_polar) and self.beta_polar > 0):
             raise ValueError(f"beta_polar must be finite and positive, got {self.beta_polar}")
-        if self.z_mu_size < 1:
-            raise ValueError(f"z_mu_size must be >= 1, got {self.z_mu_size}")
         if len(self.schemes) == 0:
             raise ValueError("schemes is empty")
         unknown = set(self.schemes) - set(SCHEMES)
         if unknown:
             raise ValueError(f"unknown schemes: {sorted(unknown)}")
+        repeated = sorted({s for s in self.schemes if self.schemes.count(s) > 1})
+        if repeated:
+            raise ValueError(f"schemes repeated: {repeated}")
         lo, hi = self.theta_range
         if not -1.0 <= lo < hi <= 1.0:
             raise ValueError(f"theta range {self.theta_range} must be increasing "

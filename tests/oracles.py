@@ -7,8 +7,10 @@ The training oracles take the channel and the pilot products from the
 package and redo the selection logic with plain loops: the width
 trainings read the half-gain run from a mask of the whole sweep and form
 one steering vector and one `vdot` per refinement candidate. The polar
-codebook oracle builds one column per entry with the scalar steering
-formula.
+baselines' oracles read every pilot out of the one full product h^H M,
+and the multi-user rate oracle forms one product h_u^H V per user. The
+polar codebook oracle builds one column per entry with the scalar
+steering formula.
 """
 
 import math
@@ -160,40 +162,45 @@ def joint_training_by_loops(cfg, p, noise, ec, z_mu_grid, codebook):
     return _refine_by_loops(cfg, p, noise, cands, len(codebook))
 
 
-def _first_strongest(h, polar, groups, noise):
+def _first_strongest(h, polar, groups, noise, sweep_pilots):
     """Sweep each group of polar entries in order, one pilot per entry
-    drawn from the stream, and return (theta, r clipped to R_Ray, w,
-    pilots) of the first entry with the largest |y|."""
+    drawn from the stream and added to that entry of the full product
+    h^H M. Returns (theta_hat, r_hat, candidates, pilot_count, w): each
+    group's first strongest entry is a candidate (theta, r clipped to
+    R_Ray, |y|), and the first strongest candidate wins."""
     _, r_ray = region_boundaries(polar.cfg)
-    best, best_amp, pilots = None, -1.0, 0
+    product = h.conj() @ polar.matrix
+    picks, pilots = [], sweep_pilots
     for cols in groups:
-        y = h.conj() @ polar.matrix[:, cols] + noise.sample(len(cols))
+        # numpy's array abs, whose last bit can differ from a scalar abs
+        amp = np.abs(product[cols] + noise.sample(len(cols))).tolist()
         pilots += len(cols)
-        for j, yj in zip(cols, y):
-            if abs(yj) > best_amp:
-                best, best_amp = j, abs(yj)
-    return (float(polar.thetas[best]), float(min(polar.radii[best], r_ray)),
-            polar.matrix[:, best], pilots)
+        best = amp.index(max(amp))
+        picks.append((cols[best], amp[best]))
+    cands = tuple((float(polar.thetas[j]), float(min(polar.radii[j], r_ray)), float(a))
+                  for j, a in picks)
+    amps = [a for _, a in picks]
+    best = amps.index(max(amps))
+    return (*cands[best][:2], cands, pilots, polar.matrix[:, picks[best][0]])
 
 
 def fast_training_by_loops(cfg, p, noise, ec, polar, codebook):
-    """(theta_hat, r_hat, w, pilot_count) of the fast baseline: a DFT
-    sweep, the unclustered angle stage, then per candidate a sweep of
-    the polar entries labelled with its grid angle."""
+    """(theta_hat, r_hat, candidates, pilot_count, w) of the fast
+    baseline: a DFT sweep, the unclustered angle stage, then per
+    candidate a sweep of the polar entries labelled with its grid angle."""
     h = los_channel(cfg, p)
     y = h.conj() @ codebook.matrix + noise.sample(len(codebook))
     _, cands = estimate_angle_by_loops(np.abs(y), codebook.angle_grid, ec.rho2_fraction,
                                        ec.cluster_gap, ec.k, clustering=False)
     groups = [[j for j in range(len(polar)) if polar.thetas[j] == codebook.angle_grid[ci]]
               for ci in cands]
-    theta, r, w, pilots = _first_strongest(h, polar, groups, noise)
-    return theta, r, w, len(codebook) + pilots
+    return _first_strongest(h, polar, groups, noise, len(codebook))
 
 
 def exhaustive_training_by_loops(cfg, p, noise, polar):
-    """(theta_hat, r_hat, w, pilot_count) of the exhaustive baseline: one
-    sweep of every polar entry."""
-    return _first_strongest(los_channel(cfg, p), polar, [list(range(len(polar)))], noise)
+    """(theta_hat, r_hat, candidates, pilot_count, w) of the exhaustive
+    baseline: one sweep of every polar entry."""
+    return _first_strongest(los_channel(cfg, p), polar, [list(range(len(polar)))], noise, 0)
 
 
 def steering_by_formula(cfg, theta: float, r: float) -> np.ndarray:
@@ -201,8 +208,21 @@ def steering_by_formula(cfg, theta: float, r: float) -> np.ndarray:
     Python floats times numpy arrays."""
     delta = cfg.element_offsets()
     d = cfg.spacing
-    rn = np.sqrt(r**2 + delta**2 * d**2 - 2 * r * theta * delta * d)
+    rn = np.sqrt(r * r + delta**2 * d**2 - 2 * r * theta * delta * d)
     return np.exp(-2j * np.pi * (rn - r) / cfg.wavelength) / math.sqrt(cfg.n_antennas)
+
+
+def multiuser_rate_by_loops(cfg, users, V, sigma2) -> np.ndarray:
+    """Per-user SINR rates, one user at a time: of the powers |h_u^H V|^2
+    user u receives, column u's is its signal and the rest its
+    interference."""
+    rates = []
+    for u, p in enumerate(users):
+        rx = np.abs(los_channel(cfg, p).conj() @ V) ** 2
+        signal = rx[u]
+        interference = rx.sum() - signal
+        rates.append(math.log2(1.0 + signal / (interference + sigma2)))
+    return np.array(rates)
 
 
 def same_bits(a, b) -> bool:

@@ -13,6 +13,7 @@ from nfbeam import (
     single_user_rate,
 )
 from nfbeam.errors import SingularChannelError
+from oracles import multiuser_rate_by_loops
 
 
 class TestSingleUserRate:
@@ -91,6 +92,18 @@ class TestMultiuserRate:
         mu = multiuser_rate(cfg256, [p], V, sigma2)[0]
         su = single_user_rate(cfg256, p, V[:, 0], sigma2)
         assert mu == pytest.approx(su, rel=1e-12)
+
+    def test_equals_per_user_loop(self, cfg256):
+        rng = np.random.default_rng(3)
+        for m in (1, 4, 10):
+            users = [PolarPoint(float(rng.uniform(-0.8, 0.8)), float(rng.uniform(3, 30)))
+                     for _ in range(m)]
+            estimated = [PolarPoint(p.theta, p.r * 1.01) for p in users]
+            for sigma2 in (1e-12, 1e-9, 1e-6):
+                V = multiuser_precode(cfg256, estimated, sigma2)
+                np.testing.assert_allclose(multiuser_rate(cfg256, users, V, sigma2),
+                                           multiuser_rate_by_loops(cfg256, users, V, sigma2),
+                                           rtol=1e-12, atol=0)
 
     def test_zero_power_column_gives_zero_rate(self, cfg256):
         users = [PolarPoint(-0.2, 5.0), PolarPoint(0.2, 5.0)]

@@ -241,6 +241,19 @@ class TestErrors:
         assert "schemes" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("argv, field", [
+        (["nmse", "--schemes", "proposed,proposed"], "schemes"),
+        (["nmse", "--seed", "-1"], "seed"),
+        ([*_TRAIN, "--seed", "-1"], "seed"),
+    ])
+    def test_repeated_scheme_and_negative_seed_named(self, tmp_path, capsys, argv, field):
+        # a repeated scheme used to double n_trials; a negative seed failed
+        # inside the random generator with a message that named no field
+        rc = run([*argv, "--N", "32", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_config_file_values_used_and_flags_override(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text(

@@ -419,8 +419,10 @@ def test_schemes_share_sweep_noise_under_same_key(cfg256, book256):
     assert a.theta_hat == b.theta_hat
 
 
-def test_fast_multiplies_each_angle_slice_once_per_channel(monkeypatch, cfg64):
-    # a second SNR point with the same candidates reuses every product
+def test_fast_and_exhaustive_form_one_polar_product_per_channel(monkeypatch, cfg64):
+    # a user with k = 3 candidates: fast forms the DFT sweep and the whole
+    # polar sweep, and reads each candidate's entries out of the latter;
+    # a second SNR point and a later exhaustive training form no product
     products = []
     real = nfbeam.codebooks._noiseless_product
 
@@ -430,24 +432,29 @@ def test_fast_multiplies_each_angle_slice_once_per_channel(monkeypatch, cfg64):
 
     monkeypatch.setattr(nfbeam.codebooks, "_noiseless_product", counting)
     book, polar = build_dft_codebook(cfg64), build_polar_codebook(cfg64)
-    p, ec = PolarPoint(0.3, 3.0), EstimatorConfig()
+    p, ec = PolarPoint(0.3, 0.5), EstimatorConfig()
     noise = NoiseModel(0.0, (4, 2))
 
     def train_at(snr_db):
         sigma2 = calibrate_noise(cfg64, snr_db, "per-antenna")
         est = fast_training(cfg64, p, noise.replay(sigma2), ec, polar, book)
-        theta, r, w, pilots = fast_training_by_loops(cfg64, p, NoiseModel(sigma2, (4, 2)), ec,
-                                                     polar, book)
-        assert (est.theta_hat, est.r_hat, est.pilot_count) == (theta, r, pilots)
+        theta, r, cands, pilots, w = fast_training_by_loops(cfg64, p, NoiseModel(sigma2, (4, 2)),
+                                                            ec, polar, book)
+        assert (est.theta_hat, est.r_hat, est.candidates, est.pilot_count) == (theta, r, cands,
+                                                                               pilots)
         assert np.array_equal(est.w, w)
         return est
 
     a = train_at(40.0)
-    first = list(products)
+    assert len(a.candidates) == ec.k == 3
+    assert products == [(64, len(book)), (64, len(polar))]
     b = train_at(50.0)
     assert [c[0] for c in a.candidates] == [c[0] for c in b.candidates]
-    assert len(first) == 1 + len(a.candidates)   # the DFT sweep, then one per slice
-    assert products == first
+    sigma2 = calibrate_noise(cfg64, 40.0, "per-antenna")
+    exh = exhaustive_training(cfg64, p, noise.replay(sigma2), polar)
+    assert (exh.theta_hat, exh.r_hat, exh.candidates) == exhaustive_training_by_loops(
+        cfg64, p, NoiseModel(sigma2, (4, 2)), polar)[:3]
+    assert products == [(64, len(book)), (64, len(polar))]
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -463,7 +470,7 @@ def test_polar_baselines_equal_loop_oracles(n):
         sigma2 = calibrate_noise(cfg, float(rng.uniform(-10.0, 20.0)), "per-antenna")
         fast = fast_training(cfg, p, NoiseModel(sigma2, (n, u)), ec, polar, book)
         exh = exhaustive_training(cfg, p, NoiseModel(sigma2, (n, u)), polar)
-        for est, (theta, r, w, pilots) in (
+        for est, (theta, r, _, pilots, w) in (
                 (fast, fast_training_by_loops(cfg, p, NoiseModel(sigma2, (n, u)), ec, polar, book)),
                 (exh, exhaustive_training_by_loops(cfg, p, NoiseModel(sigma2, (n, u)), polar))):
             assert (est.theta_hat, est.r_hat, est.pilot_count) == (theta, r, pilots)

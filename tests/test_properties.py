@@ -1,8 +1,10 @@
-"""Property tests of the angle and distance stages and the two width
+"""Property tests of the angle and distance stages and the four
 trainings against plain-loop oracles, of the pilot budgets and range
 bounds of the four trainings, of the closed-form sweep response against
 its quadratic-phase sum, of erf's symmetries, and of the mirror identity
 the codebook builder relies on."""
+
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -36,8 +38,9 @@ from nfbeam.channel import steering_columns
 from nfbeam.codebooks import _far_field_columns, dft_angle_grid
 from nfbeam.errors import EmptyMainSetError
 from nfbeam.estimators import SweepResult
-from oracles import (estimate_angle_by_loops, joint_training_by_loops,
-                     proposed_training_by_loops, same_bits, width_distance_by_mask)
+from oracles import (estimate_angle_by_loops, exhaustive_training_by_loops,
+                     fast_training_by_loops, joint_training_by_loops, proposed_training_by_loops,
+                     same_bits, width_distance_by_mask)
 
 BOOK = build_dft_codebook(ArrayConfig(64, 100e9))
 CFG32 = ArrayConfig(32, 100e9)
@@ -149,6 +152,34 @@ def test_polar_trainings_clip_range_to_rayleigh(p, snr_db, key):
     exh = exhaustive_training(CFG32, p, noise_at(snr_db, key), POLAR32)
     assert fast.r_hat <= R_RAY32
     assert exh.r_hat <= R_RAY32
+
+
+@lru_cache(maxsize=4)
+def books_at(n):
+    cfg = ArrayConfig(n, 100e9)
+    return cfg, build_dft_codebook(cfg), build_polar_codebook(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(16, 256), snrs, keys, st.data())
+def test_polar_trainings_equal_loop_oracles_to_the_bit(n, snr_db, key, data):
+    # a slice of the full polar product differs in bits from the product
+    # of the slice alone at most N here (not at 32 or 64), and the
+    # candidates' |y| show it: the oracle reads the full product, as fast must
+    cfg, book, polar = books_at(n)
+    r_fre, r_ray = region_boundaries(cfg)
+    p = data.draw(st.builds(PolarPoint, st.floats(-0.9, 0.9), st.floats(r_fre, 2 * r_ray)))
+    sigma2 = calibrate_noise(cfg, snr_db, "per-antenna")
+    ec = EstimatorConfig()
+    for est, (theta, r, cands, pilots, w) in (
+            (fast_training(cfg, p, NoiseModel(sigma2, key), ec, polar, book),
+             fast_training_by_loops(cfg, p, NoiseModel(sigma2, key), ec, polar, book)),
+            (exhaustive_training(cfg, p, NoiseModel(sigma2, key), polar),
+             exhaustive_training_by_loops(cfg, p, NoiseModel(sigma2, key), polar))):
+        assert same_bits(np.array([est.theta_hat, est.r_hat]), np.array([theta, r]))
+        assert same_bits(np.array(est.candidates), np.array(cands))
+        assert est.pilot_count == pilots
+        assert same_bits(est.w, w)
 
 
 @settings(max_examples=300, deadline=None)

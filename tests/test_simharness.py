@@ -121,6 +121,7 @@ class TestUserSampler:
     dict(snr_ref_db_grid=(10.0, -4000.0)),
     dict(snr_ref_db_grid=(-3230.0,)),  # finite SNR, infinite noise power
     dict(schemes=()),
+    dict(schemes=("proposed", "proposed")),
 ])
 def test_scenario_rejects_invalid_values_at_construction(kw):
     with pytest.raises(ValueError):
@@ -133,6 +134,15 @@ def test_scenario_rejects_invalid_values_at_construction(kw):
 def test_scenario_rejects_non_integer_counts_by_name(field, value):
     # a float or bool count used to pass construction and fail later
     # with a TypeError, or run on a wrong grid
+    with pytest.raises(ValueError, match=field):
+        ScenarioConfig(**{"n_antennas": 64, field: value})
+
+
+@pytest.mark.parametrize("field, value", [("n_antennas", 1), ("trials", 0), ("m_users", 0),
+                                          ("z_mu_size", 0), ("k", 0), ("cluster_gap", 0),
+                                          ("seed", -1)])
+def test_scenario_rejects_counts_below_their_minimum_by_name(field, value):
+    # a negative seed used to construct and then fail inside default_rng
     with pytest.raises(ValueError, match=field):
         ScenarioConfig(**{"n_antennas": 64, field: value})
 
