@@ -6,7 +6,6 @@ NMSE, achievable rate, and training overhead."""
 from .beamforming import multiuser_precode, multiuser_rate, single_user_rate
 from .beampattern import (
     AlphaBeta,
-    BeamPattern,
     MainAngleSet,
     central_gain,
     closed_form_f,
@@ -38,7 +37,6 @@ from .errors import DomainError, EmptyGridError, EmptyMainSetError, SingularChan
 from .estimators import (
     EstimatorConfig,
     LocationEstimate,
-    SweepResult,
     beam_sweep,
     cluster_indices,
     default_z_mu_grid,

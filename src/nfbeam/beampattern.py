@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayConfig, PolarPoint, near_field_steering
-from .codebooks import Codebook, _far_field_columns
+from .codebooks import Codebook, _far_field_columns, dft_angle_grid
 from .errors import DomainError, EmptyMainSetError
 from .numerics import erf_complex
 
@@ -43,14 +43,6 @@ class AlphaBeta:
         alpha = n**2 * cfg.spacing * (1.0 - p.theta**2) / (8.0 * p.r)
         beta = n * (p.theta - phi) / 2.0
         return cls(alpha=alpha, beta=beta)
-
-
-@dataclass(frozen=True)
-class BeamPattern:
-    """Sweep gains over the DFT angle grid (step 2/len(grid))."""
-
-    grid: np.ndarray
-    gains: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -113,15 +105,14 @@ def normalized_closed_form_gain(ab: AlphaBeta) -> float:
     return 2.0 * math.sqrt(ab.alpha) * abs(closed_form_f(ab))
 
 
-def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> BeamPattern:
-    """Sweep gains divided by the exact gain at phi = theta.
+def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> np.ndarray:
+    """Sweep gains over the codebook's grid divided by the exact gain at
+    phi = theta.
 
     The channel-level and steering-level normalizations coincide: the
     scalar sqrt(N) g exp(-j 2 pi r / lambda) cancels in the ratio.
     """
-    gains = exact_gain_grid(cfg, p, codebook)
-    g0 = exact_gain(cfg, p, p.theta)
-    return BeamPattern(grid=codebook.angle_grid, gains=gains / g0)
+    return exact_gain_grid(cfg, p, codebook) / exact_gain(cfg, p, p.theta)
 
 
 def contiguous_run(values, center: int, rho: float, scale: float = 1.0) -> tuple[int, int]:
@@ -146,34 +137,36 @@ def run_width(lo: int, hi: int, grid_size: int) -> float:
     return (hi - lo + 1) * 2.0 / grid_size
 
 
-def _main_run(pattern: BeamPattern, rho: float) -> tuple[int, int]:
+def _main_run(gains: np.ndarray, rho: float) -> tuple[int, int]:
     """Run of grid points above rho around the strongest sample."""
     if not 0 < rho < 1:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
-    above = pattern.gains > rho
+    above = gains > rho
     if not above.any():
         raise EmptyMainSetError(f"no grid gain exceeds rho = {rho}")
-    peak = int(np.argmax(pattern.gains))
+    peak = int(np.argmax(gains))
     if not above[peak]:
-        raise EmptyMainSetError(f"peak gain {pattern.gains[peak]} below rho = {rho}")
-    return contiguous_run(pattern.gains, peak, rho)
+        raise EmptyMainSetError(f"peak gain {gains[peak]} below rho = {rho}")
+    return contiguous_run(gains, peak, rho)
 
 
-def measure_width(pattern: BeamPattern, rho: float) -> MainAngleSet:
-    """Main angle set at threshold rho and its `run_width`. Only the run
+def measure_width(gains: np.ndarray, rho: float) -> MainAngleSet:
+    """Main angle set at threshold rho of gains on the DFT grid
+    `dft_angle_grid(gains.size)`, and its `run_width`. Only the run
     around the strongest sample is kept, so sidelobe ripples and noise
     spikes cannot stretch the measured width."""
-    lo, hi = _main_run(pattern, rho)
-    return MainAngleSet(angles=np.asarray(pattern.grid[lo:hi + 1], dtype=float),
-                        width=run_width(lo, hi, pattern.grid.size))
+    lo, hi = _main_run(gains, rho)
+    return MainAngleSet(angles=dft_angle_grid(gains.size)[lo:hi + 1],
+                        width=run_width(lo, hi, gains.size))
 
 
-def interpolated_width(pattern: BeamPattern, rho: float) -> float:
-    """Half-gain width with sub-grid crossings by linear interpolation
-    between adjacent grid gains; used to validate the closed-form width
-    law against something finer than the grid resolution."""
-    lo, hi = _main_run(pattern, rho)
-    g, x = pattern.gains, pattern.grid
+def interpolated_width(gains: np.ndarray, rho: float) -> float:
+    """Half-gain width of gains on the DFT grid `dft_angle_grid(gains.size)`,
+    with sub-grid crossings by linear interpolation between adjacent grid
+    gains; used to validate the closed-form width law against something
+    finer than the grid resolution."""
+    lo, hi = _main_run(gains, rho)
+    g, x = gains, dft_angle_grid(gains.size)
     if lo > 0:
         left = x[lo] + (rho - g[lo]) * (x[lo - 1] - x[lo]) / (g[lo - 1] - g[lo])
     else:

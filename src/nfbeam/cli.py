@@ -25,7 +25,7 @@ from numpy.linalg import LinAlgError
 
 from .beampattern import exact_gain, exact_gain_grid, normalized_pattern
 from .channel import PolarPoint
-from .codebooks import build_dft_codebook, build_polar_codebook, ring_scale
+from .codebooks import BETA_POLAR, build_dft_codebook, build_polar_codebook, ring_scale
 from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
 from .numerics import NoiseModel
 from .simharness import (
@@ -97,28 +97,11 @@ def load_config_file(path: str) -> dict:
 
 
 def _scenario_from_args(args) -> ScenarioConfig:
-    values = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    overrides = {
-        "n_antennas": args.N,
-        "carrier_hz": args.fc,
-        "trials": getattr(args, "trials", None),
-        "seed": args.seed,
-        "k": args.k,
-        "reference_mode": args.reference_mode,
-        "m_users": getattr(args, "M", None),
-        "beta_polar": getattr(args, "beta_polar", None),
-    }
-    if getattr(args, "snr_db", None):
-        overrides["snr_ref_db_grid"] = tuple(args.snr_db)
-    if getattr(args, "theta_range", None):
-        overrides["theta_range"] = tuple(args.theta_range)
-    if getattr(args, "r_range", None):
-        overrides["r_range"] = tuple(args.r_range)
-    if getattr(args, "schemes", None):
-        overrides["schemes"] = tuple(args.schemes.split(","))
-    values.update({k: v for k, v in overrides.items() if v is not None})
+    """The config file's values, each overridden by a flag given on the
+    command line: flags store into ScenarioConfig field names."""
+    values = load_config_file(args.config) if args.config else {}
+    values.update({k: tuple(v) if isinstance(v, list) else v for k, v in vars(args).items()
+                   if k in _FIELD_TYPES and v is not None})
     return ScenarioConfig(**values)
 
 
@@ -132,8 +115,9 @@ def _out_dir(args) -> Path:
 def _add_common(sub):
     sub.add_argument("--config", help="flat key=value scenario file")
     sub.add_argument("--out", help="output directory (default: $NFBEAM_OUT or .)")
-    sub.add_argument("--N", type=int, help="antenna count")
-    sub.add_argument("--fc", type=float, help="carrier frequency in Hz")
+    sub.add_argument("--N", type=int, dest="n_antennas", metavar="N", help="antenna count")
+    sub.add_argument("--fc", type=float, dest="carrier_hz", metavar="FC",
+                     help="carrier frequency in Hz")
     sub.add_argument("--seed", type=int)
     sub.add_argument("--k", type=int, help="refinement candidate count")
     sub.add_argument("--reference-mode", choices=["total-energy", "per-antenna"],
@@ -141,14 +125,15 @@ def _add_common(sub):
 
 
 def _add_schemes(sub):
-    sub.add_argument("--schemes", help="comma list out of proposed,joint,fast,exhaustive")
+    sub.add_argument("--schemes", type=lambda raw: _parse_value("schemes", raw),
+                     help="comma list out of proposed,joint,fast,exhaustive")
 
 
 def _add_grid(sub):
     """Flags of the Monte-Carlo grid, for the commands that simulate it."""
     sub.add_argument("--trials", type=int)
-    sub.add_argument("--snr-db", type=float, nargs="+", dest="snr_db",
-                     help="reference SNR grid in dB")
+    sub.add_argument("--snr-db", type=float, nargs="+", dest="snr_ref_db_grid",
+                     metavar="SNR_DB", help="reference SNR grid in dB")
     sub.add_argument("--theta-range", type=float, nargs=2, dest="theta_range")
     sub.add_argument("--r-range", type=float, nargs=2, dest="r_range")
     _add_schemes(sub)
@@ -185,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
                            dest="dump_estimates",
                            help="also write per-trial estimates as CSV")
         if name == "rate-multi":
-            s.add_argument("--M", type=int, help="users per group")
+            s.add_argument("--M", type=int, dest="m_users", metavar="M",
+                           help="users per group")
             s.add_argument("--dump-users", metavar="SCHEME", dest="dump_users",
                            help="also write a per-user rate breakdown CSV for "
                                 "this scheme (trial 0)")
@@ -200,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     cd.set_defaults(run=_cmd_codebook_dump)
     cd.add_argument("--kind", choices=["dft", "polar"], default="dft")
     cd.add_argument("--beta-polar", type=float, dest="beta_polar",
-                    help="polar codebook coherence parameter (default 1.6)")
+                    help=f"polar codebook coherence parameter (default {BETA_POLAR})")
     return ap
 
 
@@ -211,16 +197,17 @@ def _cmd_pattern(args) -> int:
     book = build_dft_codebook(cfg)
     raw = exact_gain_grid(cfg, p, book)
     norm = normalized_pattern(cfg, p, book)
+    grid = book.angle_grid
     out = _out_dir(args) / f"pattern_N{cfg.n_antennas}_theta{args.theta}_r{args.r}.csv"
     header = sc.as_header_dict()
     header.update({"theta": repr(args.theta), "r": repr(args.r),
                    "central_gain": repr(exact_gain(cfg, p, p.theta))})
     write_csv(out, ("phi", "gain_raw", "gain_normalized"),
-              zip(norm.grid, raw, norm.gains), header)
+              zip(grid, raw, norm), header)
     print(f"wrote {out}")
     if args.svg:
         svg = line_plot_svg(
-            {"raw": (norm.grid, raw), "normalized": (norm.grid, norm.gains)},
+            {"raw": (grid, raw), "normalized": (grid, norm)},
             xlabel="spatial angle phi", ylabel="gain",
             title=f"sweep pattern, N={cfg.n_antennas}, theta={args.theta}, r={args.r} m")
         out_svg = out.with_suffix(".svg")

@@ -37,6 +37,9 @@ from .errors import EmptyGridError
 
 FAR_FIELD = math.inf
 
+# Coherence parameter of the polar codebook's rings (`build_polar_codebook`).
+BETA_POLAR = 1.6
+
 # Columns computed per steering call, or copied per mirror step, when
 # building a codebook: bounds the N x block temporaries (2 MiB each at
 # N = 1024).
@@ -75,13 +78,18 @@ class Codebook:
         return self.matrix.shape[1]
 
     def noiseless_sweep(self, h: np.ndarray) -> np.ndarray:
-        """h^H M, computed once per channel array and shared read-only.
+        """h^H M, read-only, computed once per channel array that cannot
+        change under the memo.
 
-        Keyed on the identity of `h`, which must not change while it is
-        memoized; the trainings pass the read-only `los_channel` arrays.
-        Each entry holds `h`, so its id cannot be reused while the entry
-        lives. Keeps the `_MEMO_SIZE` most recently used sweeps.
+        Keyed on the identity of `h`. Only a read-only `h` that owns its
+        data is memoized, as the `los_channel` arrays the trainings pass
+        are; a writable array, or a view whose base may still be written,
+        gets a fresh product on every call. Each entry holds `h`, so its
+        id cannot be reused while the entry lives. Keeps the `_MEMO_SIZE`
+        most recently used sweeps.
         """
+        if h.flags.writeable or not h.flags.owndata:
+            return _noiseless_product(h, self.matrix)
         entry = self._sweeps.get(id(h))
         if entry is not None:
             self._sweeps.move_to_end(id(h))
@@ -158,7 +166,7 @@ def ring_scale(cfg: ArrayConfig, beta_polar: float) -> float:
     return cfg.n_antennas**2 * cfg.spacing**2 / (2.0 * beta_polar**2 * cfg.wavelength)
 
 
-def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = 1.6) -> Codebook:
+def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = BETA_POLAR) -> Codebook:
     """Polar codebook on the DFT angle grid: per angle theta_n, rings
     r = Z (1 - theta_n^2)/s, s = 1, 2, ..., truncated to [R_Fre, R_Ray],
     after the far-field codeword."""

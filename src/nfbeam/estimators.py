@@ -11,7 +11,7 @@ a distance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .channel import (ArrayConfig, PolarPoint, _check_count, los_channel, near_f
 from .codebooks import Codebook
 from .errors import EmptyMainSetError
 from .numerics import NoiseModel
+
+# Points of the joint baseline's log-spaced distance grid (`default_z_mu_grid`).
+Z_MU_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -34,25 +37,6 @@ class EstimatorConfig:
         _check_count("cluster_gap", self.cluster_gap)
         if not 0 < self.rho2_fraction < 1:
             raise ValueError(f"rho2_fraction must be in (0, 1), got {self.rho2_fraction}")
-
-
-@dataclass
-class SweepResult:
-    """Received pilot samples for one sweep of a codebook, and their |y|
-    for the angle and distance stages."""
-
-    samples: np.ndarray
-    codebook: Codebook
-    amplitudes: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.amplitudes = np.abs(self.samples)
-
-
-@dataclass(frozen=True)
-class AngleEstimate:
-    theta_hat: float
-    candidate_indices: tuple[int, ...]   # grid indices, ascending
 
 
 @dataclass(frozen=True)
@@ -71,11 +55,12 @@ def _pilots(s: np.ndarray, noise: NoiseModel) -> np.ndarray:
     return s + noise.sample(s.size)
 
 
-def beam_sweep(cfg: ArrayConfig, p: PolarPoint, codebook, noise: NoiseModel) -> SweepResult:
-    """One pilot per codeword: y(v_n) = h^H v_n + w_n; h^H V is the
-    codebook's memoized noiseless sweep."""
+def beam_sweep(cfg: ArrayConfig, p: PolarPoint, codebook, noise: NoiseModel) -> np.ndarray:
+    """|y| of one pilot per codeword, y(v_n) = h^H v_n + w_n: what the
+    angle and distance stages read. h^H V is the codebook's memoized
+    noiseless sweep."""
     s = codebook.noiseless_sweep(los_channel(cfg, p))
-    return SweepResult(samples=_pilots(s, noise), codebook=codebook)
+    return np.abs(_pilots(s, noise))
 
 
 def cluster_indices(amp: np.ndarray, rho2: float, gap: int):
@@ -102,8 +87,10 @@ def cluster_indices(amp: np.ndarray, rho2: float, gap: int):
     return idx, idx[lo:hi + 1]
 
 
-def estimate_angle(sweep: SweepResult, ec: EstimatorConfig, clustering: bool = True) -> AngleEstimate:
-    """Median-angle estimate with k grid candidates.
+def estimate_angle(amp: np.ndarray, codebook: Codebook, ec: EstimatorConfig,
+                   clustering: bool = True) -> tuple[float, tuple[int, ...]]:
+    """Median-angle estimate from the sweep's |y| over `codebook`'s grid,
+    as (theta_hat, candidates): the k candidate grid indices, ascending.
 
     rho2 is relative (a fraction of max |y|), so the estimate is
     invariant to a positive rescaling of the sweep. With clustering, the
@@ -111,23 +98,22 @@ def estimate_angle(sweep: SweepResult, ec: EstimatorConfig, clustering: bool = T
     without it (the joint baseline) the global super-threshold set is
     used directly.
     """
-    amp = sweep.amplitudes
     rho2 = ec.rho2_fraction * amp.max()
     if not rho2 > 0:
         raise EmptyMainSetError("all-zero sweep: no sample above the threshold")
     idx, cluster = cluster_indices(amp, rho2, ec.cluster_gap)
     members = cluster if clustering else idx
-    grid = memoryview(sweep.codebook.angle_grid)
+    grid = memoryview(codebook.angle_grid)
     angles = [grid[i] for i in members]  # ascending, as members are
     theta_hat = (angles[-1] + angles[0]) / 2.0
     # k members closest to the median, ties toward the smaller angle
     nearest = sorted(zip([abs(a - theta_hat) for a in angles], angles, members))[:ec.k]
-    cands = tuple(sorted(i for _, _, i in nearest))
-    return AngleEstimate(theta_hat=theta_hat, candidate_indices=cands)
+    return theta_hat, tuple(sorted(i for _, _, i in nearest))
 
 
-def estimate_distance(sweep: SweepResult, candidate_index: int):
-    """Width-based distance for one candidate grid angle.
+def estimate_distance(amp: np.ndarray, codebook: Codebook, candidate_index: int):
+    """Width-based distance for one candidate grid angle of `codebook`,
+    from the sweep's |y|.
 
     The sweep is renormalized by the sample at the candidate angle (a
     grid angle, so no extra pilot is needed); the half-gain width is the
@@ -137,10 +123,10 @@ def estimate_distance(sweep: SweepResult, candidate_index: int):
     Rayleigh distance. A candidate without power has no run and raises
     EmptyMainSetError. Returns (r_hat, width).
     """
-    cfg = sweep.codebook.cfg
-    grid = sweep.codebook.angle_grid
+    cfg = codebook.cfg
+    grid = codebook.angle_grid
     r_fre, r_ray = region_boundaries(cfg)
-    amp = memoryview(sweep.amplitudes)  # indexes as Python floats
+    amp = memoryview(amp)  # indexes as Python floats
     if not amp[candidate_index] > 0:
         raise EmptyMainSetError(f"candidate index {candidate_index} has no power")
     lo, hi = contiguous_run(amp, candidate_index, 0.5, amp[candidate_index])
@@ -179,10 +165,10 @@ def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     (k when the main set holds at least k angles). The distance stage is
     one width inversion per candidate.
     """
-    sweep = beam_sweep(cfg, p, codebook, noise)
-    ang = estimate_angle(sweep, ec, clustering=True)
-    cands = [(float(codebook.angle_grid[ci]), estimate_distance(sweep, ci)[0])
-             for ci in ang.candidate_indices]
+    amp = beam_sweep(cfg, p, codebook, noise)
+    _, cis = estimate_angle(amp, codebook, ec, clustering=True)
+    cands = [(float(codebook.angle_grid[ci]), estimate_distance(amp, codebook, ci)[0])
+             for ci in cis]
     return _refine(cfg, p, noise, cands, len(cands), len(codebook))
 
 
@@ -192,12 +178,12 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     """Baseline: global (unclustered) median angle; the distance is found
     by searching the z_mu grid for the best width-model match, so the
     distance stage costs |z_mu| model evaluations per candidate."""
-    sweep = beam_sweep(cfg, p, codebook, noise)
-    ang = estimate_angle(sweep, ec, clustering=False)
+    amp = beam_sweep(cfg, p, codebook, noise)
+    _, cis = estimate_angle(amp, codebook, ec, clustering=False)
     cands = []
     evals = 0
-    for ci in ang.candidate_indices:
-        _, width = estimate_distance(sweep, ci)
+    for ci in cis:
+        _, width = estimate_distance(amp, codebook, ci)
         theta_i = float(codebook.angle_grid[ci])
         predicted = width_law(cfg, theta_i, z_mu_grid)
         evals += z_mu_grid.size
@@ -227,12 +213,11 @@ def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     """Baseline: global median angle, then an exhaustive distance sweep
     with the polar codebook entries at each candidate angle, whose
     noiseless products are read out of the memoized polar sweep."""
-    sweep = beam_sweep(cfg, p, codebook, noise)
-    ang = estimate_angle(sweep, ec, clustering=False)
+    _, cis = estimate_angle(beam_sweep(cfg, p, codebook, noise), codebook, ec, clustering=False)
     s = polar.noiseless_sweep(los_channel(cfg, p))
     extra = 0
     picks = []
-    for ci in ang.candidate_indices:
+    for ci in cis:
         amp = np.abs(_pilots(s[polar.entries_at(ci)], noise))
         extra += amp.size
         j = int(np.argmax(amp))
@@ -248,7 +233,7 @@ def exhaustive_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     return _polar_estimate(polar, [(j, amp[j])], len(polar), 0)
 
 
-def default_z_mu_grid(cfg: ArrayConfig, size: int = 64) -> np.ndarray:
+def default_z_mu_grid(cfg: ArrayConfig, size: int = Z_MU_SIZE) -> np.ndarray:
     """Log-spaced distance grid spanning the near-field region, used by
     the joint baseline's width-matching search."""
     r_fre, r_ray = region_boundaries(cfg)

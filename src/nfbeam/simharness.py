@@ -24,9 +24,10 @@ import numpy as np
 from .beamforming import multiuser_precode, multiuser_rate, single_user_rate
 from .channel import (ArrayConfig, PolarPoint, _check_count, channel_gain, los_channel,
                       region_boundaries)
-from .codebooks import build_dft_codebook, build_polar_codebook
+from .codebooks import BETA_POLAR, build_dft_codebook, build_polar_codebook
 from .errors import EmptyMainSetError, SingularChannelError
 from .estimators import (
+    Z_MU_SIZE,
     EstimatorConfig,
     LocationEstimate,
     default_z_mu_grid,
@@ -109,11 +110,11 @@ class ScenarioConfig:
     m_users: int = 10
     schemes: tuple[str, ...] = SCHEMES
     reference_mode: str = TOTAL_ENERGY
-    k: int = 3
-    cluster_gap: int = 8
-    rho2_fraction: float = 0.65
-    beta_polar: float = 1.6
-    z_mu_size: int = 64
+    k: int = EstimatorConfig.k
+    cluster_gap: int = EstimatorConfig.cluster_gap
+    rho2_fraction: float = EstimatorConfig.rho2_fraction
+    beta_polar: float = BETA_POLAR
+    z_mu_size: int = Z_MU_SIZE
 
     def __post_init__(self) -> None:
         cfg = self.array()

@@ -18,7 +18,7 @@ from nfbeam import (
     region_boundaries,
     taylor_f,
 )
-from nfbeam.beampattern import BeamPattern, exact_gain_grid, normalized_closed_form_gain
+from nfbeam.beampattern import exact_gain_grid, normalized_closed_form_gain
 from nfbeam.errors import DomainError, EmptyMainSetError
 from oracles import quadrature_f
 
@@ -148,7 +148,7 @@ class TestNormalizedPattern:
         book = build_dft_codebook(cfg512)
         theta = float(book.angle_grid[256])
         pat = normalized_pattern(cfg512, PolarPoint(theta, 8.0), book)
-        assert pat.gains[256] == pytest.approx(1.0, rel=1e-12)
+        assert pat[256] == pytest.approx(1.0, rel=1e-12)
 
     def test_fig2_half_gain_crossings(self, cfg512):
         # interpolated rho = 1/2 width, frozen from the dense-grid scan:
@@ -178,9 +178,8 @@ class TestMeasureWidth:
         assert abs(ms.width - 0.096) / 0.096 <= 0.10
 
     def test_threshold_above_everything(self):
-        pat = BeamPattern(grid=np.linspace(-1, 1, 11), gains=np.full(11, 0.3))
         with pytest.raises(EmptyMainSetError):
-            measure_width(pat, 0.5)
+            measure_width(np.full(11, 0.3), 0.5)
 
     def test_rho_just_below_one_keeps_only_ripple_tops(self, cfg512):
         # the normalized pattern peaks at ~1.16 (plateau ripples exceed
@@ -188,7 +187,7 @@ class TestMeasureWidth:
         # near the strongest ripple
         book = build_dft_codebook(cfg512)
         pat = normalized_pattern(cfg512, FIG2, book)
-        assert pat.gains.max() == pytest.approx(1.163, abs=2e-3)
+        assert pat.max() == pytest.approx(1.163, abs=2e-3)
         ms = measure_width(pat, 0.999)
         assert ms.angles.size <= 5
 
@@ -196,18 +195,16 @@ class TestMeasureWidth:
         # on the raw pattern (peak ~0.23) any rho above the peak empties
         # the main set
         book = build_dft_codebook(cfg512)
-        pat = BeamPattern(grid=book.angle_grid, gains=exact_gain_grid(cfg512, FIG2, book))
         with pytest.raises(EmptyMainSetError):
-            measure_width(pat, 0.9)
+            measure_width(exact_gain_grid(cfg512, FIG2, book), 0.9)
 
     def test_contiguous_drops_detached_spike(self):
         grid = dft_angle_grid(20)
         gains = np.zeros(20)
         gains[9:12] = 1.0
         gains[18] = 0.9  # detached sidelobe spike
-        pat = BeamPattern(grid=grid, gains=gains)
         # a 3-bin run reads as 3 grid steps
-        assert measure_width(pat, 0.5).width == pytest.approx(grid[12] - grid[9])
+        assert measure_width(gains, 0.5).width == pytest.approx(grid[12] - grid[9])
 
     def test_grid_quantization_bound(self, cfg512):
         # grid Range differs from the interpolated crossing width by at

@@ -241,6 +241,14 @@ class TestErrors:
         assert "schemes" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
+    def test_empty_schemes_flag_rejected(self, tmp_path, capsys):
+        # used to run all four schemes, as if the flag were not given
+        rc = run(["nmse", "--N", "32", "--trials", "1", "--snr-db", "10", "--schemes", "",
+                  "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "schemes is empty" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("argv, field", [
         (["nmse", "--schemes", "proposed,proposed"], "schemes"),
         (["nmse", "--seed", "-1"], "seed"),

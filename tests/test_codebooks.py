@@ -200,6 +200,20 @@ class TestSharedArrays:
         with pytest.raises(ValueError, match="read-only"):
             s[0] = 0.0
 
+    def test_arrays_that_can_change_are_not_memoized(self, kind, cfg64):
+        # a writable h, and a read-only view of a writable base, can change
+        # after a sweep; the next sweep must see their current values
+        book = _books(cfg64)[kind]
+        h = np.ones(64, dtype=complex)
+        base = np.ones(64, dtype=complex)
+        view = base[:]
+        view.flags.writeable = False
+        for x, written in ((h, h), (view, base)):
+            book.noiseless_sweep(x)
+            written[:] = 2.0
+            assert book.noiseless_sweep(x).tobytes() == (x.conj() @ book.matrix).tobytes()
+        assert len(book._sweeps) == 0
+
     def test_memo_is_bounded(self, kind, cfg64):
         book = _books(cfg64)[kind]
         rng = np.random.default_rng(5)

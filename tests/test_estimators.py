@@ -29,9 +29,8 @@ from nfbeam import (
     proposed_training,
     region_boundaries,
 )
-from nfbeam.beampattern import BeamPattern
 from nfbeam.errors import EmptyMainSetError
-from nfbeam.estimators import SweepResult, _polar_estimate
+from nfbeam.estimators import _polar_estimate
 from oracles import exhaustive_training_by_loops, fast_training_by_loops
 
 
@@ -66,22 +65,22 @@ class TestBeamSweep:
     def test_far_on_grid_argmax(self, cfg256, book256):
         _, r_ray = region_boundaries(cfg256)
         theta = float(book256.angle_grid[50])
-        sweep = beam_sweep(cfg256, PolarPoint(theta, 50 * r_ray), book256, silent())
-        assert int(np.argmax(np.abs(sweep.samples))) == 50
-        assert sweep.samples.size == 256
+        amp = beam_sweep(cfg256, PolarPoint(theta, 50 * r_ray), book256, silent())
+        assert int(np.argmax(amp)) == 50
+        assert amp.size == 256
 
     def test_noiseless_matches_gain_composition(self, cfg256, book256):
         p = PolarPoint(0.21, 6.0)
-        sweep = beam_sweep(cfg256, p, book256, silent())
+        amp = beam_sweep(cfg256, p, book256, silent())
         g = channel_gain(cfg256, p.r)
         for n in [0, 40, 128, 200]:
             expected = math.sqrt(256) * g * exact_gain(cfg256, p, float(book256.angle_grid[n]))
-            assert abs(sweep.samples[n]) == pytest.approx(expected, rel=1e-10)
+            assert amp[n] == pytest.approx(expected, rel=1e-10)
 
     def test_reproducible_with_fixed_seed(self, cfg256, book256):
         p = PolarPoint(-0.4, 5.0)
-        a = beam_sweep(cfg256, p, book256, NoiseModel(1e-9, (7, 1))).samples
-        b = beam_sweep(cfg256, p, book256, NoiseModel(1e-9, (7, 1))).samples
+        a = beam_sweep(cfg256, p, book256, NoiseModel(1e-9, (7, 1)))
+        b = beam_sweep(cfg256, p, book256, NoiseModel(1e-9, (7, 1)))
         assert np.array_equal(a, b)
 
 
@@ -103,8 +102,7 @@ class TestClusterIndices:
         assert list(cluster) == [40]
 
     def test_noiseless_near_user_is_one_cluster(self, cfg512, book512):
-        sweep = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
-        amp = sweep.amplitudes
+        amp = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
         idx, cluster = cluster_indices(amp, 0.65 * amp.max(), gap=8)
         assert np.array_equal(idx, cluster)
 
@@ -129,99 +127,92 @@ class TestClusterIndices:
 
 class TestEstimateAngle:
     def test_noiseless_broadside(self, cfg512, book512):
-        sweep = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
-        est = estimate_angle(sweep, EstimatorConfig())
-        assert abs(est.theta_hat - 0.0) <= 2 / 512
+        amp = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
+        theta_hat, _ = estimate_angle(amp, book512, EstimatorConfig())
+        assert abs(theta_hat - 0.0) <= 2 / 512
 
     def test_far_on_grid_user_exact(self, cfg256, book256):
         _, r_ray = region_boundaries(cfg256)
         theta = float(book256.angle_grid[180])
-        sweep = beam_sweep(cfg256, PolarPoint(theta, 60 * r_ray), book256, silent())
-        est = estimate_angle(sweep, EstimatorConfig())
-        assert est.theta_hat == pytest.approx(theta, abs=1e-12)
+        amp = beam_sweep(cfg256, PolarPoint(theta, 60 * r_ray), book256, silent())
+        theta_hat, _ = estimate_angle(amp, book256, EstimatorConfig())
+        assert theta_hat == pytest.approx(theta, abs=1e-12)
 
     def test_k1_candidate_is_nearest_grid_angle(self, cfg512, book512):
-        sweep = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
-        est = estimate_angle(sweep, EstimatorConfig(k=1))
-        assert len(est.candidate_indices) == 1
-        ci = est.candidate_indices[0]
-        assert abs(book512.angle_grid[ci] - est.theta_hat) <= 2 / 512
+        amp = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
+        theta_hat, cands = estimate_angle(amp, book512, EstimatorConfig(k=1))
+        assert len(cands) == 1
+        ci = cands[0]
+        assert abs(book512.angle_grid[ci] - theta_hat) <= 2 / 512
 
     def test_scale_invariance(self, cfg512, book512):
-        sweep = beam_sweep(cfg512, PolarPoint(0.2, 10.0), book512, silent())
-        scaled = SweepResult(samples=37.0 * sweep.samples, codebook=sweep.codebook)
-        a = estimate_angle(sweep, EstimatorConfig())
-        b = estimate_angle(scaled, EstimatorConfig())
-        assert a.theta_hat == b.theta_hat
-        assert a.candidate_indices == b.candidate_indices
+        amp = beam_sweep(cfg512, PolarPoint(0.2, 10.0), book512, silent())
+        a_theta, a_cands = estimate_angle(amp, book512, EstimatorConfig())
+        b_theta, b_cands = estimate_angle(37.0 * amp, book512, EstimatorConfig())
+        assert a_theta == b_theta
+        assert a_cands == b_cands
 
     def test_tie_break_toward_smaller_angle(self, book256):
         # symmetric two-bin set: the midpoint ties both members; k = 1
         # must pick the smaller angle
-        samples = np.zeros(256, dtype=complex)
-        samples[100] = 1.0
-        samples[102] = 1.0
-        sweep = SweepResult(samples=samples, codebook=book256)
-        est = estimate_angle(sweep, EstimatorConfig(k=1, rho2_fraction=0.9))
-        assert est.candidate_indices == (100,)
+        amp = np.zeros(256)
+        amp[100] = 1.0
+        amp[102] = 1.0
+        _, cands = estimate_angle(amp, book256, EstimatorConfig(k=1, rho2_fraction=0.9))
+        assert cands == (100,)
 
     def test_all_zero_sweep_is_an_outage(self, book256):
-        sweep = SweepResult(samples=np.zeros(256, dtype=complex), codebook=book256)
         with pytest.raises(EmptyMainSetError):
-            estimate_angle(sweep, EstimatorConfig())
+            estimate_angle(np.zeros(256), book256, EstimatorConfig())
 
 
 class TestEstimateDistance:
     def test_headline_inversion(self, cfg512, book512):
-        sweep = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
-        est = estimate_angle(sweep, EstimatorConfig())
-        ci = est.candidate_indices[len(est.candidate_indices) // 2]
-        r_hat, width = estimate_distance(sweep, ci)
+        amp = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
+        _, cands = estimate_angle(amp, book512, EstimatorConfig())
+        ci = cands[len(cands) // 2]
+        r_hat, width = estimate_distance(amp, book512, ci)
         assert 7.2 <= r_hat <= 8.8
 
     def test_doubling_width_halves_distance(self, book256):
         def synthetic(run_length):
-            samples = np.full(256, 0.1, dtype=complex)
+            amp = np.full(256, 0.1)
             start = 128 - run_length // 2
-            samples[start: start + run_length] = 1.0
-            return SweepResult(samples=samples, codebook=book256)
+            amp[start: start + run_length] = 1.0
+            return amp
 
-        r1, w1 = estimate_distance(synthetic(8), 128)
-        r2, w2 = estimate_distance(synthetic(16), 128)
+        r1, w1 = estimate_distance(synthetic(8), book256, 128)
+        r2, w2 = estimate_distance(synthetic(16), book256, 128)
         assert w1 == pytest.approx(8 * 2 / 256)
         assert w2 == pytest.approx(2 * w1)
         assert r2 == pytest.approx(r1 / 2, rel=1e-12)
 
     def test_theta_scaling(self, cfg512, book512):
         # equal measured width at theta = 0 and 0.6 gives r ratio 1 : 0.64
-        samples = np.full(512, 0.1, dtype=complex)
-        samples[100:113] = 1.0
-        sweep = SweepResult(samples=samples, codebook=book512)
-        r_at_100, _ = estimate_distance(sweep, 106)
+        amp = np.full(512, 0.1)
+        amp[100:113] = 1.0
+        r_at_100, _ = estimate_distance(amp, book512, 106)
         theta_at = float(book512.angle_grid[106])
-        shifted = np.full(512, 0.1, dtype=complex)
+        shifted = np.full(512, 0.1)
         center = book512.nearest_index(0.6)
         shifted[center - 6: center + 7] = 1.0
-        sweep2 = SweepResult(samples=shifted, codebook=book512)
-        r_at_06, _ = estimate_distance(sweep2, center)
+        r_at_06, _ = estimate_distance(shifted, book512, center)
         expected_ratio = (1 - book512.angle_grid[center] ** 2) / (1 - theta_at**2)
         assert r_at_06 / r_at_100 == pytest.approx(expected_ratio, rel=1e-9)
 
     def test_degenerate_width_falls_back_to_rayleigh(self, cfg256, book256):
         _, r_ray = region_boundaries(cfg256)
-        samples = np.full(256, 0.1, dtype=complex)
-        samples[77] = 1.0
-        sweep = SweepResult(samples=samples, codebook=book256)
-        r_hat, width = estimate_distance(sweep, 77)
+        amp = np.full(256, 0.1)
+        amp[77] = 1.0
+        r_hat, width = estimate_distance(amp, book256, 77)
         assert width == pytest.approx(2 / 256)  # one bin is one grid step wide
         assert r_hat == r_ray
 
     def test_contiguous_width_excludes_detached_spike(self, book256):
-        samples = np.full(256, 0.1, dtype=complex)
-        samples[100:105] = 1.0
-        samples[130] = 0.6  # detached super-half spike
-        sweep = SweepResult(samples=samples, codebook=book256)
-        _, w_contig = estimate_distance(sweep, 102)
+        amp = np.full(256, 0.1)
+        amp[100:105] = 1.0
+        amp[130] = 0.6  # detached super-half spike
+        _, w_contig = estimate_distance(amp, book256, 102)
         # run length x grid step: the span between the end bins plus one step
         step = 2 / 256
         assert w_contig == pytest.approx(
@@ -237,28 +228,27 @@ class TestEstimateDistance:
                                           [r_fre, 2.5, 3.0, 4.0, 6.0, 10.0, 15.0, 25.0]):
             p = PolarPoint(theta, r)
             alphas.append(256**2 * cfg256.spacing * (1 - p.theta**2) / (8 * p.r))
-            sweep = beam_sweep(cfg256, p, book256, silent())
-            amp = np.abs(sweep.samples)
+            amp = beam_sweep(cfg256, p, book256, silent())
             peak = int(np.argmax(amp))
-            pattern = BeamPattern(grid=book256.angle_grid, gains=amp / amp[peak])
-            assert estimate_distance(sweep, peak)[1] == measure_width(pattern, 0.5).width
+            width = measure_width(amp / amp[peak], 0.5).width
+            assert estimate_distance(amp, book256, peak)[1] == width
         assert min(alphas) < 1 < 4 < max(alphas)
 
     def test_candidate_without_power_is_rejected(self, cfg64):
         # the two flanks are equal, so a mask of |y| / 0 would read a
         # three-bin run around index 5
         book = build_dft_codebook(cfg64)
-        samples = np.zeros(64, dtype=complex)
-        samples[4] = samples[6] = 1.0
+        amp = np.zeros(64)
+        amp[4] = amp[6] = 1.0
         with pytest.raises(EmptyMainSetError, match="candidate index 5 has no power"):
-            estimate_distance(SweepResult(samples, book), 5)
-        assert estimate_distance(SweepResult(samples, book), 4)[1] == 2 / 64
+            estimate_distance(amp, book, 5)
+        assert estimate_distance(amp, book, 4)[1] == 2 / 64
 
     def test_width_law_inverse_at_first_candidate(self, cfg512, book512):
         # the inverted width law lands within 10% of the true 8 m
-        sweep = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
-        est = estimate_angle(sweep, EstimatorConfig())
-        r_def, _ = estimate_distance(sweep, est.candidate_indices[0])
+        amp = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())
+        _, cands = estimate_angle(amp, book512, EstimatorConfig())
+        r_def, _ = estimate_distance(amp, book512, cands[0])
         assert abs(r_def - 8.0) / 8.0 <= 0.10
 
 
@@ -394,18 +384,16 @@ class TestClusteringRobustness:
         # the lobe: the clustered scheme ignores it, the global median
         # shifts
         p = PolarPoint(0.0, 8.0)
-        sweep = beam_sweep(cfg512, p, book512, silent())
+        amp = beam_sweep(cfg512, p, book512, silent())
         ec = EstimatorConfig()
-        base = estimate_angle(sweep, ec, clustering=True)
-        amp = np.abs(sweep.samples)
+        base, _ = estimate_angle(amp, book512, ec, clustering=True)
         spike_at = 400  # far from the broadside lobe
-        spiked = sweep.samples.copy()
+        spiked = amp.copy()
         spiked[spike_at] = 0.8 * amp.max()
-        s2 = SweepResult(samples=spiked, codebook=book512)
-        with_spike = estimate_angle(s2, ec, clustering=True)
-        assert with_spike.theta_hat == base.theta_hat
-        joint_spiked = estimate_angle(s2, ec, clustering=False)
-        assert joint_spiked.theta_hat != base.theta_hat
+        with_spike, _ = estimate_angle(spiked, book512, ec, clustering=True)
+        assert with_spike == base
+        joint_spiked, _ = estimate_angle(spiked, book512, ec, clustering=False)
+        assert joint_spiked != base
 
 
 def test_schemes_share_sweep_noise_under_same_key(cfg256, book256):

@@ -37,7 +37,6 @@ from nfbeam import (
 from nfbeam.channel import steering_columns
 from nfbeam.codebooks import _far_field_columns, dft_angle_grid
 from nfbeam.errors import EmptyMainSetError
-from nfbeam.estimators import SweepResult
 from oracles import (estimate_angle_by_loops, exhaustive_training_by_loops,
                      fast_training_by_loops, joint_training_by_loops, proposed_training_by_loops,
                      same_bits, width_distance_by_mask)
@@ -59,7 +58,8 @@ configs = st.builds(EstimatorConfig, k=st.integers(1, 6), cluster_gap=st.integer
 
 
 def sweep_of(samples):
-    return SweepResult(samples=np.asarray(samples, dtype=complex), codebook=BOOK)
+    """|y| of the sweep with pilot samples `samples`."""
+    return np.abs(np.asarray(samples, dtype=complex))
 
 
 @settings(max_examples=300, deadline=None)
@@ -68,11 +68,11 @@ def test_estimate_angle_matches_loop_oracle(pairs, ec, clustering):
     samples = [a * ph for a, ph in pairs]
     amp = [a for a, _ in pairs]
     assume(max(amp) > 0)
-    est = estimate_angle(sweep_of(samples), ec, clustering=clustering)
+    est_theta, est_cands = estimate_angle(sweep_of(samples), BOOK, ec, clustering=clustering)
     theta_hat, cands = estimate_angle_by_loops(amp, BOOK.angle_grid, ec.rho2_fraction,
                                                ec.cluster_gap, ec.k, clustering)
-    assert est.theta_hat == theta_hat
-    assert est.candidate_indices == cands
+    assert est_theta == theta_hat
+    assert est_cands == cands
 
 
 @settings(max_examples=200, deadline=None)
@@ -84,8 +84,8 @@ def test_estimate_angle_invariant_to_positive_rescaling(pairs, ec, clustering, s
     # rounding may move a level that sits on the threshold across it
     assume(np.all(np.abs(amp - ec.rho2_fraction * peak) > 1e-9 * peak))
     samples = np.array([a * ph for a, ph in pairs])
-    a = estimate_angle(sweep_of(samples), ec, clustering=clustering)
-    b = estimate_angle(sweep_of(scale * samples), ec, clustering=clustering)
+    a = estimate_angle(sweep_of(samples), BOOK, ec, clustering=clustering)
+    b = estimate_angle(sweep_of(scale * samples), BOOK, ec, clustering=clustering)
     assert a == b
 
 
@@ -103,11 +103,11 @@ def test_estimate_distance_matches_the_mask_reading_on_every_index(pairs):
     amp = np.array([a for a, _ in pairs])
     for ci in range(amp.size):
         if amp[ci] > 0:
-            assert same_bits(np.array(estimate_distance(sweep, ci)),
+            assert same_bits(np.array(estimate_distance(sweep, BOOK, ci)),
                              np.array(width_distance_by_mask(BOOK.cfg, amp, BOOK.angle_grid, ci)))
         else:
             with pytest.raises(EmptyMainSetError, match=f"index {ci} "):
-                estimate_distance(sweep, ci)
+                estimate_distance(sweep, BOOK, ci)
 
 
 # Users from the Fresnel distance out to twice the Rayleigh distance, where
