@@ -51,7 +51,6 @@ from .numerics import NoiseModel, erf_complex
 from .simharness import (
     MetricsRecord,
     ScenarioConfig,
-    UserSampler,
     calibrate_noise,
     overhead_report,
     run_nmse_experiment,

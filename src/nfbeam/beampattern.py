@@ -141,12 +141,9 @@ def _main_run(gains: np.ndarray, rho: float) -> tuple[int, int]:
     """Run of grid points above rho around the strongest sample."""
     if not 0 < rho < 1:
         raise ValueError(f"rho must be in (0, 1), got {rho}")
-    above = gains > rho
-    if not above.any():
-        raise EmptyMainSetError(f"no grid gain exceeds rho = {rho}")
     peak = int(np.argmax(gains))
-    if not above[peak]:
-        raise EmptyMainSetError(f"peak gain {gains[peak]} below rho = {rho}")
+    if not gains[peak] > rho:
+        raise EmptyMainSetError(f"no grid gain exceeds rho = {rho}")
     return contiguous_run(gains, peak, rho)
 
 

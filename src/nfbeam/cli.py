@@ -25,7 +25,7 @@ from numpy.linalg import LinAlgError
 
 from .beampattern import exact_gain, exact_gain_grid, normalized_pattern
 from .channel import PolarPoint
-from .codebooks import BETA_POLAR, build_dft_codebook, build_polar_codebook, ring_scale
+from .codebooks import BETA_POLAR, ring_scale
 from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
 from .numerics import NoiseModel
 from .simharness import (
@@ -34,7 +34,7 @@ from .simharness import (
     SCHEMES,
     USER_RATE_COLUMNS,
     ScenarioConfig,
-    Trainer,
+    TRAININGS,
     calibrate_noise,
     estimate_table,
     noise_key,
@@ -192,9 +192,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_pattern(args) -> int:
     sc = _scenario_from_args(args)
-    cfg = sc.array()
+    cfg = sc.cfg
     p = PolarPoint(args.theta, args.r)
-    book = build_dft_codebook(cfg)
+    book = sc.codebook
     raw = exact_gain_grid(cfg, p, book)
     norm = normalized_pattern(cfg, p, book)
     grid = book.angle_grid
@@ -218,10 +218,9 @@ def _cmd_pattern(args) -> int:
 
 def _cmd_train(args) -> int:
     sc = _scenario_from_args(args)
-    trainer = Trainer(sc)
     p = PolarPoint(args.theta, args.r)
-    sigma2 = calibrate_noise(trainer.cfg, args.snr_ref_db, sc.reference_mode)
-    est = trainer.train(args.scheme, p, NoiseModel(sigma2, noise_key(sc.seed, 0)))
+    sigma2 = calibrate_noise(sc.cfg, args.snr_ref_db, sc.reference_mode)
+    est = TRAININGS[args.scheme](sc, p, NoiseModel(sigma2, noise_key(sc.seed, 0)))
     print(f"scheme={args.scheme} theta={p.theta!r} r={p.r!r} "
           f"theta_hat={est.theta_hat!r} r_hat={est.r_hat!r} pilots={est.pilot_count}")
     return EXIT_OK
@@ -289,12 +288,12 @@ def _cmd_overhead(args) -> int:
 
 def _cmd_codebook_dump(args) -> int:
     sc = _scenario_from_args(args)
-    cfg = sc.array()
+    cfg = sc.cfg
     if args.kind == "dft":
-        book = build_dft_codebook(cfg)
+        book = sc.codebook
         out = _out_dir(args) / f"codebook_dft_N{cfg.n_antennas}.csv"
     else:
-        book = build_polar_codebook(cfg, sc.beta_polar)
+        book = sc.polar
         out = _out_dir(args) / f"codebook_polar_N{cfg.n_antennas}_beta{sc.beta_polar}.csv"
         print(f"ring scale Z = {ring_scale(cfg, sc.beta_polar)!r} m, "
               f"S = {book.avg_samples_per_angle!r} samples/angle")

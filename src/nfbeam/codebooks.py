@@ -8,7 +8,7 @@ peaks at the codeword whose grid angle matches the user. A `Codebook`
 holds, per angle of the DFT grid, that far-field codeword followed by
 distance rings; the polar codebook's rings are r_{n,s} = Z (1 - theta^2)/s,
 and the DFT codebook is the one without rings. A codebook's arrays are
-read-only, and it memoizes its noiseless sweeps h^H M per channel array,
+read-only, and it memoizes its noiseless sweeps h^H M per channel value,
 so the trainings of one user share one product per codebook: the fast
 baseline reads its per-angle polar entries out of that product too.
 
@@ -78,24 +78,19 @@ class Codebook:
         return self.matrix.shape[1]
 
     def noiseless_sweep(self, h: np.ndarray) -> np.ndarray:
-        """h^H M, read-only, computed once per channel array that cannot
-        change under the memo.
+        """h^H M, read-only, computed once per channel.
 
-        Keyed on the identity of `h`. Only a read-only `h` that owns its
-        data is memoized, as the `los_channel` arrays the trainings pass
-        are; a writable array, or a view whose base may still be written,
-        gets a fresh product on every call. Each entry holds `h`, so its
-        id cannot be reused while the entry lives. Keeps the `_MEMO_SIZE`
-        most recently used sweeps.
+        Keyed on the channel's values (its bytes, with its dtype and shape),
+        so an array that changes after a sweep gets the product of its new
+        values. Keeps the `_MEMO_SIZE` most recently used sweeps.
         """
-        if h.flags.writeable or not h.flags.owndata:
-            return _noiseless_product(h, self.matrix)
-        entry = self._sweeps.get(id(h))
-        if entry is not None:
-            self._sweeps.move_to_end(id(h))
-            return entry[1]
+        key = (h.dtype.char, h.shape, h.tobytes())
+        s = self._sweeps.get(key)
+        if s is not None:
+            self._sweeps.move_to_end(key)
+            return s
         s = _noiseless_product(h, self.matrix)
-        self._sweeps[id(h)] = (h, s)
+        self._sweeps[key] = s
         if len(self._sweeps) > _MEMO_SIZE:
             self._sweeps.popitem(last=False)
         return s

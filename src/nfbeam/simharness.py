@@ -24,12 +24,11 @@ import numpy as np
 from .beamforming import multiuser_precode, multiuser_rate, single_user_rate
 from .channel import (ArrayConfig, PolarPoint, _check_count, channel_gain, los_channel,
                       region_boundaries)
-from .codebooks import BETA_POLAR, build_dft_codebook, build_polar_codebook
+from .codebooks import BETA_POLAR, Codebook, build_dft_codebook, build_polar_codebook
 from .errors import EmptyMainSetError, SingularChannelError
 from .estimators import (
     Z_MU_SIZE,
     EstimatorConfig,
-    LocationEstimate,
     default_z_mu_grid,
     exhaustive_training,
     fast_training,
@@ -47,10 +46,10 @@ PER_ANTENNA = "per-antenna"
 # as module globals at call time, so rebinding those names (as
 # bench/tracing.py does) reaches every training.
 TRAININGS = {
-    "proposed": lambda tr, p, noise: proposed_training(tr.cfg, p, noise, tr.ec, tr.codebook),
-    "joint": lambda tr, p, noise: joint_training(tr.cfg, p, noise, tr.ec, tr.z_mu, tr.codebook),
-    "fast": lambda tr, p, noise: fast_training(tr.cfg, p, noise, tr.ec, tr.polar, tr.codebook),
-    "exhaustive": lambda tr, p, noise: exhaustive_training(tr.cfg, p, noise, tr.polar),
+    "proposed": lambda sc, p, noise: proposed_training(sc.cfg, p, noise, sc.ec, sc.codebook),
+    "joint": lambda sc, p, noise: joint_training(sc.cfg, p, noise, sc.ec, sc.z_mu, sc.codebook),
+    "fast": lambda sc, p, noise: fast_training(sc.cfg, p, noise, sc.ec, sc.polar, sc.codebook),
+    "exhaustive": lambda sc, p, noise: exhaustive_training(sc.cfg, p, noise, sc.polar),
 }
 SCHEMES = tuple(TRAININGS)
 FULL_CSI = "full-csi"
@@ -78,27 +77,6 @@ def calibrate_noise(cfg: ArrayConfig, snr_ref_db: float, mode: str = TOTAL_ENERG
 
 
 @dataclass(frozen=True)
-class UserSampler:
-    theta_range: tuple[float, float]
-    r_range: tuple[float, float]
-
-    def sample(self, rng: np.random.Generator) -> PolarPoint:
-        t = rng.uniform(*self.theta_range)
-        r = rng.uniform(*self.r_range)
-        return PolarPoint(float(t), float(r))
-
-    @property
-    def theta_variance(self) -> float:
-        a, b = self.theta_range
-        return (b - a) ** 2 / 12.0
-
-    @property
-    def r_variance(self) -> float:
-        a, b = self.r_range
-        return (b - a) ** 2 / 12.0
-
-
-@dataclass(frozen=True)
 class ScenarioConfig:
     n_antennas: int = 256
     carrier_hz: float = 100e9
@@ -117,8 +95,8 @@ class ScenarioConfig:
     z_mu_size: int = Z_MU_SIZE
 
     def __post_init__(self) -> None:
-        cfg = self.array()
-        self.estimator()
+        cfg = self.cfg
+        self.ec  # EstimatorConfig checks k, cluster_gap and rho2_fraction
         for name in ("trials", "m_users", "z_mu_size"):
             _check_count(name, getattr(self, name))
         _check_count("seed", self.seed, 0)
@@ -126,11 +104,10 @@ class ScenarioConfig:
             raise ValueError(f"unknown reference mode {self.reference_mode!r}")
         if len(self.snr_ref_db_grid) == 0:
             raise ValueError("snr_ref_db_grid is empty")
-        for x in self.snr_ref_db_grid:
-            try:
-                calibrate_noise(cfg, x, self.reference_mode)
-            except ValueError as exc:
-                raise ValueError(f"snr_ref_db_grid: {exc}") from None
+        try:
+            self.sigma2s
+        except ValueError as exc:
+            raise ValueError(f"snr_ref_db_grid: {exc}") from None
         if not (math.isfinite(self.beta_polar) and self.beta_polar > 0):
             raise ValueError(f"beta_polar must be finite and positive, got {self.beta_polar}")
         if len(self.schemes) == 0:
@@ -146,28 +123,57 @@ class ScenarioConfig:
             raise ValueError(f"theta range {self.theta_range} must be increasing "
                              f"within [-1, 1]")
         r_fre, r_ray = region_boundaries(cfg)
-        lo, hi = self.sampler().r_range
+        lo, hi = self.r_bounds
         if not (r_fre - 1e-9 <= lo < hi <= r_ray + 1e-9):
             raise ValueError(f"r range {(lo, hi)} must lie within [{r_fre:.3f}, {r_ray:.3f}]")
 
-    def array(self) -> ArrayConfig:
+    # Derived values, each computed on first use and kept in the instance
+    # __dict__; __eq__ and __hash__ read only the fields.
+    @cached_property
+    def cfg(self) -> ArrayConfig:
         return ArrayConfig(self.n_antennas, self.carrier_hz)
 
-    def estimator(self) -> EstimatorConfig:
+    @cached_property
+    def ec(self) -> EstimatorConfig:
         return EstimatorConfig(k=self.k, cluster_gap=self.cluster_gap,
                                rho2_fraction=self.rho2_fraction)
 
-    def sampler(self) -> UserSampler:
-        r_fre, r_ray = region_boundaries(self.array())
-        rr = self.r_range if self.r_range is not None else (r_fre, min(100.0, r_ray))
-        return UserSampler(theta_range=self.theta_range, r_range=rr)
+    @cached_property
+    def r_bounds(self) -> tuple[float, float]:
+        """The user box's distance range: r_range, or [R_Fre, min(100 m, R_Ray)]."""
+        if self.r_range is not None:
+            return self.r_range
+        r_fre, r_ray = region_boundaries(self.cfg)
+        return (r_fre, min(100.0, r_ray))
+
+    @cached_property
+    def sigma2s(self) -> tuple[float, ...]:
+        """Noise power of each reference-SNR grid point."""
+        return tuple(calibrate_noise(self.cfg, x, self.reference_mode)
+                     for x in self.snr_ref_db_grid)
+
+    @cached_property
+    def codebook(self) -> Codebook:
+        return build_dft_codebook(self.cfg)
+
+    @cached_property
+    def polar(self) -> Codebook:
+        return build_polar_codebook(self.cfg, self.beta_polar)
+
+    @cached_property
+    def z_mu(self) -> np.ndarray:
+        return default_z_mu_grid(self.cfg, self.z_mu_size)
+
+    def draw_user(self, rng: np.random.Generator) -> PolarPoint:
+        """A user uniform in the box: theta first, then r."""
+        t = rng.uniform(*self.theta_range)
+        r = rng.uniform(*self.r_bounds)
+        return PolarPoint(float(t), float(r))
 
     def as_header_dict(self) -> dict:
         from . import __version__
 
-        cfg = self.array()
-        s = self.sampler()
-        r_fre, r_ray = region_boundaries(cfg)
+        r_fre, r_ray = region_boundaries(self.cfg)
         return {
             "artifact_version": __version__,
             "n_antennas": self.n_antennas,
@@ -175,8 +181,8 @@ class ScenarioConfig:
             "snr_ref_db_grid": ",".join(repr(float(x)) for x in self.snr_ref_db_grid),
             "trials": self.trials,
             "seed": self.seed,
-            "theta_range": f"{s.theta_range[0]!r}..{s.theta_range[1]!r}",
-            "r_range": f"{s.r_range[0]!r}..{s.r_range[1]!r}",
+            "theta_range": f"{self.theta_range[0]!r}..{self.theta_range[1]!r}",
+            "r_range": f"{self.r_bounds[0]!r}..{self.r_bounds[1]!r}",
             "m_users": self.m_users,
             "schemes": ",".join(self.schemes),
             "reference_mode": self.reference_mode,
@@ -208,31 +214,6 @@ def user_rng_key(seed: int, trial: int) -> tuple:
 
 def noise_key(seed: int, trial: int, user: int | None = None) -> tuple:
     return (seed, 1, trial) if user is None else (seed, 1, trial, user)
-
-
-class Trainer:
-    """One scenario's array and estimator settings, with its codebooks
-    built on first use; `train` dispatches through TRAININGS."""
-
-    def __init__(self, sc: ScenarioConfig):
-        self.sc = sc
-        self.cfg = sc.array()
-        self.ec = sc.estimator()
-
-    @cached_property
-    def codebook(self):
-        return build_dft_codebook(self.cfg)
-
-    @cached_property
-    def polar(self):
-        return build_polar_codebook(self.cfg, self.sc.beta_polar)
-
-    @cached_property
-    def z_mu(self):
-        return default_z_mu_grid(self.cfg, self.sc.z_mu_size)
-
-    def train(self, scheme: str, p: PolarPoint, noise: NoiseModel) -> LocationEstimate:
-        return TRAININGS[scheme](self, p, noise)
 
 
 @dataclass(frozen=True, slots=True)
@@ -274,22 +255,19 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
     if mode == "multi" and sc.m_users > sc.n_antennas:
         raise ValueError(f"m_users = {sc.m_users} exceeds n_antennas = {sc.n_antennas}")
-    trainer = Trainer(sc)
-    cfg = trainer.cfg
-    sampler = sc.sampler()
-    sigma2s = [calibrate_noise(cfg, snr_db, sc.reference_mode) for snr_db in sc.snr_ref_db_grid]
+    cfg = sc.cfg
     n_users = sc.m_users if mode == "multi" else 1
     for t in range(sc.trials):
         rng = np.random.default_rng(user_rng_key(sc.seed, t))
-        users = tuple(sampler.sample(rng) for _ in range(n_users))
+        users = tuple(sc.draw_user(rng) for _ in range(n_users))
         keys = ([noise_key(sc.seed, t, u) for u in range(n_users)] if mode == "multi"
                 else [noise_key(sc.seed, t)])
-        noises = [NoiseModel(sigma2s[0], key) for key in keys]
+        noises = [NoiseModel(sc.sigma2s[0], key) for key in keys]
         if mode == "single":
             h = los_channel(cfg, users[0])
             matched = h / np.linalg.norm(h)
         exact = tuple((p.theta, p.r, 0) for p in users)
-        for i, sigma2 in enumerate(sigma2s):
+        for i, sigma2 in enumerate(sc.sigma2s):
             if mode == "single":
                 rates = (single_user_rate(cfg, users[0], matched, sigma2),)
                 yield TrialRow(t, i, FULL_CSI, users, exact, rates)
@@ -302,7 +280,7 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                     yield TrialRow(t, i, FULL_CSI, users, exact, rates)
             for scheme in sc.schemes:
                 try:
-                    ests = [trainer.train(scheme, p, noise.replay(sigma2))
+                    ests = [TRAININGS[scheme](sc, p, noise.replay(sigma2))
                             for p, noise in zip(users, noises)]
                     rates = None
                     if mode == "single":
@@ -341,18 +319,18 @@ def run_nmse_experiment(sc: ScenarioConfig,
     """Angle and distance NMSE per (scheme, reference SNR), reduced from
     `rows` (default: a fresh `simulate(sc, "nmse")`).
 
-    The NMSE denominators are the closed-form variances of the uniform
-    samplers, not empirical ones, so the normalization is deterministic.
+    The NMSE denominators are the closed-form variances (hi - lo)^2/12 of
+    the uniform draws over the user box, not empirical ones, so the normalization is deterministic.
     Outage trials (empty main set) are excluded from the error sums and
     counted separately.
     """
-    sampler = sc.sampler()
+    (t_lo, t_hi), (r_lo, r_hi) = sc.theta_range, sc.r_bounds
 
     def fill(rec, ok):
         se_t = float(np.sum([(r.users[0].theta - r.estimates[0][0]) ** 2 for r in ok]))
         se_r = float(np.sum([(r.users[0].r - r.estimates[0][1]) ** 2 for r in ok]))
-        rec.nmse_theta = se_t / len(ok) / sampler.theta_variance
-        rec.nmse_r = se_r / len(ok) / sampler.r_variance
+        rec.nmse_theta = se_t / len(ok) / ((t_hi - t_lo) ** 2 / 12.0)
+        rec.nmse_r = se_r / len(ok) / ((r_hi - r_lo) ** 2 / 12.0)
 
     return _records(sc, simulate(sc, "nmse") if rows is None else rows, fill)
 
@@ -423,20 +401,19 @@ def overhead_report(sc: ScenarioConfig) -> list[OverheadRow]:
     wide plateau, so every scheme reaches its full candidate budget and
     the Table-style formulas are exercised exactly.
     """
-    trainer = Trainer(sc)
-    n = trainer.cfg.n_antennas
-    _, r_ray = region_boundaries(trainer.cfg)
-    probe = PolarPoint(float(trainer.codebook.angle_grid[n // 2]), 0.03 * r_ray)
+    n = sc.n_antennas
+    _, r_ray = region_boundaries(sc.cfg)
+    probe = PolarPoint(float(sc.codebook.angle_grid[n // 2]), 0.03 * r_ray)
     rows = []
     for scheme in sc.schemes:
-        est = trainer.train(scheme, probe, NoiseModel(0.0, (sc.seed,)))
+        est = TRAININGS[scheme](sc, probe, NoiseModel(0.0, (sc.seed,)))
         if scheme in ("proposed", "joint"):
             formula, expected = "N+k", n + sc.k
         elif scheme == "fast":
             # distance pilots actually swept
             formula, expected = "N+k*S_cand", n + est.distance_stage_evals
         else:
-            formula, expected = "N*S", len(trainer.polar)
+            formula, expected = "N*S", len(sc.polar)
         rows.append(OverheadRow(scheme, est.pilot_count, formula, expected,
                                 est.distance_stage_evals))
     return rows

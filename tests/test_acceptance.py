@@ -36,7 +36,6 @@ from nfbeam.simharness import (
     PER_ANTENNA,
     TOTAL_ENERGY,
     ScenarioConfig,
-    UserSampler,
     overhead_report,
     run_nmse_experiment,
     run_rate_experiment,
@@ -138,7 +137,7 @@ def test_criterion_04_noiseless_end_to_end():
     # a single bin and the estimator returns its Rayleigh fallback). The
     # distance fraction over the whole box is printed.
     t0 = time.time()
-    sampler = UserSampler(theta_range=(-0.8, 0.8), r_range=(R_FRE, 100.0))
+    sc = ScenarioConfig(n_antennas=512, theta_range=(-0.8, 0.8), r_range=(R_FRE, 100.0))
     book = build_dft_codebook(CFG512)
     ec = EstimatorConfig()
     rng = np.random.default_rng(0)
@@ -148,7 +147,7 @@ def test_criterion_04_noiseless_end_to_end():
     n_in = 0
     in_hits = 0
     for _ in range(n_users):
-        p = sampler.sample(rng)
+        p = sc.draw_user(rng)
         est = proposed_training(CFG512, p, NoiseModel(0.0, 0), ec, book)
         angle_hits += abs(est.theta_hat - p.theta) <= 4 / 512
         dist_hit = abs(est.r_hat - p.r) / p.r <= 0.15

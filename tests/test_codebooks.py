@@ -200,7 +200,7 @@ class TestSharedArrays:
         with pytest.raises(ValueError, match="read-only"):
             s[0] = 0.0
 
-    def test_arrays_that_can_change_are_not_memoized(self, kind, cfg64):
+    def test_arrays_that_change_get_the_product_of_their_new_values(self, kind, cfg64):
         # a writable h, and a read-only view of a writable base, can change
         # after a sweep; the next sweep must see their current values
         book = _books(cfg64)[kind]
@@ -212,7 +212,18 @@ class TestSharedArrays:
             book.noiseless_sweep(x)
             written[:] = 2.0
             assert book.noiseless_sweep(x).tobytes() == (x.conj() @ book.matrix).tobytes()
-        assert len(book._sweeps) == 0
+
+    def test_read_only_array_written_between_sweeps_is_swept_again(self, kind, cfg64):
+        # an owning array made writable, written and made read-only again
+        # keeps its id; the memo must not hand back its old product
+        book = _books(cfg64)[kind]
+        h = np.ones(64, dtype=complex)
+        h.flags.writeable = False
+        book.noiseless_sweep(h)
+        h.flags.writeable = True
+        h[:] = 2.0
+        h.flags.writeable = False
+        assert book.noiseless_sweep(h).tobytes() == (h.conj() @ book.matrix).tobytes()
 
     def test_memo_is_bounded(self, kind, cfg64):
         book = _books(cfg64)[kind]

@@ -6,10 +6,14 @@ import pytest
 import nfbeam.simharness
 from nfbeam import (
     ArrayConfig,
+    EstimatorConfig,
     NoiseModel,
     PolarPoint,
+    build_dft_codebook,
+    build_polar_codebook,
     calibrate_noise,
     channel_gain,
+    default_z_mu_grid,
     exhaustive_training,
     fast_training,
     joint_training,
@@ -28,9 +32,7 @@ from nfbeam.simharness import (
     SCHEMES,
     TOTAL_ENERGY,
     ScenarioConfig,
-    Trainer,
     TrialRow,
-    UserSampler,
     noise_key,
     overhead_report,
     run_nmse_experiment,
@@ -71,30 +73,36 @@ class TestCalibrateNoise:
 
 
 class TestUserSampler:
-    def test_degenerate_range(self):
-        s = UserSampler(theta_range=(0.3, 0.3), r_range=(5.0, 5.0))
-        p = s.sample(np.random.default_rng(0))
-        assert p.theta == 0.3 and p.r == 5.0
-
     def test_bounds_respected(self):
-        s = UserSampler(theta_range=(-0.8, 0.8), r_range=(6.14, 100.0))
+        sc = ScenarioConfig(n_antennas=512, theta_range=(-0.8, 0.8), r_range=(6.14, 100.0))
         rng = np.random.default_rng(1)
         for _ in range(2000):
-            p = s.sample(rng)
+            p = sc.draw_user(rng)
             assert -0.8 <= p.theta <= 0.8
             assert 6.14 <= p.r <= 100.0
 
     def test_mean_near_midpoint(self):
-        s = UserSampler(theta_range=(-0.8, 0.8), r_range=(6.14, 100.0))
+        sc = ScenarioConfig(n_antennas=512, theta_range=(-0.8, 0.8), r_range=(6.14, 100.0))
         rng = np.random.default_rng(2)
-        thetas = [s.sample(rng).theta for _ in range(100_000)]
+        thetas = [sc.draw_user(rng).theta for _ in range(100_000)]
         # 3 sigma of the sample mean of U(-0.8, 0.8)
         assert abs(np.mean(thetas)) <= 3 * 0.8 / math.sqrt(3 * 100_000)
 
     def test_closed_form_variances(self):
-        s = UserSampler(theta_range=(-0.8, 0.8), r_range=(6.0, 100.0))
-        assert s.theta_variance == pytest.approx(1.6**2 / 12)
-        assert s.r_variance == pytest.approx(94.0**2 / 12)
+        # the NMSE denominators are the variances (hi - lo)^2 / 12 of the
+        # uniform draws, with the default r range resolved by hand
+        sc = small_scenario(trials=6, snr_ref_db_grid=(-5.0, 20.0))
+        r_fre, r_ray = region_boundaries(ArrayConfig(64, 100e9))
+        var_t = (0.6 - -0.6) ** 2 / 12
+        var_r = (min(100.0, r_ray) - r_fre) ** 2 / 12
+        rows = list(simulate(sc, "nmse"))
+        for rec in run_nmse_experiment(sc, rows):
+            ok = [r for r in rows if sc.snr_ref_db_grid[r.snr_index] == rec.snr_ref_db
+                  and r.scheme == rec.scheme and r.estimates is not None]
+            mse_t = np.mean([(r.users[0].theta - r.estimates[0][0]) ** 2 for r in ok])
+            mse_r = np.mean([(r.users[0].r - r.estimates[0][1]) ** 2 for r in ok])
+            assert rec.nmse_theta == pytest.approx(mse_t / var_t, rel=1e-12)
+            assert rec.nmse_r == pytest.approx(mse_r / var_r, rel=1e-12)
 
     def test_scenario_rejects_range_outside_near_field(self):
         with pytest.raises(ValueError, match="r range"):
@@ -188,7 +196,8 @@ class TestNmseExperiment:
                             schemes=("proposed",))
         rec = run_nmse_experiment(sc)[0]
         # angle error bounded by grid quantization: NMSE <= (4/N)^2 / var
-        var_t = sc.sampler().theta_variance
+        lo, hi = sc.theta_range
+        var_t = (hi - lo) ** 2 / 12
         assert rec.nmse_theta <= (4 / 64) ** 2 / var_t
 
     def test_deterministic_across_runs(self, tmp_path):
@@ -260,20 +269,30 @@ class TestSimulate:
 def reference_rows(sc, mode):
     """`simulate` written out plainly: each (trial, SNR point, scheme)
     training calls the public training function on a fresh
-    NoiseModel(sigma2, noise_key(...)), and every rate is computed anew."""
-    tr = Trainer(sc)
-    cfg = tr.cfg
+    NoiseModel(sigma2, noise_key(...)), and every rate is computed anew.
+    The codebooks and the user draws are built here, not taken from `sc`."""
+    cfg = ArrayConfig(sc.n_antennas, sc.carrier_hz)
+    ec = EstimatorConfig(k=sc.k, cluster_gap=sc.cluster_gap, rho2_fraction=sc.rho2_fraction)
+    book = build_dft_codebook(cfg)
+    polar = build_polar_codebook(cfg, sc.beta_polar)
+    z_mu = default_z_mu_grid(cfg, sc.z_mu_size)
     trainings = {
-        "proposed": lambda p, noise: proposed_training(cfg, p, noise, tr.ec, tr.codebook),
-        "joint": lambda p, noise: joint_training(cfg, p, noise, tr.ec, tr.z_mu, tr.codebook),
-        "fast": lambda p, noise: fast_training(cfg, p, noise, tr.ec, tr.polar, tr.codebook),
-        "exhaustive": lambda p, noise: exhaustive_training(cfg, p, noise, tr.polar),
+        "proposed": lambda p, noise: proposed_training(cfg, p, noise, ec, book),
+        "joint": lambda p, noise: joint_training(cfg, p, noise, ec, z_mu, book),
+        "fast": lambda p, noise: fast_training(cfg, p, noise, ec, polar, book),
+        "exhaustive": lambda p, noise: exhaustive_training(cfg, p, noise, polar),
     }
-    sampler = sc.sampler()
+    r_fre, r_ray = region_boundaries(cfg)
+    r_range = sc.r_range if sc.r_range is not None else (r_fre, min(100.0, r_ray))
+
+    def draw(rng):
+        theta = float(rng.uniform(*sc.theta_range))
+        return PolarPoint(theta, float(rng.uniform(*r_range)))
+
     n_users = sc.m_users if mode == "multi" else 1
     for t in range(sc.trials):
         rng = np.random.default_rng(user_rng_key(sc.seed, t))
-        users = tuple(sampler.sample(rng) for _ in range(n_users))
+        users = tuple(draw(rng) for _ in range(n_users))
         exact = tuple((p.theta, p.r, 0) for p in users)
         for i, snr_db in enumerate(sc.snr_ref_db_grid):
             sigma2 = calibrate_noise(cfg, snr_db, sc.reference_mode)
