@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, PolarPoint, near_field_steering
-from .codebooks import Codebook, _far_field_columns, dft_angle_grid
+from .channel import ArrayConfig, PolarPoint, _geometry, near_field_steering
+from .codebooks import Codebook, _far_field_columns, _noiseless_product, dft_angle_grid
 from .errors import DomainError, EmptyMainSetError
 from .numerics import erf_complex
 
@@ -61,9 +61,10 @@ def exact_gain(cfg: ArrayConfig, p: PolarPoint, phi: float) -> float:
 
 
 def exact_gain_grid(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> np.ndarray:
-    """Exact gains against every codeword of the sweep codebook."""
-    b = near_field_steering(cfg, p)
-    return np.abs(b.conj() @ codebook.matrix)
+    """Exact gains against every codeword of the sweep codebook: the
+    codebook's noiseless product with the steering vector, an FFT for
+    the DFT codebook."""
+    return np.abs(_noiseless_product(near_field_steering(cfg, p), codebook))
 
 
 def taylor_f(cfg: ArrayConfig, p: PolarPoint, phi: float) -> complex:
@@ -72,7 +73,7 @@ def taylor_f(cfg: ArrayConfig, p: PolarPoint, phi: float) -> complex:
     (1/N) sum_n exp(j pi [-delta_n (theta - phi)
                           + delta_n^2 d (1 - theta^2) / (2 r)])
     """
-    delta = cfg.element_offsets()
+    delta = _geometry(cfg)[0][:, 0]
     phase = np.pi * (
         -delta * (p.theta - phi)
         + delta**2 * cfg.spacing * (1.0 - p.theta**2) / (2.0 * p.r)

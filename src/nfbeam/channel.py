@@ -116,7 +116,7 @@ def steering_columns(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) ->
     codebook column has the bits of the memoized vector.
     """
     rn = _distances(cfg, thetas, radii)
-    return np.exp(-2j * np.pi * (rn - radii) / cfg.wavelength) / math.sqrt(cfg.n_antennas)
+    return np.exp(-2j * np.pi * (rn - radii) / cfg.wavelength) * (1 / math.sqrt(cfg.n_antennas))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -12,6 +12,17 @@ read-only, and it memoizes its noiseless sweeps h^H M per channel value,
 so the trainings of one user share one product per codebook: the fast
 baseline reads its per-angle polar entries out of that product too.
 
+The DFT sweep is one inverse FFT. With c = (N-1)/2, delta_n = n - c and
+phi_i = 2 (i - c)/N, so pi delta_n phi_i = (2 pi/N)(n - c)(i - c) and
+
+    h^H M = C d * ifft(conj(h) * d)      (orthonormal ifft, entrywise *)
+
+with d_k = exp(-j pi m_k/N), m_k = ((N-1) k) mod 2N, and
+C = exp(j pi ((N-1)^2 mod 4N)/(2N)). The phases are reduced in integers,
+so the twiddles are accurate to an ulp at any N, odd or not a power of 2.
+The DFT codebook therefore builds its matrix only when `matrix` is read;
+the polar codebook builds its matrix eagerly and sweeps by one GEMV.
+
 Mirror rule: the builder evaluates only the angle indices >= N//2
 (for odd N this includes theta = 0) and fills the codewords of angle
 index N-1-i with those of index i, rows reversed. This is exact, bit for
@@ -28,7 +39,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,9 +62,17 @@ def dft_angle_grid(n: int) -> np.ndarray:
     return (2 * np.arange(n) - n + 1) / n
 
 
-def _noiseless_product(h: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """h^H M as a read-only array: what the sweep memo computes on a miss."""
-    return _read_only(h.conj() @ matrix)
+def _noiseless_product(h: np.ndarray, book: Codebook) -> np.ndarray:
+    """h^H M as a read-only array: what the sweep memo computes on a miss.
+    A book with rings is one GEMV with its matrix; the DFT codebook is
+    one inverse FFT (module docstring), and its matrix is not read."""
+    if len(book) > book.cfg.n_antennas:
+        return _read_only(h.conj() @ book.matrix)
+    n = h.size
+    d = np.exp((-1j * math.pi / n) * (((n - 1) * np.arange(n)) % (2 * n)))
+    arg_c = math.pi * (((n - 1) ** 2) % (4 * n)) / (2 * n)
+    return _read_only(complex(math.cos(arg_c), math.sin(arg_c)) * d
+                      * np.fft.ifft(h.conj() * d, norm="ortho"))
 
 
 @dataclass(frozen=True)
@@ -65,17 +84,29 @@ class Codebook:
     angle_grid: np.ndarray    # dft_angle_grid(N)
     thetas: np.ndarray        # label angle per entry
     radii: np.ndarray         # label distance per entry (inf for far field)
-    matrix: np.ndarray        # N x (total entries)
     angle_start: np.ndarray   # index of the first entry of each grid angle
     angle_count: np.ndarray   # entries per grid angle (incl. far field)
+    _matrix: np.ndarray | None = field(default=None, repr=False)  # None: built on first read
 
     def __post_init__(self) -> None:
-        for name in ("angle_grid", "thetas", "radii", "matrix", "angle_start", "angle_count"):
+        for name in ("angle_grid", "thetas", "radii", "angle_start", "angle_count"):
             _read_only(getattr(self, name))
+        if self._matrix is not None:
+            _read_only(self._matrix)
         object.__setattr__(self, "_sweeps", OrderedDict())
 
+    @property
+    def matrix(self) -> np.ndarray:
+        """N x len(self) codewords, read-only. A book built without its
+        matrix (the DFT codebook) evaluates its far-field columns on the
+        first read and keeps them."""
+        if self._matrix is None:
+            object.__setattr__(self, "_matrix",
+                               _read_only(_far_field_columns(self.cfg, self.angle_grid)))
+        return self._matrix
+
     def __len__(self) -> int:
-        return self.matrix.shape[1]
+        return self.thetas.size
 
     def noiseless_sweep(self, h: np.ndarray) -> np.ndarray:
         """h^H M, read-only, computed once per channel.
@@ -89,7 +120,7 @@ class Codebook:
         if s is not None:
             self._sweeps.move_to_end(key)
             return s
-        s = _noiseless_product(h, self.matrix)
+        s = _noiseless_product(h, self)
         self._sweeps[key] = s
         if len(self._sweeps) > _MEMO_SIZE:
             self._sweeps.popitem(last=False)
@@ -113,17 +144,19 @@ def _far_field_columns(cfg: ArrayConfig, angles: np.ndarray) -> np.ndarray:
     """N x K matrix whose column k is the DFT codeword at angles[k]:
     the one far-field formula."""
     phase = np.outer(cfg.element_offsets(), angles)
-    return np.exp(1j * np.pi * phase) / math.sqrt(cfg.n_antennas)
+    return np.exp(1j * np.pi * phase) * (1 / math.sqrt(cfg.n_antennas))
 
 
 def _build(cfg: ArrayConfig, rings: list[list[float]]) -> Codebook:
     """Codebook on `dft_angle_grid(N)` whose angle i holds the far-field
     codeword, then one codeword per radius of rings[i].
 
-    The labels come first; the matrix is then filled in place. For the
-    angle indices >= N//2, the far-field columns are one block and the
-    rings blocks of `steering_columns`; every entry of angle index
-    i < N//2 is the same entry of angle N-1-i upside down (the mirror rule).
+    The labels come first. Without rings the book is returned without its
+    matrix, which `Codebook.matrix` builds on first read. Otherwise the
+    matrix is filled in place: for the angle indices >= N//2, the
+    far-field columns are one block and the rings blocks of
+    `steering_columns`; every entry of angle index i < N//2 is the same
+    entry of angle N-1-i upside down (the mirror rule).
     """
     n = cfg.n_antennas
     half = n // 2
@@ -132,6 +165,10 @@ def _build(cfg: ArrayConfig, rings: list[list[float]]) -> Codebook:
     start = np.cumsum(count) - count
     thetas = np.repeat(grid, count)
     radii = np.array([x for r in rings for x in (FAR_FIELD, *r)])
+    labels = dict(cfg=cfg, angle_grid=grid, thetas=thetas, radii=radii, angle_start=start,
+                  angle_count=count)
+    if thetas.size == n:
+        return Codebook(**labels)
     upper = start[half]  # first entry of the evaluated angles
     matrix = np.empty((n, thetas.size), dtype=complex)
     # numpy scatters columns 4-5x faster through a row index than through `:`
@@ -147,13 +184,13 @@ def _build(cfg: ArrayConfig, rings: list[list[float]]) -> Codebook:
     for lo in range(0, upper, _RING_BLOCK):
         block = sources[lo:lo + _RING_BLOCK]
         matrix[:, lo:lo + block.size] = matrix[::-1, block]
-    return Codebook(cfg=cfg, angle_grid=grid, thetas=thetas, radii=radii, matrix=matrix,
-                    angle_start=start, angle_count=count)
+    return Codebook(**labels, _matrix=matrix)
 
 
 def build_dft_codebook(cfg: ArrayConfig) -> Codebook:
     """DFT codebook: column n is exp(j pi delta phi_n) / sqrt(N), the
-    far-field codeword at grid angle phi_n, and there are no rings."""
+    far-field codeword at grid angle phi_n, and there are no rings. Its
+    sweeps are FFTs; its matrix is built when `matrix` is first read."""
     return _build(cfg, [[] for _ in range(cfg.n_antennas)])
 
 

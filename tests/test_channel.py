@@ -13,9 +13,10 @@ from nfbeam import (
     near_field_steering,
     region_boundaries,
 )
-from nfbeam.channel import _geometry
-from oracles import (element_distance_by_coordinates, same_bits, steering_by_distances,
-                     steering_by_formula)
+from nfbeam.channel import _distances, _geometry, steering_columns
+from nfbeam.codebooks import _far_field_columns, dft_angle_grid
+from oracles import (dft_matrix_by_formula, element_distance_by_coordinates, same_bits,
+                     steering_by_distances, steering_by_formula)
 
 
 def test_array_config_validation():
@@ -192,6 +193,18 @@ def test_cached_geometry_is_read_only_and_shared(cfg64):
             a[0] = 0.0
     assert same_bits(delta[:, 0], cfg64.element_offsets())
     assert same_bits(delta2_d2, cfg64.element_offsets()[:, None] ** 2 * cfg64.spacing ** 2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 100, 255, 256, 512, 1024])
+def test_scaling_by_the_reciprocal_root_keeps_the_bits_of_the_division(n):
+    # the steering and far-field formulas multiply by 1/sqrt(N); numpy
+    # divides a complex array by a real scalar as that same product
+    cfg = ArrayConfig(n, 100e9)
+    rng = np.random.default_rng(n)
+    thetas, radii = rng.uniform(-1.0, 1.0, 50), rng.uniform(0.01, 500.0, 50)
+    phase = -2j * np.pi * (_distances(cfg, thetas, radii) - radii) / cfg.wavelength
+    assert same_bits(steering_columns(cfg, thetas, radii), np.exp(phase) / math.sqrt(n))
+    assert same_bits(_far_field_columns(cfg, dft_angle_grid(n)), dft_matrix_by_formula(cfg))
 
 
 class TestRegions:

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nfbeam
 import nfbeam.simharness
 from nfbeam import ArrayConfig, build_polar_codebook
 from nfbeam.cli import EXIT_CONFIG, EXIT_OK, load_config_file, main
@@ -149,6 +154,22 @@ class TestExperiments:
         # rate column consistent with the SINR column
         snr_db, user, theta, r, th, rh, sinr, rate = map(float, lines[1].split(","))
         assert rate == pytest.approx(np.log2(1 + sinr), rel=1e-9)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        src = str(Path(nfbeam.__file__).resolve().parents[1])
+        runs = [["nmse", "--N", "64", "--trials", "3", "--dump-estimates"],
+                ["rate-multi", "--N", "64", "--M", "4", "--trials", "1"]]
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / threads
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            for argv in runs:
+                subprocess.run([sys.executable, "-m", "nfbeam.cli", *argv, "--out", str(out)],
+                               env=env, check=True, capture_output=True)
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
 
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a"

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import nfbeam.beampattern
 import nfbeam.codebooks
 from nfbeam import (
     ArrayConfig,
@@ -13,6 +14,7 @@ from nfbeam import (
     build_polar_codebook,
     dft_angle_grid,
     los_channel,
+    normalized_pattern,
     region_boundaries,
 )
 from nfbeam.channel import _MEMO_SIZE
@@ -55,6 +57,59 @@ class TestDftCodebook:
     def test_equals_direct_formula_to_the_bit(self, n):
         cfg = ArrayConfig(n, 100e9)
         assert same_bits(build_dft_codebook(cfg).matrix, dft_matrix_by_formula(cfg))
+
+    @pytest.mark.parametrize("n", [2, 3, 16, 64])
+    def test_fft_sweep_matches_an_exact_sum(self, n):
+        # sum_n conj(h_n) exp(j pi delta_n phi_i) / sqrt(N) in 40 digits,
+        # with delta_n phi_i = (2n - N + 1)(2i - N + 1) / (2N) exactly
+        mpmath = pytest.importorskip("mpmath")
+        cfg = ArrayConfig(n, 100e9)
+        book = build_dft_codebook(cfg)
+        rng = np.random.default_rng(n)
+        for h in (los_channel(cfg, PolarPoint(0.37, 0.2)),
+                  rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            s = nfbeam.codebooks._noiseless_product(h, book)
+            with mpmath.workdps(40):
+                exact = [complex(mpmath.fsum(
+                    mpmath.conj(mpmath.mpc(complex(x)))
+                    * mpmath.expjpi(mpmath.mpf((2 * k - n + 1) * (2 * i - n + 1)) / (2 * n))
+                    for k, x in enumerate(h)) / mpmath.sqrt(n)) for i in range(n)]
+            assert np.max(np.abs(s - exact)) <= 1e-13 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("n", [100, 255, 256, 1024])
+    def test_fft_sweep_matches_the_matrix_product(self, n):
+        cfg = ArrayConfig(n, 100e9)
+        book = build_dft_codebook(cfg)
+        _, r_ray = region_boundaries(cfg)
+        for theta, r in ((-0.61, 0.02 * r_ray), (0.0, 0.1 * r_ray), (0.93, 3 * r_ray)):
+            h = los_channel(cfg, PolarPoint(theta, r))
+            s = nfbeam.codebooks._noiseless_product(h, book)
+            gemv = h.conj() @ dft_matrix_by_formula(cfg)
+            assert np.max(np.abs(s - gemv)) <= 1e-13 * np.max(np.abs(s))
+
+    def test_a_sweep_only_run_builds_no_dft_matrix(self, monkeypatch, cfg64):
+        # the NMSE loop and the beam pattern sweep the DFT book by FFT;
+        # the first read of `matrix` builds it once and keeps it
+        builds = []
+        real = nfbeam.codebooks._far_field_columns
+
+        def counting(cfg, angles):
+            if angles.size > 1:
+                builds.append(angles.size)
+            return real(cfg, angles)
+
+        monkeypatch.setattr(nfbeam.codebooks, "_far_field_columns", counting)
+        monkeypatch.setattr(nfbeam.beampattern, "_far_field_columns", counting)
+        sc = ScenarioConfig(n_antennas=64, trials=2, schemes=("proposed", "joint"),
+                            snr_ref_db_grid=(10.0, 20.0))
+        assert len(list(simulate(sc, "nmse"))) == 2 * 2 * 2
+        normalized_pattern(cfg64, PolarPoint(0.2, 3.0), build_dft_codebook(cfg64))
+        assert builds == []
+        book = sc.codebook
+        matrix = book.matrix
+        assert builds == [64]
+        assert book.matrix is matrix and not matrix.flags.writeable
+        assert builds == [64]
 
     def test_on_grid_far_user_gain_near_one(self, cfg256):
         _, r_ray = region_boundaries(cfg256)
@@ -183,6 +238,14 @@ def _books(cfg):
     return {"dft": build_dft_codebook(cfg), "polar": build_polar_codebook(cfg)}
 
 
+def _fresh(book, x):
+    """The product a memo hit must equal: the one product function for the
+    FFT-swept DFT book, the plain GEMV for the polar book."""
+    if len(book) == book.cfg.n_antennas:
+        return nfbeam.codebooks._noiseless_product(x, book)
+    return x.conj() @ book.matrix
+
+
 @pytest.mark.parametrize("kind", ["dft", "polar"])
 class TestSharedArrays:
     def test_arrays_are_read_only(self, kind, cfg64):
@@ -196,7 +259,7 @@ class TestSharedArrays:
         h = los_channel(cfg64, PolarPoint(0.21, 3.3))
         s = book.noiseless_sweep(h)
         assert book.noiseless_sweep(h) is s
-        assert s.tobytes() == (h.conj() @ book.matrix).tobytes()
+        assert s.tobytes() == _fresh(book, h).tobytes()
         with pytest.raises(ValueError, match="read-only"):
             s[0] = 0.0
 
@@ -211,7 +274,7 @@ class TestSharedArrays:
         for x, written in ((h, h), (view, base)):
             book.noiseless_sweep(x)
             written[:] = 2.0
-            assert book.noiseless_sweep(x).tobytes() == (x.conj() @ book.matrix).tobytes()
+            assert book.noiseless_sweep(x).tobytes() == _fresh(book, x).tobytes()
 
     def test_read_only_array_written_between_sweeps_is_swept_again(self, kind, cfg64):
         # an owning array made writable, written and made read-only again
@@ -223,14 +286,14 @@ class TestSharedArrays:
         h.flags.writeable = True
         h[:] = 2.0
         h.flags.writeable = False
-        assert book.noiseless_sweep(h).tobytes() == (h.conj() @ book.matrix).tobytes()
+        assert book.noiseless_sweep(h).tobytes() == _fresh(book, h).tobytes()
 
     def test_memo_is_bounded(self, kind, cfg64):
         book = _books(cfg64)[kind]
         rng = np.random.default_rng(5)
         for theta, r in zip(rng.uniform(-0.9, 0.9, 200), rng.uniform(2.0, 30.0, 200)):
             h = los_channel(cfg64, PolarPoint(float(theta), float(r)))
-            assert book.noiseless_sweep(h).tobytes() == (h.conj() @ book.matrix).tobytes()
+            assert book.noiseless_sweep(h).tobytes() == _fresh(book, h).tobytes()
             assert len(book._sweeps) <= _MEMO_SIZE
         assert len(book._sweeps) == _MEMO_SIZE
 
@@ -251,9 +314,9 @@ def test_simulate_computes_each_noiseless_sweep_once(monkeypatch, mode, products
     products = []
     real = nfbeam.codebooks._noiseless_product
 
-    def counting(h, matrix):
-        products.append((id(h), matrix.__array_interface__["data"][0], matrix.shape))
-        return real(h, matrix)
+    def counting(h, book):
+        products.append((id(h), id(book), len(book)))
+        return real(h, book)
 
     monkeypatch.setattr(nfbeam.codebooks, "_noiseless_product", counting)
     schemes = ("proposed", "joint") if mode == "nmse" else ("proposed", "joint", "fast",

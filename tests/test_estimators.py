@@ -414,9 +414,9 @@ def test_fast_and_exhaustive_form_one_polar_product_per_channel(monkeypatch, cfg
     products = []
     real = nfbeam.codebooks._noiseless_product
 
-    def counting(h, matrix):
-        products.append(matrix.shape)
-        return real(h, matrix)
+    def counting(h, book):
+        products.append((h.size, len(book)))
+        return real(h, book)
 
     monkeypatch.setattr(nfbeam.codebooks, "_noiseless_product", counting)
     book, polar = build_dft_codebook(cfg64), build_polar_codebook(cfg64)
