@@ -20,26 +20,43 @@ phi_i = 2 (i - c)/N, so pi delta_n phi_i = (2 pi/N)(n - c)(i - c) and
 with d_k = exp(-j pi m_k/N), m_k = ((N-1) k) mod 2N, and
 C = exp(j pi ((N-1)^2 mod 4N)/(2N)). The phases are reduced in integers,
 so the twiddles are accurate to an ulp at any N, odd or not a power of 2.
-The DFT codebook therefore builds its matrix only when `matrix` is read;
-the polar codebook builds its matrix eagerly and sweeps by one GEMV.
+The builder computes d and C d once per book.
 
-Mirror rule: the builder evaluates only the angle indices >= N//2
-(for odd N this includes theta = 0) and fills the codewords of angle
-index N-1-i with those of index i, rows reversed. This is exact, bit for
-bit: delta_{N-1-n} = -delta_n and phi_{N-1-i} = -phi_i to the bit, and
-negating both factors leaves a float product unchanged, so
-(-delta)(-phi) = delta phi in the far field; the rings of -theta get the
-same radii, since theta^2 is the same float, and the ring distance is
-formed as ((2 r theta) delta) d, whose two sign flips cancel too. The conjugate
-symmetry of the columns is not used: it would turn the +0 imaginary
-part of an odd N's delta = 0 row into -0.
+Mirror rule: the entries of angle index i < N//2 are those of angle
+index N-1-i, rows reversed. This is exact, bit for bit:
+delta_{N-1-n} = -delta_n and phi_{N-1-i} = -phi_i to the bit, and
+negating either factor of a float product negates the product exactly,
+so delta (-phi) = (-delta) phi in the far field; the rings of -theta get
+the same radii, since theta^2 is the same float, and the ring distance is
+formed as ((2 r theta) delta) d, where a sign flip of theta or of delta
+gives the same float. So a codeword evaluated directly at a negative
+angle, as `matrix` and `column` do, has the bits of the mirrored copy.
+The conjugate symmetry of the columns is not used: it would turn the +0
+imaginary part of an odd N's delta = 0 row into -0.
+
+Fold: a book with rings stores no N x K matrix. Its entries of angle
+index >= N//2 (for odd N this includes theta = 0) form the N x K_u block
+M_u, kept folded about the array centre (Cantoni & Butler, Linear Algebra
+Appl. 13, 1976):
+
+    even[n] = M_u[n] + M_u[N-1-n],   odd[n] = M_u[n] - M_u[N-1-n],   n < N//2,
+
+and for odd N the middle row M_u[N//2] is the last row of `even`. Entry
+j < K - K_u mirrors entry sources[j] of M_u. With a = conj(h),
+u_n = (a_n + a_{N-1-n})/2 for n < ceil(N/2), whose middle entry for odd
+N is a's, and v_n = (a_n - a_{N-1-n})/2 for n < N//2,
+
+    x = u even,   y = v odd,   a M_u = x + y,   a M_u upside down = x - y,
+
+so h^H M = concat((x - y)[sources], x + y): two half-size GEMVs that
+read N K_u entries, about half of the N K a GEMV with M reads.
 """
 
 from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,10 +68,9 @@ FAR_FIELD = math.inf
 # Coherence parameter of the polar codebook's rings (`build_polar_codebook`).
 BETA_POLAR = 1.6
 
-# Columns computed per steering call, or copied per mirror step, when
-# building a codebook: bounds the N x block temporaries (2 MiB each at
-# N = 1024).
-_RING_BLOCK = 128
+# Columns evaluated per formula call when building a codebook or its
+# matrix: bounds the N x block temporaries (2 MiB each at N = 1024).
+_COLUMN_BLOCK = 128
 
 
 def dft_angle_grid(n: int) -> np.ndarray:
@@ -64,21 +80,38 @@ def dft_angle_grid(n: int) -> np.ndarray:
 
 def _noiseless_product(h: np.ndarray, book: Codebook) -> np.ndarray:
     """h^H M as a read-only array: what the sweep memo computes on a miss.
-    A book with rings is one GEMV with its matrix; the DFT codebook is
-    one inverse FFT (module docstring), and its matrix is not read."""
-    if len(book) > book.cfg.n_antennas:
-        return _read_only(h.conj() @ book.matrix)
-    n = h.size
-    d = np.exp((-1j * math.pi / n) * (((n - 1) * np.arange(n)) % (2 * n)))
-    arg_c = math.pi * (((n - 1) ** 2) % (4 * n)) / (2 * n)
-    return _read_only(complex(math.cos(arg_c), math.sin(arg_c)) * d
-                      * np.fft.ifft(h.conj() * d, norm="ortho"))
+    The DFT codebook is one inverse FFT with the book's twiddles, a book
+    with rings two half-size GEMVs with its fold (module docstring);
+    neither reads the matrix."""
+    a = h.conj()
+    if book._sources is None:
+        return _read_only(book._cd * np.fft.ifft(a * book._d, norm="ortho"))
+    n = a.size
+    rev = a[::-1]
+    u = (a[:n - n // 2] + rev[:n - n // 2]) / 2
+    v = (a[:n // 2] - rev[:n // 2]) / 2
+    x, y = u @ book._even, v @ book._odd
+    return _read_only(np.concatenate(((x - y)[book._sources], x + y)))
+
+
+def _memoized(memo: OrderedDict, key, compute):
+    """memo[key], from `compute()` on a miss; keeps the `_MEMO_SIZE` most
+    recently used entries."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+        if len(memo) > _MEMO_SIZE:
+            memo.popitem(last=False)
+    else:
+        memo.move_to_end(key)
+    return value
 
 
 @dataclass(frozen=True)
 class Codebook:
     """Per grid angle, a far-field codeword plus distance rings, flattened
-    into parallel arrays for fast sweeps; the DFT codebook has no rings."""
+    into parallel arrays for fast sweeps; the DFT codebook has no rings.
+    It stores what its products need (module docstring), not its matrix."""
 
     cfg: ArrayConfig
     angle_grid: np.ndarray    # dft_angle_grid(N)
@@ -86,23 +119,33 @@ class Codebook:
     radii: np.ndarray         # label distance per entry (inf for far field)
     angle_start: np.ndarray   # index of the first entry of each grid angle
     angle_count: np.ndarray   # entries per grid angle (incl. far field)
-    _matrix: np.ndarray | None = field(default=None, repr=False)  # None: built on first read
+    # without rings: the FFT twiddles d and C d
+    _d: np.ndarray | None = field(default=None, repr=False)
+    _cd: np.ndarray | None = field(default=None, repr=False)
+    # with rings: the fold of M_u and the M_u entry each other entry mirrors
+    _even: np.ndarray | None = field(default=None, repr=False)
+    _odd: np.ndarray | None = field(default=None, repr=False)
+    _sources: np.ndarray | None = field(default=None, repr=False)
+    _matrix: np.ndarray | None = field(default=None, repr=False)  # built on first read
 
     def __post_init__(self) -> None:
-        for name in ("angle_grid", "thetas", "radii", "angle_start", "angle_count"):
-            _read_only(getattr(self, name))
-        if self._matrix is not None:
-            _read_only(self._matrix)
+        for f in fields(self):
+            if isinstance(getattr(self, f.name), np.ndarray):
+                _read_only(getattr(self, f.name))
         object.__setattr__(self, "_sweeps", OrderedDict())
+        object.__setattr__(self, "_codewords", OrderedDict())
 
     @property
     def matrix(self) -> np.ndarray:
-        """N x len(self) codewords, read-only. A book built without its
-        matrix (the DFT codebook) evaluates its far-field columns on the
-        first read and keeps them."""
+        """N x len(self) codewords, read-only, evaluated from the labels on
+        the first read and kept. Sweeps and trainings do not read it."""
         if self._matrix is None:
-            object.__setattr__(self, "_matrix",
-                               _read_only(_far_field_columns(self.cfg, self.angle_grid)))
+            n = self.cfg.n_antennas
+            matrix = np.empty((n, len(self)), dtype=complex)
+            rows = np.arange(n)[:, None]
+            for cols, block in _columns(self.cfg, self.thetas, self.radii):
+                matrix[rows, cols] = block
+            object.__setattr__(self, "_matrix", _read_only(matrix))
         return self._matrix
 
     def __len__(self) -> int:
@@ -115,16 +158,16 @@ class Codebook:
         so an array that changes after a sweep gets the product of its new
         values. Keeps the `_MEMO_SIZE` most recently used sweeps.
         """
-        key = (h.dtype.char, h.shape, h.tobytes())
-        s = self._sweeps.get(key)
-        if s is not None:
-            self._sweeps.move_to_end(key)
-            return s
-        s = _noiseless_product(h, self)
-        self._sweeps[key] = s
-        if len(self._sweeps) > _MEMO_SIZE:
-            self._sweeps.popitem(last=False)
-        return s
+        return _memoized(self._sweeps, (h.dtype.char, h.shape, h.tobytes()),
+                         lambda: _noiseless_product(h, self))
+
+    def column(self, j: int) -> np.ndarray:
+        """Codeword j with the bits of column j of `matrix`, read-only and
+        shared: keeps the `_MEMO_SIZE` most recently used codewords."""
+        def evaluate():
+            ((_, block),) = _columns(self.cfg, self.thetas[j:j + 1], self.radii[j:j + 1])
+            return _read_only(block[:, 0])
+        return _memoized(self._codewords, j, evaluate)
 
     def nearest_index(self, theta: float) -> int:
         return int(np.argmin(np.abs(self.angle_grid - theta)))
@@ -147,16 +190,28 @@ def _far_field_columns(cfg: ArrayConfig, angles: np.ndarray) -> np.ndarray:
     return np.exp(1j * np.pi * phase) * (1 / math.sqrt(cfg.n_antennas))
 
 
+def _columns(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray):
+    """Yield (cols, block) pairs, block[:, c] the codeword of label
+    (thetas[cols[c]], radii[cols[c]]), until every label is covered: the
+    far-field formula where r = inf, `steering_columns` elsewhere, in
+    blocks of at most `_COLUMN_BLOCK` labels."""
+    far = np.isinf(radii)
+    for cols in (np.flatnonzero(far), np.flatnonzero(~far)):
+        for lo in range(0, cols.size, _COLUMN_BLOCK):
+            block = cols[lo:lo + _COLUMN_BLOCK]
+            yield block, (_far_field_columns(cfg, thetas[block]) if far[block[0]]
+                          else steering_columns(cfg, thetas[block], radii[block]))
+
+
 def _build(cfg: ArrayConfig, rings: list[list[float]]) -> Codebook:
     """Codebook on `dft_angle_grid(N)` whose angle i holds the far-field
     codeword, then one codeword per radius of rings[i].
 
-    The labels come first. Without rings the book is returned without its
-    matrix, which `Codebook.matrix` builds on first read. Otherwise the
-    matrix is filled in place: for the angle indices >= N//2, the
-    far-field columns are one block and the rings blocks of
-    `steering_columns`; every entry of angle index i < N//2 is the same
-    entry of angle N-1-i upside down (the mirror rule).
+    The labels come first. Without rings the book keeps its FFT twiddles.
+    Otherwise only the entries of angle index >= N//2 are evaluated, and
+    each block of them is folded into `even` and `odd` as it is computed;
+    every entry of angle index i < N//2 mirrors the same entry of angle
+    N-1-i (the mirror rule).
     """
     n = cfg.n_antennas
     half = n // 2
@@ -168,29 +223,30 @@ def _build(cfg: ArrayConfig, rings: list[list[float]]) -> Codebook:
     labels = dict(cfg=cfg, angle_grid=grid, thetas=thetas, radii=radii, angle_start=start,
                   angle_count=count)
     if thetas.size == n:
-        return Codebook(**labels)
+        d = np.exp((-1j * math.pi / n) * (((n - 1) * np.arange(n)) % (2 * n)))
+        arg_c = math.pi * (((n - 1) ** 2) % (4 * n)) / (2 * n)
+        return Codebook(**labels, _d=d, _cd=complex(math.cos(arg_c), math.sin(arg_c)) * d)
     upper = start[half]  # first entry of the evaluated angles
-    matrix = np.empty((n, thetas.size), dtype=complex)
+    even = np.empty((n - half, thetas.size - upper), dtype=complex)
+    odd = np.empty((half, thetas.size - upper), dtype=complex)
     # numpy scatters columns 4-5x faster through a row index than through `:`
-    rows = np.arange(n)[:, None]
-    matrix[rows, start[half:]] = _far_field_columns(cfg, grid[half:])
-    near = upper + np.flatnonzero(np.isfinite(radii[upper:]))
-    for lo in range(0, near.size, _RING_BLOCK):
-        cols = near[lo:lo + _RING_BLOCK]
-        matrix[rows, cols] = steering_columns(cfg, thetas[cols], radii[cols])
+    rows = np.arange(half)[:, None]
+    for cols, block in _columns(cfg, thetas[upper:], radii[upper:]):
+        top, bottom = block[:half], block[::-1][:half]
+        even[rows, cols] = top + bottom
+        odd[rows, cols] = top - bottom
+        if n % 2:
+            even[half, cols] = block[half]
     # entry j of angle i < N//2 mirrors entry j - start[i] of angle N-1-i
     angle = np.repeat(np.arange(half), count[:half])
-    sources = start[n - 1 - angle] + np.arange(upper) - start[angle]
-    for lo in range(0, upper, _RING_BLOCK):
-        block = sources[lo:lo + _RING_BLOCK]
-        matrix[:, lo:lo + block.size] = matrix[::-1, block]
-    return Codebook(**labels, _matrix=matrix)
+    sources = start[n - 1 - angle] - upper + np.arange(upper) - start[angle]
+    return Codebook(**labels, _even=even, _odd=odd, _sources=sources)
 
 
 def build_dft_codebook(cfg: ArrayConfig) -> Codebook:
     """DFT codebook: column n is exp(j pi delta phi_n) / sqrt(N), the
     far-field codeword at grid angle phi_n, and there are no rings. Its
-    sweeps are FFTs; its matrix is built when `matrix` is first read."""
+    sweeps are FFTs."""
     return _build(cfg, [[] for _ in range(cfg.n_antennas)])
 
 

@@ -204,7 +204,7 @@ def _polar_estimate(polar: Codebook, picks: list[tuple[int, float]],
                   for j, a in picks)
     best = int(np.argmax([a for _, a in picks]))
     t, r, _ = cands[best]
-    return LocationEstimate(theta_hat=t, r_hat=r, w=polar.matrix[:, picks[best][0]].copy(),
+    return LocationEstimate(theta_hat=t, r_hat=r, w=polar.column(picks[best][0]),
                             pilot_count=pilot_count, candidates=cands, distance_stage_evals=evals)
 
 

@@ -7,10 +7,12 @@ The training oracles take the channel and the pilot products from the
 package and redo the selection logic with plain loops: the width
 trainings read the half-gain run from a mask of the whole sweep and form
 one steering vector and one `vdot` per refinement candidate. The polar
-baselines' oracles read every pilot out of the one full product h^H M,
-and the multi-user rate oracle forms one product h_u^H V per user. The
-polar codebook oracle builds one column per entry with the scalar
-steering formula.
+baselines' oracles read every pilot out of the package's one full
+product h^H M, whose accuracy `tests/test_codebooks.py` checks against
+the matrix and an exact sum, and take the data beam from the matrix. The
+multi-user rate oracle forms one product h_u^H V per user. The polar
+codebook oracle builds one column per entry with the scalar steering
+formula.
 """
 
 import math
@@ -18,7 +20,7 @@ import math
 import numpy as np
 
 from nfbeam import los_channel, region_boundaries
-from nfbeam.codebooks import FAR_FIELD, dft_angle_grid, ring_scale
+from nfbeam.codebooks import FAR_FIELD, _noiseless_product, dft_angle_grid, ring_scale
 
 
 def quadrature_f(alpha: float, beta: float, panels: int = 2 ** 16) -> complex:
@@ -165,11 +167,12 @@ def joint_training_by_loops(cfg, p, noise, ec, z_mu_grid, codebook):
 def _first_strongest(h, polar, groups, noise, sweep_pilots):
     """Sweep each group of polar entries in order, one pilot per entry
     drawn from the stream and added to that entry of the full product
-    h^H M. Returns (theta_hat, r_hat, candidates, pilot_count, w): each
-    group's first strongest entry is a candidate (theta, r clipped to
-    R_Ray, |y|), and the first strongest candidate wins."""
+    h^H M, formed by the package's one product function. Returns
+    (theta_hat, r_hat, candidates, pilot_count, w): each group's first
+    strongest entry is a candidate (theta, r clipped to R_Ray, |y|), the
+    first strongest candidate wins, and w is its column of the matrix."""
     _, r_ray = region_boundaries(polar.cfg)
-    product = h.conj() @ polar.matrix
+    product = _noiseless_product(h, polar)
     picks, pilots = [], sweep_pilots
     for cols in groups:
         # numpy's array abs, whose last bit can differ from a scalar abs

@@ -18,6 +18,7 @@ from nfbeam import (
     region_boundaries,
 )
 from nfbeam.channel import _MEMO_SIZE
+from nfbeam.cli import main
 from nfbeam.codebooks import ring_scale
 from nfbeam.errors import EmptyGridError
 from nfbeam.simharness import ScenarioConfig, simulate
@@ -86,6 +87,28 @@ class TestDftCodebook:
             s = nfbeam.codebooks._noiseless_product(h, book)
             gemv = h.conj() @ dft_matrix_by_formula(cfg)
             assert np.max(np.abs(s - gemv)) <= 1e-13 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("n", [2, 3, 64, 255, 256, 1024])
+    def test_stored_twiddles_keep_the_bits_of_the_per_call_expression(self, monkeypatch, n):
+        # the book computes d and C d once; a product calls no exp
+        cfg = ArrayConfig(n, 100e9)
+        book = build_dft_codebook(cfg)
+        rng = np.random.default_rng(n)
+        channels = (los_channel(cfg, PolarPoint(0.37, 0.2)),
+                    rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        expected = []
+        for h in channels:
+            d = np.exp((-1j * math.pi / n) * (((n - 1) * np.arange(n)) % (2 * n)))
+            arg_c = math.pi * (((n - 1) ** 2) % (4 * n)) / (2 * n)
+            expected.append(complex(math.cos(arg_c), math.sin(arg_c)) * d
+                            * np.fft.ifft(h.conj() * d, norm="ortho"))
+
+        def no_exp(*args, **kwargs):
+            raise AssertionError("exp called per product")
+
+        monkeypatch.setattr(np, "exp", no_exp)
+        for h, s in zip(channels, expected):
+            assert same_bits(nfbeam.codebooks._noiseless_product(h, book), s)
 
     def test_a_sweep_only_run_builds_no_dft_matrix(self, monkeypatch, cfg64):
         # the NMSE loop and the beam pattern sweep the DFT book by FFT;
@@ -208,6 +231,81 @@ class TestPolarCodebook:
         assert sum(asked) < np.count_nonzero(np.isfinite(book.radii))
 
 
+    @pytest.mark.parametrize("n", [16, 17, 33, 64, 127, 256, 257, 1024])
+    def test_folded_product_matches_the_matrix_product(self, n):
+        # below N = 14 no ring survives at 100 GHz
+        cfg = ArrayConfig(n, 100e9)
+        book = build_polar_codebook(cfg)
+        for h in _test_channels(cfg):
+            s = nfbeam.codebooks._noiseless_product(h, book)
+            gemv = h.conj() @ book.matrix
+            assert np.max(np.abs(s - gemv)) <= 1e-13 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("n", [16, 17, 33])
+    def test_folded_product_matches_an_exact_sum(self, n):
+        # sum_n conj(h_n) M[n, k] over the codewords' float entries, in 40 digits
+        mpmath = pytest.importorskip("mpmath")
+        cfg = ArrayConfig(n, 100e9)
+        book = build_polar_codebook(cfg)
+        columns = [[mpmath.mpc(complex(x)) for x in book.matrix[:, k]] for k in range(len(book))]
+        for h in _test_channels(cfg):
+            s = nfbeam.codebooks._noiseless_product(h, book)
+            a = [mpmath.conj(mpmath.mpc(complex(x))) for x in h]
+            with mpmath.workdps(40):
+                exact = [complex(mpmath.fsum(x * m for x, m in zip(a, col))) for col in columns]
+            assert np.max(np.abs(s - exact)) <= 1e-13 * np.max(np.abs(s))
+
+    @pytest.mark.parametrize("n", [33, 64, 256])
+    def test_column_has_the_bits_of_the_matrix(self, n):
+        book = build_polar_codebook(ArrayConfig(n, 100e9))
+        columns = [book.column(j) for j in range(len(book))]
+        assert all(same_bits(c, book.matrix[:, j]) for j, c in enumerate(columns))
+        assert book.column(len(book) - 1) is columns[-1]
+        with pytest.raises(ValueError, match="read-only"):
+            columns[0][0] = 0
+
+    @pytest.mark.parametrize("n", [16, 17, 64, 255, 256])
+    def test_stores_half_the_matrix(self, n):
+        # even and odd hold the N x K_u entries of angle index >= N//2, and
+        # no N x K matrix exists until `matrix` is read
+        book = build_polar_codebook(ArrayConfig(n, 100e9))
+        k_u = len(book) - book.angle_start[n // 2]
+        assert book._even.shape == (n - n // 2, k_u)
+        assert book._odd.shape == (n // 2, k_u)
+        assert book._sources.size == len(book) - k_u
+        assert book._matrix is None
+
+    def test_no_training_or_simulation_builds_a_polar_matrix(self, monkeypatch, capsys):
+        books = []
+        real = nfbeam.codebooks._build
+
+        def recording(cfg, rings):
+            books.append(real(cfg, rings))
+            return books[-1]
+
+        monkeypatch.setattr(nfbeam.codebooks, "_build", recording)
+        sc = ScenarioConfig(n_antennas=64, trials=2, m_users=3, snr_ref_db_grid=(10.0, 30.0),
+                            schemes=("proposed", "joint", "fast", "exhaustive"))
+        rows = list(simulate(sc, "multi"))
+        assert {r.scheme for r in rows} >= {"fast", "exhaustive"}
+        assert main(["train", "--N", "64", "--theta", "0.2", "--r", "4.0",
+                     "--scheme", "exhaustive"]) == 0
+        assert "theta_hat" in capsys.readouterr().out
+        polar = [b for b in books if len(b) > b.cfg.n_antennas]
+        assert len(polar) == 2
+        assert all(b._matrix is None for b in books)
+
+
+def _test_channels(cfg):
+    """A near-field user, a user beyond R_Ray and a random complex vector."""
+    _, r_ray = region_boundaries(cfg)
+    rng = np.random.default_rng(cfg.n_antennas)
+    n = cfg.n_antennas
+    return (los_channel(cfg, PolarPoint(-0.31, 0.1 * r_ray)),
+            los_channel(cfg, PolarPoint(0.62, 2 * r_ray)),
+            rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
 class TestSharedGrid:
     """Both codebooks are one type on one angle grid."""
 
@@ -239,11 +337,9 @@ def _books(cfg):
 
 
 def _fresh(book, x):
-    """The product a memo hit must equal: the one product function for the
-    FFT-swept DFT book, the plain GEMV for the polar book."""
-    if len(book) == book.cfg.n_antennas:
-        return nfbeam.codebooks._noiseless_product(x, book)
-    return x.conj() @ book.matrix
+    """The product a memo hit must equal: a fresh call of the one product
+    function, the FFT for the DFT book and the fold for the polar book."""
+    return nfbeam.codebooks._noiseless_product(x, book)
 
 
 @pytest.mark.parametrize("kind", ["dft", "polar"])

@@ -353,6 +353,7 @@ def test_polar_pick_keeps_first_of_equal_maxima(cfg256, polar256):
     est = _polar_estimate(polar256, [(5, 1.0), (9, 2.0), (40, 2.0)], 300, 44)
     assert (est.theta_hat, est.r_hat) == (polar256.thetas[9], min(polar256.radii[9], r_ray))
     assert np.array_equal(est.w, polar256.matrix[:, 9])
+    assert est.w is polar256.column(9) and not est.w.flags.writeable
     assert (est.pilot_count, est.distance_stage_evals, len(est.candidates)) == (300, 44, 3)
 
 

@@ -2,9 +2,13 @@
 trainings against plain-loop oracles, of the pilot budgets and range
 bounds of the four trainings, of the closed-form sweep response against
 its quadratic-phase sum, of erf's symmetries, and of the mirror identity
-the codebook builder relies on."""
+the codebook builder relies on; and that a failing property fails its
+test, not the session."""
 
+import subprocess
+import sys
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,3 +231,23 @@ def test_mirrored_angle_gives_the_codeword_upside_down_to_the_bit(n, theta, data
     assert same_bits(grid[n - 1 - i], -grid[i])
     assert same_bits(_far_field_columns(cfg, grid[[n - 1 - i]]),
                      _far_field_columns(cfg, grid[[i]])[::-1])
+
+
+def test_a_failing_property_fails_its_test_not_the_session(tmp_path):
+    # hypothesis's failure report imports libcst, which raises a
+    # DeprecationWarning that the repo's warning filters must not turn
+    # into an INTERNALERROR that aborts the session
+    (tmp_path / "test_failing_property.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 5\n")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "-c", str(config), "--rootdir", str(tmp_path),
+                           "test_failing_property.py"],
+                          cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "1 failed" in proc.stdout
+    assert "INTERNALERROR" not in out
