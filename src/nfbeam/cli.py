@@ -23,7 +23,7 @@ from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
-from .beampattern import exact_gain, exact_gain_grid, normalized_pattern
+from .beampattern import exact_gain, exact_gain_grid
 from .channel import PolarPoint
 from .codebooks import BETA_POLAR, ring_scale
 from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
@@ -196,12 +196,13 @@ def _cmd_pattern(args) -> int:
     p = PolarPoint(args.theta, args.r)
     book = sc.codebook
     raw = exact_gain_grid(cfg, p, book)
-    norm = normalized_pattern(cfg, p, book)
+    central = exact_gain(cfg, p, p.theta)
+    norm = raw / central  # normalized_pattern's expression
     grid = book.angle_grid
     out = _out_dir(args) / f"pattern_N{cfg.n_antennas}_theta{args.theta}_r{args.r}.csv"
     header = sc.as_header_dict()
     header.update({"theta": repr(args.theta), "r": repr(args.r),
-                   "central_gain": repr(exact_gain(cfg, p, p.theta))})
+                   "central_gain": repr(central)})
     write_csv(out, ("phi", "gain_raw", "gain_normalized"),
               zip(grid, raw, norm), header)
     print(f"wrote {out}")

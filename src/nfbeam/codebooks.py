@@ -30,7 +30,8 @@ so delta (-phi) = (-delta) phi in the far field; the rings of -theta get
 the same radii, since theta^2 is the same float, and the ring distance is
 formed as ((2 r theta) delta) d, where a sign flip of theta or of delta
 gives the same float. So a codeword evaluated directly at a negative
-angle, as `matrix` and `column` do, has the bits of the mirrored copy.
+angle, as `matrix` and `LocationEstimate.beam` do, has the bits of the
+mirrored copy.
 The conjugate symmetry of the columns is not used: it would turn the +0
 imaginary part of an odd N's delta = 0 row into -0.
 
@@ -94,19 +95,6 @@ def _noiseless_product(h: np.ndarray, book: Codebook) -> np.ndarray:
     return _read_only(np.concatenate(((x - y)[book._sources], x + y)))
 
 
-def _memoized(memo: OrderedDict, key, compute):
-    """memo[key], from `compute()` on a miss; keeps the `_MEMO_SIZE` most
-    recently used entries."""
-    value = memo.get(key)
-    if value is None:
-        value = memo[key] = compute()
-        if len(memo) > _MEMO_SIZE:
-            memo.popitem(last=False)
-    else:
-        memo.move_to_end(key)
-    return value
-
-
 @dataclass(frozen=True)
 class Codebook:
     """Per grid angle, a far-field codeword plus distance rings, flattened
@@ -133,7 +121,6 @@ class Codebook:
             if isinstance(getattr(self, f.name), np.ndarray):
                 _read_only(getattr(self, f.name))
         object.__setattr__(self, "_sweeps", OrderedDict())
-        object.__setattr__(self, "_codewords", OrderedDict())
 
     @property
     def matrix(self) -> np.ndarray:
@@ -158,16 +145,15 @@ class Codebook:
         so an array that changes after a sweep gets the product of its new
         values. Keeps the `_MEMO_SIZE` most recently used sweeps.
         """
-        return _memoized(self._sweeps, (h.dtype.char, h.shape, h.tobytes()),
-                         lambda: _noiseless_product(h, self))
-
-    def column(self, j: int) -> np.ndarray:
-        """Codeword j with the bits of column j of `matrix`, read-only and
-        shared: keeps the `_MEMO_SIZE` most recently used codewords."""
-        def evaluate():
-            ((_, block),) = _columns(self.cfg, self.thetas[j:j + 1], self.radii[j:j + 1])
-            return _read_only(block[:, 0])
-        return _memoized(self._codewords, j, evaluate)
+        key = (h.dtype.char, h.shape, h.tobytes())
+        s = self._sweeps.get(key)
+        if s is None:
+            s = self._sweeps[key] = _noiseless_product(h, self)
+            if len(self._sweeps) > _MEMO_SIZE:
+                self._sweeps.popitem(last=False)
+        else:
+            self._sweeps.move_to_end(key)
+        return s
 
     def nearest_index(self, theta: float) -> int:
         return int(np.argmin(np.abs(self.angle_grid - theta)))

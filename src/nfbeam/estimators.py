@@ -7,6 +7,11 @@ scheme and the joint baseline share the angle stage machinery; they
 differ in whether the super-threshold index set is clustered before the
 median is taken, and in how the measured half-gain width is turned into
 a distance.
+
+All four end in one pick (`_pick`): one pilot per candidate codeword,
+near-field beams or groups of polar entries, and the first strongest
+(theta, r, |y|) candidate wins. An estimate holds scalars only; its
+`beam` rebuilds the chosen codeword from the label.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import numpy as np
 from .beampattern import contiguous_run, run_width, width_law
 from .channel import (ArrayConfig, PolarPoint, _check_count, los_channel, near_field_steering,
                       region_boundaries)
-from .codebooks import Codebook
+from .codebooks import FAR_FIELD, Codebook, _far_field_columns
 from .errors import EmptyMainSetError
 from .numerics import NoiseModel
 
@@ -43,10 +48,17 @@ class EstimatorConfig:
 class LocationEstimate:
     theta_hat: float
     r_hat: float
-    w: np.ndarray                 # unit-norm data beam: the chosen codeword
+    far_field: bool               # the chosen codeword is the DFT codeword at theta_hat
     pilot_count: int
-    candidates: tuple[tuple[float, float, float], ...]  # (theta, r, refine power)
+    candidates: tuple[tuple[float, float, float], ...]  # (theta, r, |y| of its pilot)
     distance_stage_evals: int = 0
+
+    def beam(self, cfg: ArrayConfig) -> np.ndarray:
+        """Unit-norm data beam: the chosen codeword, evaluated from its
+        label with the bits of the codebook's column."""
+        if self.far_field:
+            return _far_field_columns(cfg, np.array([self.theta_hat]))[:, 0]
+        return near_field_steering(cfg, PolarPoint(self.theta_hat, self.r_hat))
 
 
 def _pilots(s: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -137,24 +149,41 @@ def estimate_distance(amp: np.ndarray, codebook: Codebook, candidate_index: int)
     return float(min(max(r_hat, r_fre), r_ray)), width
 
 
+def _pick(cfg: ArrayConfig, cands: list[tuple[float, float, float]], pilot_count: int,
+          evals: int) -> LocationEstimate:
+    """Estimate from (theta, r, |y|) candidates, r = inf marking a
+    far-field codeword: the first strongest candidate wins, and every
+    range is clipped to the Rayleigh distance."""
+    _, r_ray = region_boundaries(cfg)
+    amps = [a for _, _, a in cands]
+    t, r, _ = cands[amps.index(max(amps))]
+    return LocationEstimate(theta_hat=t, r_hat=min(r, r_ray), far_field=r == FAR_FIELD,
+                            pilot_count=pilot_count,
+                            candidates=tuple((t_, min(r_, r_ray), a) for t_, r_, a in cands),
+                            distance_stage_evals=evals)
+
+
 def _refine(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
-            cands: list[tuple[float, float]], evals: int,
-            sweep_pilots: int) -> LocationEstimate:
-    """Transmit one pilot per candidate codeword, keep the strongest."""
+            cands: list[tuple[float, float]]) -> list[tuple[float, float, float]]:
+    """One pilot per near-field candidate codeword: (theta, r, |y|)."""
     h = los_channel(cfg, p)
     pilot_noise = noise.sample(len(cands)).tolist()
-    vecs = [near_field_steering(cfg, PolarPoint(t, r)) for t, r in cands]
-    powers = [abs(complex(np.vdot(h, v)) + z) for v, z in zip(vecs, pilot_noise)]
-    best = powers.index(max(powers))  # the first strongest
-    t, r = cands[best]
-    return LocationEstimate(
-        theta_hat=t,
-        r_hat=r,
-        w=vecs[best],
-        pilot_count=sweep_pilots + len(cands),
-        candidates=tuple((t_, r_, pw) for (t_, r_), pw in zip(cands, powers)),
-        distance_stage_evals=evals,
-    )
+    return [(t, r, abs(complex(np.vdot(h, near_field_steering(cfg, PolarPoint(t, r)))) + z))
+            for (t, r), z in zip(cands, pilot_noise)]
+
+
+def _sweep_groups(polar: Codebook, h: np.ndarray, groups: list[slice],
+                  noise: NoiseModel) -> list[tuple[float, float, float]]:
+    """One pilot per polar entry of each group, group by group, read out
+    of the memoized polar sweep of `h`: each group's first strongest
+    entry as a (theta, r, |y|) candidate."""
+    s = polar.noiseless_sweep(h)
+    cands = []
+    for g in groups:
+        amp = np.abs(_pilots(s[g], noise))
+        j = int(np.argmax(amp))
+        cands.append((float(polar.thetas[g][j]), float(polar.radii[g][j]), float(amp[j])))
+    return cands
 
 
 def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
@@ -169,7 +198,7 @@ def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     _, cis = estimate_angle(amp, codebook, ec, clustering=True)
     cands = [(float(codebook.angle_grid[ci]), estimate_distance(amp, codebook, ci)[0])
              for ci in cis]
-    return _refine(cfg, p, noise, cands, len(cands), len(codebook))
+    return _pick(cfg, _refine(cfg, p, noise, cands), len(codebook) + len(cands), len(cands))
 
 
 def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
@@ -192,20 +221,7 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
         else:
             r_hat = float(z_mu_grid[np.abs(predicted - width).argmin()])
         cands.append((theta_i, r_hat))
-    return _refine(cfg, p, noise, cands, evals, len(codebook))
-
-
-def _polar_estimate(polar: Codebook, picks: list[tuple[int, float]],
-                    pilot_count: int, evals: int) -> LocationEstimate:
-    """Estimate from (polar entry index, |y|) picks: the first strongest
-    pick wins, and every range is clipped to the Rayleigh distance."""
-    _, r_ray = region_boundaries(polar.cfg)
-    cands = tuple((float(polar.thetas[j]), float(min(polar.radii[j], r_ray)), float(a))
-                  for j, a in picks)
-    best = int(np.argmax([a for _, a in picks]))
-    t, r, _ = cands[best]
-    return LocationEstimate(theta_hat=t, r_hat=r, w=polar.column(picks[best][0]),
-                            pilot_count=pilot_count, candidates=cands, distance_stage_evals=evals)
+    return _pick(cfg, _refine(cfg, p, noise, cands), len(codebook) + len(cands), evals)
 
 
 def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
@@ -214,23 +230,17 @@ def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     with the polar codebook entries at each candidate angle, whose
     noiseless products are read out of the memoized polar sweep."""
     _, cis = estimate_angle(beam_sweep(cfg, p, codebook, noise), codebook, ec, clustering=False)
-    s = polar.noiseless_sweep(los_channel(cfg, p))
-    extra = 0
-    picks = []
-    for ci in cis:
-        amp = np.abs(_pilots(s[polar.entries_at(ci)], noise))
-        extra += amp.size
-        j = int(np.argmax(amp))
-        picks.append((int(polar.angle_start[ci]) + j, amp[j]))
-    return _polar_estimate(polar, picks, len(codebook) + extra, extra)
+    groups = [polar.entries_at(ci) for ci in cis]
+    cands = _sweep_groups(polar, los_channel(cfg, p), groups, noise)
+    extra = sum(g.stop - g.start for g in groups)
+    return _pick(cfg, cands, len(codebook) + extra, extra)
 
 
 def exhaustive_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
                         polar: Codebook) -> LocationEstimate:
-    """Baseline: argmax |y| over every polar codebook entry."""
-    amp = np.abs(_pilots(polar.noiseless_sweep(los_channel(cfg, p)), noise))
-    j = int(np.argmax(amp))
-    return _polar_estimate(polar, [(j, amp[j])], len(polar), 0)
+    """Baseline: argmax |y| over every polar codebook entry, one group."""
+    cands = _sweep_groups(polar, los_channel(cfg, p), [slice(0, len(polar))], noise)
+    return _pick(cfg, cands, len(polar), 0)
 
 
 def default_z_mu_grid(cfg: ArrayConfig, size: int = Z_MU_SIZE) -> np.ndarray:

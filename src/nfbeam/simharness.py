@@ -284,7 +284,7 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                             for p, noise in zip(users, noises)]
                     rates = None
                     if mode == "single":
-                        rates = (single_user_rate(cfg, users[0], ests[0].w, sigma2),)
+                        rates = (single_user_rate(cfg, users[0], ests[0].beam(cfg), sigma2),)
                     elif mode == "multi":
                         labels = [PolarPoint(e.theta_hat, e.r_hat) for e in ests]
                         rates = _group_rates(cfg, users, labels, sigma2)

@@ -9,6 +9,7 @@ import nfbeam.beampattern
 import nfbeam.codebooks
 from nfbeam import (
     ArrayConfig,
+    LocationEstimate,
     PolarPoint,
     build_dft_codebook,
     build_polar_codebook,
@@ -257,12 +258,14 @@ class TestPolarCodebook:
 
     @pytest.mark.parametrize("n", [33, 64, 256])
     def test_column_has_the_bits_of_the_matrix(self, n):
-        book = build_polar_codebook(ArrayConfig(n, 100e9))
-        columns = [book.column(j) for j in range(len(book))]
-        assert all(same_bits(c, book.matrix[:, j]) for j, c in enumerate(columns))
-        assert book.column(len(book) - 1) is columns[-1]
-        with pytest.raises(ValueError, match="read-only"):
-            columns[0][0] = 0
+        # the data beam of an estimate labelled with entry j, its range
+        # clipped to R_Ray as the trainings clip it, is column j
+        cfg = ArrayConfig(n, 100e9)
+        book = build_polar_codebook(cfg)
+        _, r_ray = region_boundaries(cfg)
+        for j, (theta, r) in enumerate(zip(book.thetas.tolist(), book.radii.tolist())):
+            est = LocationEstimate(theta, min(r, r_ray), math.isinf(r), 0, ())
+            assert same_bits(est.beam(cfg), book.matrix[:, j])
 
     @pytest.mark.parametrize("n", [16, 17, 64, 255, 256])
     def test_stores_half_the_matrix(self, n):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -30,8 +31,8 @@ from nfbeam import (
     region_boundaries,
 )
 from nfbeam.errors import EmptyMainSetError
-from nfbeam.estimators import _polar_estimate
-from oracles import exhaustive_training_by_loops, fast_training_by_loops
+from nfbeam.estimators import _pick
+from oracles import exhaustive_training_by_loops, fast_training_by_loops, same_bits
 
 
 def silent(seed=0):
@@ -278,7 +279,7 @@ class TestProposedTraining:
         est = proposed_training(cfg512, PolarPoint(-0.2, 12.0), silent(), EstimatorConfig(),
                                 book512)
         expected = near_field_steering(cfg512, PolarPoint(est.theta_hat, est.r_hat))
-        assert np.allclose(est.w, expected, atol=1e-12)
+        assert np.allclose(est.beam(cfg512), expected, atol=1e-12)
 
     def test_noiseless_accuracy_in_resolvable_zone(self, cfg512, book512):
         # per-user 15 percent distance accuracy requires a well-developed
@@ -348,13 +349,50 @@ class TestFastTraining:
 
 
 def test_polar_pick_keeps_first_of_equal_maxima(cfg256, polar256):
-    # noisy sweeps never tie, so the tie rule is pinned on hand-made picks
+    # noisy sweeps never tie, so the tie rule is pinned on hand-made picks;
+    # entry 9 is a far-field codeword
     _, r_ray = region_boundaries(cfg256)
-    est = _polar_estimate(polar256, [(5, 1.0), (9, 2.0), (40, 2.0)], 300, 44)
+    cands = [(float(polar256.thetas[j]), float(polar256.radii[j]), a)
+             for j, a in [(5, 1.0), (9, 2.0), (40, 2.0)]]
+    est = _pick(cfg256, cands, 300, 44)
     assert (est.theta_hat, est.r_hat) == (polar256.thetas[9], min(polar256.radii[9], r_ray))
-    assert np.array_equal(est.w, polar256.matrix[:, 9])
-    assert est.w is polar256.column(9) and not est.w.flags.writeable
+    assert est.far_field and est.candidates[1][1] == r_ray
+    assert same_bits(est.beam(cfg256), polar256.matrix[:, 9])
     assert (est.pilot_count, est.distance_stage_evals, len(est.candidates)) == (300, 44, 3)
+
+
+class TestPick:
+    def test_refine_style_list_keeps_first_of_equal_maxima(self, cfg256):
+        est = _pick(cfg256, [(0.1, 5.0, 1.0), (0.2, 6.0, 3.0), (0.3, 7.0, 3.0)], 259, 3)
+        assert (est.theta_hat, est.r_hat, est.far_field) == (0.2, 6.0, False)
+        assert est.candidates == ((0.1, 5.0, 1.0), (0.2, 6.0, 3.0), (0.3, 7.0, 3.0))
+
+    def test_far_field_only_when_the_winner_has_infinite_range(self, cfg256):
+        _, r_ray = region_boundaries(cfg256)
+        est = _pick(cfg256, [(0.1, 6.0, 2.0), (0.2, math.inf, 2.0)], 300, 0)
+        assert (est.theta_hat, est.r_hat, est.far_field) == (0.1, 6.0, False)
+        # a near-field winner at exactly R_Ray is not a far-field codeword
+        est = _pick(cfg256, [(0.1, r_ray, 2.0), (0.2, math.inf, 1.0)], 300, 0)
+        assert (est.r_hat, est.far_field) == (r_ray, False)
+
+
+def test_estimates_hold_scalars_only(cfg64):
+    # no training's estimate carries an array: the chosen codeword is its label
+    sc = nfbeam.ScenarioConfig(n_antennas=64)
+    trainings = {
+        "proposed": lambda p, noise: proposed_training(cfg64, p, noise, sc.ec, sc.codebook),
+        "joint": lambda p, noise: joint_training(cfg64, p, noise, sc.ec, sc.z_mu, sc.codebook),
+        "fast": lambda p, noise: fast_training(cfg64, p, noise, sc.ec, sc.polar, sc.codebook),
+        "exhaustive": lambda p, noise: exhaustive_training(cfg64, p, noise, sc.polar),
+    }
+    sigma2 = calibrate_noise(cfg64, 10.0, "per-antenna")
+    for train in trainings.values():
+        for u, p in enumerate([PolarPoint(0.2, 3.0), PolarPoint(-0.5, 40.0)]):
+            est = train(p, NoiseModel(sigma2, (7, u)))
+            values = [getattr(est, f.name) for f in dataclasses.fields(est)]
+            assert not any(isinstance(v, np.ndarray) for v in values)
+            assert [type(v) for v in values] == [float, float, bool, int, tuple, int]
+            assert all(type(x) is float for c in est.candidates for x in c)
 
 
 class TestExhaustiveTraining:
@@ -431,7 +469,7 @@ def test_fast_and_exhaustive_form_one_polar_product_per_channel(monkeypatch, cfg
                                                             ec, polar, book)
         assert (est.theta_hat, est.r_hat, est.candidates, est.pilot_count) == (theta, r, cands,
                                                                                pilots)
-        assert np.array_equal(est.w, w)
+        assert np.array_equal(est.beam(cfg64), w)
         return est
 
     a = train_at(40.0)
@@ -463,4 +501,4 @@ def test_polar_baselines_equal_loop_oracles(n):
                 (fast, fast_training_by_loops(cfg, p, NoiseModel(sigma2, (n, u)), ec, polar, book)),
                 (exh, exhaustive_training_by_loops(cfg, p, NoiseModel(sigma2, (n, u)), polar))):
             assert (est.theta_hat, est.r_hat, est.pilot_count) == (theta, r, pilots)
-            assert np.array_equal(est.w, w)
+            assert np.array_equal(est.beam(cfg), w)

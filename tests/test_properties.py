@@ -146,7 +146,7 @@ def test_width_trainings_equal_loop_oracles_to_the_bit(p, snr_db, key, ec):
         assert same_bits(np.array([est.theta_hat, est.r_hat]), np.array([theta, r]))
         assert same_bits(np.array(est.candidates), np.array(cands))
         assert est.pilot_count == pilots
-        assert same_bits(est.w, w)
+        assert same_bits(est.beam(CFG32), w)
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,7 +183,7 @@ def test_polar_trainings_equal_loop_oracles_to_the_bit(n, snr_db, key, data):
         assert same_bits(np.array([est.theta_hat, est.r_hat]), np.array([theta, r]))
         assert same_bits(np.array(est.candidates), np.array(cands))
         assert est.pilot_count == pilots
-        assert same_bits(est.w, w)
+        assert same_bits(est.beam(cfg), w)
 
 
 @settings(max_examples=300, deadline=None)

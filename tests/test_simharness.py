@@ -321,7 +321,7 @@ def reference_rows(sc, mode):
                 labels = [PolarPoint(e.theta_hat, e.r_hat) for e in ests]
                 yield TrialRow(t, i, scheme, users,
                                tuple((e.theta_hat, e.r_hat, e.pilot_count) for e in ests),
-                               rates(labels, [e.w for e in ests]))
+                               rates(labels, [e.beam(cfg) for e in ests]))
 
 
 @pytest.mark.parametrize("mode", ["nmse", "single", "multi"])
