@@ -18,9 +18,8 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
 # Entries kept by each of the steering and channel memos (16 N bytes
-# each): one trial's working set, i.e. its users, their refinement
-# candidates and the precoder's position labels. A 10-user trial at 5
-# SNR points and 4 schemes touches ~46 distinct channels.
+# each): one user's refinement candidates while its trainings run, then
+# the rate stage's M users and their position labels.
 _MEMO_SIZE = 64
 
 

@@ -8,8 +8,8 @@ peaks at the codeword whose grid angle matches the user. A `Codebook`
 holds, per angle of the DFT grid, that far-field codeword followed by
 distance rings; the polar codebook's rings are r_{n,s} = Z (1 - theta^2)/s,
 and the DFT codebook is the one without rings. A codebook's arrays are
-read-only, and it memoizes its noiseless sweeps h^H M per channel value,
-so the trainings of one user share one product per codebook: the fast
+read-only, and it keeps its last noiseless sweep h^H M, so the trainings
+of one user, run back to back, share one product per codebook: the fast
 baseline reads its per-angle polar entries out of that product too.
 
 The DFT sweep is one inverse FFT. With c = (N-1)/2, delta_n = n - c and
@@ -56,12 +56,11 @@ read N K_u entries, about half of the N K a GEMV with M reads.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import _MEMO_SIZE, ArrayConfig, _read_only, region_boundaries, steering_columns
+from .channel import ArrayConfig, _read_only, region_boundaries, steering_columns
 from .errors import EmptyGridError
 
 FAR_FIELD = math.inf
@@ -80,7 +79,7 @@ def dft_angle_grid(n: int) -> np.ndarray:
 
 
 def _noiseless_product(h: np.ndarray, book: Codebook) -> np.ndarray:
-    """h^H M as a read-only array: what the sweep memo computes on a miss.
+    """h^H M as a read-only array: what `noiseless_sweep` computes on a miss.
     The DFT codebook is one inverse FFT with the book's twiddles, a book
     with rings two half-size GEMVs with its fold (module docstring);
     neither reads the matrix."""
@@ -120,7 +119,7 @@ class Codebook:
         for f in fields(self):
             if isinstance(getattr(self, f.name), np.ndarray):
                 _read_only(getattr(self, f.name))
-        object.__setattr__(self, "_sweeps", OrderedDict())
+        object.__setattr__(self, "_last", (None, None))  # (key, h^H M) of the last sweep
 
     @property
     def matrix(self) -> np.ndarray:
@@ -139,20 +138,12 @@ class Codebook:
         return self.thetas.size
 
     def noiseless_sweep(self, h: np.ndarray) -> np.ndarray:
-        """h^H M, read-only, computed once per channel.
-
-        Keyed on the channel's values (its bytes, with its dtype and shape),
-        so an array that changes after a sweep gets the product of its new
-        values. Keeps the `_MEMO_SIZE` most recently used sweeps.
-        """
+        """h^H M, read-only; reused while the channel's bytes, dtype and shape repeat."""
         key = (h.dtype.char, h.shape, h.tobytes())
-        s = self._sweeps.get(key)
-        if s is None:
-            s = self._sweeps[key] = _noiseless_product(h, self)
-            if len(self._sweeps) > _MEMO_SIZE:
-                self._sweeps.popitem(last=False)
-        else:
-            self._sweeps.move_to_end(key)
+        last_key, s = self._last  # one read, so a concurrent sweep cannot swap it
+        if last_key != key:
+            s = _noiseless_product(h, self)
+            object.__setattr__(self, "_last", (key, s))
         return s
 
     def nearest_index(self, theta: float) -> int:

@@ -2,8 +2,8 @@
 calibration, one trial loop (`simulate`) whose rows every experiment
 reduces or projects, the training overhead report, and the CSV writer.
 
-The loop runs trial -> SNR point -> scheme. A trial draws its user(s)
-once, from the key (seed, 0, trial). Reproducibility contract: every
+Rows run trial -> SNR point -> scheme. A trial draws its user(s) once,
+from the key (seed, 0, trial). Reproducibility contract: every
 random stream is keyed by (seed, lane, trial [, user]) so results are
 bit-identical across runs; the noise key omits the SNR index on purpose,
 so one trial sees the same scaled noise at every SNR point (common
@@ -243,26 +243,35 @@ def _group_rates(cfg: ArrayConfig, users, labels, sigma2: float) -> tuple[float,
 def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
     """The trial loop: rows in trial -> SNR point -> scheme order.
 
-    mode "nmse" trains one user per trial; "single" adds the single-user
-    rates and a full-CSI row (matched filter) per SNR point; "multi"
-    trains m_users users per trial under per-user noise keys and rates
-    the group under RZF, with a full-CSI row precoded from the true
-    positions. A scheme's row is an outage when any of its trainings
-    finds an empty main set; a multi-user row, full CSI included, is also
-    an outage when RZF finds its Gram matrix singular.
+    mode "nmse" trains one user per trial; "single" adds the single-user rates
+    and a full-CSI row (matched filter) per SNR point; "multi" trains m_users
+    users per trial under per-user noise keys and rates the group under RZF,
+    with a full-CSI row precoded from the true positions. A trial trains user
+    by user, each user's trainings back to back so that every codebook's last
+    sweep serves them, then yields its rows. A scheme's row is an outage when
+    any user's estimate is None (an empty main set); a multi-user row, full
+    CSI included, is also an outage when RZF finds its Gram matrix singular.
     """
     if mode not in ("nmse", "single", "multi"):
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
     if mode == "multi" and sc.m_users > sc.n_antennas:
         raise ValueError(f"m_users = {sc.m_users} exceeds n_antennas = {sc.n_antennas}")
     cfg = sc.cfg
-    n_users = sc.m_users if mode == "multi" else 1
+
+    def train(scheme, p, noise):  # the estimate, or None on an empty main set
+        try:
+            return TRAININGS[scheme](sc, p, noise)
+        except EmptyMainSetError:
+            return None
+
     for t in range(sc.trials):
         rng = np.random.default_rng(user_rng_key(sc.seed, t))
-        users = tuple(sc.draw_user(rng) for _ in range(n_users))
-        keys = ([noise_key(sc.seed, t, u) for u in range(n_users)] if mode == "multi"
-                else [noise_key(sc.seed, t)])
-        noises = [NoiseModel(sc.sigma2s[0], key) for key in keys]
+        users = tuple(sc.draw_user(rng) for _ in range(sc.m_users if mode == "multi" else 1))
+        noises = [NoiseModel(sc.sigma2s[0], noise_key(sc.seed, t, u if mode == "multi" else None))
+                  for u in range(len(users))]
+        # trained[u][i][j]: user u's estimate at SNR point i under scheme j, or None
+        trained = [[[train(s, p, noise.replay(x)) for s in sc.schemes] for x in sc.sigma2s]
+                   for p, noise in zip(users, noises)]
         if mode == "single":
             h = los_channel(cfg, users[0])
             matched = h / np.linalg.norm(h)
@@ -278,10 +287,11 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                     yield TrialRow(t, i, FULL_CSI, users, None)
                 else:
                     yield TrialRow(t, i, FULL_CSI, users, exact, rates)
-            for scheme in sc.schemes:
+            for j, scheme in enumerate(sc.schemes):
+                ests = [user[i][j] for user in trained]
                 try:
-                    ests = [TRAININGS[scheme](sc, p, noise.replay(sigma2))
-                            for p, noise in zip(users, noises)]
+                    if any(e is None for e in ests):
+                        raise EmptyMainSetError
                     rates = None
                     if mode == "single":
                         rates = (single_user_rate(cfg, users[0], ests[0].beam(cfg), sigma2),)

@@ -158,7 +158,7 @@ class TestExperiments:
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         src = str(Path(nfbeam.__file__).resolve().parents[1])
         runs = [["nmse", "--N", "64", "--trials", "3", "--dump-estimates"],
-                ["rate-multi", "--N", "64", "--M", "4", "--trials", "1"],
+                ["rate-multi", "--N", "64", "--M", "4", "--trials", "1", "--dump-users", "fast"],
                 ["rate-single", "--N", "64", "--trials", "2", "--schemes", "proposed,exhaustive"]]
         outputs = []
         for threads in ("1", "2"):
@@ -169,7 +169,7 @@ class TestExperiments:
                 subprocess.run([sys.executable, "-m", "nfbeam.cli", *argv, "--out", str(out)],
                                env=env, check=True, capture_output=True)
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert len(outputs[0]) == 4
+        assert len(outputs[0]) == 5
         assert outputs[0] == outputs[1]
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -18,7 +18,6 @@ from nfbeam import (
     normalized_pattern,
     region_boundaries,
 )
-from nfbeam.channel import _MEMO_SIZE
 from nfbeam.cli import main
 from nfbeam.codebooks import ring_scale
 from nfbeam.errors import EmptyGridError
@@ -387,14 +386,16 @@ class TestSharedArrays:
         h.flags.writeable = False
         assert book.noiseless_sweep(h).tobytes() == _fresh(book, h).tobytes()
 
-    def test_memo_is_bounded(self, kind, cfg64):
+    def test_memo_holds_the_last_channel(self, kind, cfg64):
         book = _books(cfg64)[kind]
-        rng = np.random.default_rng(5)
-        for theta, r in zip(rng.uniform(-0.9, 0.9, 200), rng.uniform(2.0, 30.0, 200)):
-            h = los_channel(cfg64, PolarPoint(float(theta), float(r)))
-            assert book.noiseless_sweep(h).tobytes() == _fresh(book, h).tobytes()
-            assert len(book._sweeps) <= _MEMO_SIZE
-        assert len(book._sweeps) == _MEMO_SIZE
+        a = los_channel(cfg64, PolarPoint(0.21, 3.3))
+        b = los_channel(cfg64, PolarPoint(-0.5, 7.0))
+        book.noiseless_sweep(a)
+        s_b = book.noiseless_sweep(b)
+        assert book.noiseless_sweep(b) is s_b
+        s_a = book.noiseless_sweep(a)
+        assert s_a.tobytes() == _fresh(book, a).tobytes() != s_b.tobytes()
+        assert book.noiseless_sweep(a) is s_a
 
     def test_memo_dies_with_the_codebook(self, kind, cfg64):
         book = _books(cfg64)[kind]
@@ -405,27 +406,34 @@ class TestSharedArrays:
         assert ref() is None
 
 
-@pytest.mark.parametrize("mode, products_per_user", [("nmse", 1), ("multi", 2)])
-def test_simulate_computes_each_noiseless_sweep_once(monkeypatch, mode, products_per_user):
-    # nmse: 3 trials x 14 SNR points x 2 schemes sweep one DFT codebook;
-    # multi: all four schemes, so one DFT and one polar sweep per user,
-    # which fast reads its per-angle entries from
+@pytest.mark.parametrize("mode, n, m_users, trials, snr_points, products_per_user", [
+    pytest.param("nmse", 64, 3, 3, 14, 1, id="nmse-1"),
+    pytest.param("multi", 64, 3, 3, 14, 2, id="multi-2"),
+    # more users in one trial than the 64-entry channel memo holds
+    pytest.param("multi", 128, 80, 1, 2, 2, id="multi-2-M80"),
+])
+def test_simulate_computes_each_noiseless_sweep_once(monkeypatch, mode, n, m_users, trials,
+                                                     snr_points, products_per_user):
+    # nmse: every SNR point x 2 schemes sweep one DFT codebook; multi: all
+    # four schemes, so one DFT and one polar sweep per user, which fast
+    # reads its per-angle entries from
     products = []
     real = nfbeam.codebooks._noiseless_product
 
     def counting(h, book):
-        products.append((id(h), id(book), len(book)))
+        products.append((h.tobytes(), id(book), len(book)))
         return real(h, book)
 
     monkeypatch.setattr(nfbeam.codebooks, "_noiseless_product", counting)
     schemes = ("proposed", "joint") if mode == "nmse" else ("proposed", "joint", "fast",
                                                             "exhaustive")
-    sc = ScenarioConfig(n_antennas=64, trials=3, m_users=3, schemes=schemes,
-                        snr_ref_db_grid=tuple(range(4, 31, 2)))
+    sc = ScenarioConfig(n_antennas=n, trials=trials, m_users=m_users, schemes=schemes,
+                        snr_ref_db_grid=tuple(range(4, 4 + 2 * snr_points, 2)))
     rows = list(simulate(sc, mode))
-    assert len(rows) == 3 * 14 * (len(schemes) + (mode == "multi"))
-    users = 3 * (3 if mode == "multi" else 1)
+    assert len(rows) == trials * snr_points * (len(schemes) + (mode == "multi"))
+    users = trials * (m_users if mode == "multi" else 1)
     # exactly one product per (user, codebook), each over a whole codebook
     assert len(products) == users * products_per_user
     assert len(set(products)) == len(products)
-    assert len({p[1] for p in products}) == products_per_user
+    assert len({p[0] for p in products}) == users
+    assert len({p[1:] for p in products}) == products_per_user

@@ -25,6 +25,7 @@ from nfbeam import (
     region_boundaries,
     single_user_rate,
 )
+from nfbeam.channel import steering_columns
 from nfbeam.errors import EmptyMainSetError, SingularChannelError
 from nfbeam.simharness import (
     FULL_CSI,
@@ -258,6 +259,33 @@ class TestSimulate:
         assert records[("joint", 10.0)].outage_count == 1
         assert records[("proposed", 10.0)].outage_count == 0
 
+    def test_empty_main_set_makes_only_its_row_an_outage(self, monkeypatch):
+        sc = small_scenario(trials=2, m_users=3)
+        clean = list(simulate(sc, "multi"))
+        # user 1 of trial 0 under proposed at 20 dB: row 4 of the run
+        target = (clean[0].users[1], sc.sigma2s[1])
+        hits = []
+        real = nfbeam.simharness.proposed_training
+
+        def flaky(cfg, p, noise, ec, codebook):
+            if (p, noise.sigma2) == target:
+                hits.append(p)
+                raise EmptyMainSetError("injected")
+            return real(cfg, p, noise, ec, codebook)
+
+        monkeypatch.setattr(nfbeam.simharness, "proposed_training", flaky)
+        rows = list(simulate(sc, "multi"))
+        assert len(hits) == 1
+        assert len(rows) == len(clean) == 2 * 2 * 3
+        assert (rows[4].trial, rows[4].snr_index, rows[4].scheme) == (0, 1, "proposed")
+        assert [r.estimates is None for r in clean] == [False] * len(clean)
+        assert [r.estimates is None for r in rows] == [i == 4 for i in range(len(rows))]
+        assert [r for i, r in enumerate(rows) if i != 4] == \
+            [r for i, r in enumerate(clean) if i != 4]
+        records = {(r.scheme, r.snr_ref_db): r for r in run_rate_experiment(sc, "multi", rows)}
+        assert records[("proposed", 20.0)].outage_count == 1
+        assert sum(r.outage_count for r in records.values()) == 1
+
     def test_more_users_than_antennas_rejected_in_multi_mode_only(self):
         # m_users is unused outside the multi-user mode
         sc = small_scenario(m_users=65)
@@ -266,16 +294,21 @@ class TestSimulate:
             next(simulate(sc, "multi"))
 
 
-def reference_rows(sc, mode):
+def reference_rows(sc, mode, far_field_picks):
     """`simulate` written out plainly: each (trial, SNR point, scheme)
     training calls the public training function on a fresh
     NoiseModel(sigma2, noise_key(...)), and every rate is computed anew.
-    The codebooks and the user draws are built here, not taken from `sc`."""
+    The codebooks and the user draws are built here, not taken from `sc`,
+    and a data beam is built without `LocationEstimate.beam`: a contiguous
+    copy of the DFT codebook's column for a far-field pick (a strided
+    column changes np.vdot's bits), `steering_columns` otherwise. Each
+    far-field pick is appended to `far_field_picks`."""
     cfg = ArrayConfig(sc.n_antennas, sc.carrier_hz)
     ec = EstimatorConfig(k=sc.k, cluster_gap=sc.cluster_gap, rho2_fraction=sc.rho2_fraction)
     book = build_dft_codebook(cfg)
     polar = build_polar_codebook(cfg, sc.beta_polar)
     z_mu = default_z_mu_grid(cfg, sc.z_mu_size)
+    grid = book.angle_grid.tolist()
     trainings = {
         "proposed": lambda p, noise: proposed_training(cfg, p, noise, ec, book),
         "joint": lambda p, noise: joint_training(cfg, p, noise, ec, z_mu, book),
@@ -319,9 +352,14 @@ def reference_rows(sc, mode):
                     yield TrialRow(t, i, scheme, users, None)
                     continue
                 labels = [PolarPoint(e.theta_hat, e.r_hat) for e in ests]
+                far_field_picks.extend(e for e in ests if e.far_field)
+                beams = [np.ascontiguousarray(book.matrix[:, grid.index(e.theta_hat)])
+                         if e.far_field else
+                         steering_columns(cfg, np.array([e.theta_hat]), np.array([e.r_hat]))[:, 0]
+                         for e in ests]
                 yield TrialRow(t, i, scheme, users,
                                tuple((e.theta_hat, e.r_hat, e.pilot_count) for e in ests),
-                               rates(labels, [e.beam(cfg) for e in ests]))
+                               rates(labels, beams))
 
 
 @pytest.mark.parametrize("mode", ["nmse", "single", "multi"])
@@ -333,9 +371,11 @@ def test_simulate_rows_equal_fresh_stream_reference(mode):
     rows = list(simulate(sc, mode))
     near_field_steering.cache_clear()
     los_channel.cache_clear()
-    expected = list(reference_rows(sc, mode))
+    far_field_picks = []
+    expected = list(reference_rows(sc, mode, far_field_picks))
     assert len(rows) == len(expected) == 3 * 3 * (4 + (mode != "nmse"))
     assert rows == expected
+    assert far_field_picks  # so "single" rates a far-field data beam too
 
 
 class TestRateExperiment:
