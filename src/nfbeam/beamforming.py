@@ -1,48 +1,45 @@
 """Data-phase beamforming: single-user rate and multi-user regularized
-zero-forcing from (estimated or true) user positions.
+zero-forcing on channel vectors and matrices, which the caller builds.
 
-The multi-user precoder reconstructs each user's channel from its
-position label and applies RZF with regularizer M sigma^2, then rescales
-to unit total power. Rates are always evaluated against the true
-channels.
+The precoder applies RZF with regularizer M sigma^2 to the N x M matrix
+of the channels it serves (from estimated or true positions) and rescales
+to unit total power. Rates are evaluated against the true channels.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
-from .channel import ArrayConfig, PolarPoint, los_channel
 from .errors import SingularChannelError
 
 
-def single_user_rate(cfg: ArrayConfig, p: PolarPoint, v: np.ndarray, sigma2: float) -> float:
+def _check_users(H: np.ndarray) -> None:
+    n, m = H.shape
+    if not 1 <= m <= n:
+        raise ValueError(f"{m} users on {n} antennas; need 1 to {n}")
+
+
+def single_user_rate(h: np.ndarray, v: np.ndarray, sigma2: float) -> float:
     """R = log2(1 + |h^H v|^2 / sigma^2) for a unit-norm beam v."""
-    h = los_channel(cfg, p)
     snr = abs(np.vdot(h, v)) ** 2 / sigma2 if sigma2 > 0 else math.inf
     return math.log2(1.0 + snr) if math.isfinite(snr) else math.inf
 
 
-def multiuser_precode(cfg: ArrayConfig, positions: Sequence[PolarPoint],
-                      sigma2: float) -> np.ndarray:
-    """Regularized zero-forcing on channels rebuilt from position labels.
+def multiuser_precode(H_hat: np.ndarray, sigma2: float) -> np.ndarray:
+    """Regularized zero-forcing on the N x M channel matrix H_hat.
 
     Returns the N x M matrix V ~ H (H^H H + M sigma^2 I)^{-1}, formed by
     a linear solve rather than an inverse and rescaled to unit total
     power; column u serves user u. With M = 1 this reduces to a scaled
     matched filter.
     """
-    if len(positions) == 0:
-        raise ValueError("need at least one user")
-    if len(positions) > cfg.n_antennas:
-        raise ValueError(f"{len(positions)} users exceed {cfg.n_antennas} antennas")
-    H = np.column_stack([los_channel(cfg, p) for p in positions])
-    m = H.shape[1]
-    gram = H.conj().T @ H + m * sigma2 * np.eye(m)
+    _check_users(H_hat)
+    m = H_hat.shape[1]
+    gram = H_hat.conj().T @ H_hat + m * sigma2 * np.eye(m)
     try:
-        V = np.linalg.solve(gram, H.conj().T).conj().T  # H gram^{-1}, as gram is Hermitian
+        V = np.linalg.solve(gram, H_hat.conj().T).conj().T  # H gram^{-1}, as gram is Hermitian
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError(f"regularized Gram matrix is singular: {exc}") from exc
     norm = np.linalg.norm(V)
@@ -51,15 +48,14 @@ def multiuser_precode(cfg: ArrayConfig, positions: Sequence[PolarPoint],
     return V * (1.0 / norm)
 
 
-def multiuser_rate(cfg: ArrayConfig, users: Sequence[PolarPoint],
-                   V: np.ndarray, sigma2: float) -> np.ndarray:
-    """Per-user SINR rates R_u with true channels under the N x M
-    precoder V, from the one product |H^H V|^2: user u's signal is the
-    power received through column u, its interference the power through
-    every other user's column."""
-    if V.shape[1] != len(users):
-        raise ValueError(f"precoder has {V.shape[1]} columns for {len(users)} users")
-    H = np.column_stack([los_channel(cfg, p) for p in users])
+def multiuser_rate(H: np.ndarray, V: np.ndarray, sigma2: float) -> np.ndarray:
+    """Per-user SINR rates R_u with the N x M true channels H under the
+    N x M precoder V, from the one product |H^H V|^2: user u's signal is
+    the power received through column u, its interference the power
+    through every other user's column."""
+    _check_users(H)
+    if V.shape != H.shape:
+        raise ValueError(f"precoder of shape {V.shape} for channels of shape {H.shape}")
     rx = np.abs(H.conj().T @ V) ** 2
     signal = np.diagonal(rx)
     interference = rx.sum(axis=1) - signal

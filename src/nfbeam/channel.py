@@ -18,8 +18,8 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
 # Entries kept by each of the steering and channel memos (16 N bytes
-# each): one user's refinement candidates while its trainings run, then
-# the rate stage's M users and their position labels.
+# each): one user's trainings and refinement candidates. The rate stage
+# meets each channel once, as `simulate` keeps a trial's channels itself.
 _MEMO_SIZE = 64
 
 

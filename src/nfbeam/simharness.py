@@ -234,23 +234,19 @@ class TrialRow:
     rates: tuple[float, ...] | None = None
 
 
-def _group_rates(cfg: ArrayConfig, users, labels, sigma2: float) -> tuple[float, ...]:
-    """Per-user RZF rates on the true channels, precoded from `labels`."""
-    v = multiuser_precode(cfg, labels, sigma2)
-    return tuple(float(x) for x in multiuser_rate(cfg, users, v, sigma2))
-
-
 def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
     """The trial loop: rows in trial -> SNR point -> scheme order.
 
     mode "nmse" trains one user per trial; "single" adds the single-user rates
     and a full-CSI row (matched filter) per SNR point; "multi" trains m_users
     users per trial under per-user noise keys and rates the group under RZF,
-    with a full-CSI row precoded from the true positions. A trial trains user
+    with a full-CSI row precoded from the true channels. A trial trains user
     by user, each user's trainings back to back so that every codebook's last
-    sweep serves them, then yields its rows. A scheme's row is an outage when
-    any user's estimate is None (an empty main set); a multi-user row, full
-    CSI included, is also an outage when RZF finds its Gram matrix singular.
+    sweep serves them; a rate mode then builds the true channels once, multi
+    mode each distinct label's channel once, and the trial yields its rows. A
+    scheme's row is an outage when any user's estimate is None (an empty main
+    set); a multi-user row, full CSI included, is also an outage when RZF
+    finds its Gram matrix singular.
     """
     if mode not in ("nmse", "single", "multi"):
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
@@ -275,14 +271,18 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         if mode == "single":
             h = los_channel(cfg, users[0])
             matched = h / np.linalg.norm(h)
+        elif mode == "multi":
+            H = np.column_stack([los_channel(cfg, p) for p in users])
+            channels = {}  # label (theta_hat, r_hat) -> its channel, for this trial only
         exact = tuple((p.theta, p.r, 0) for p in users)
         for i, sigma2 in enumerate(sc.sigma2s):
             if mode == "single":
-                rates = (single_user_rate(cfg, users[0], matched, sigma2),)
+                rates = (single_user_rate(h, matched, sigma2),)
                 yield TrialRow(t, i, FULL_CSI, users, exact, rates)
             elif mode == "multi":
                 try:
-                    rates = _group_rates(cfg, users, users, sigma2)
+                    V = multiuser_precode(H, sigma2)
+                    rates = tuple(map(float, multiuser_rate(H, V, sigma2)))
                 except SingularChannelError:
                     yield TrialRow(t, i, FULL_CSI, users, None)
                 else:
@@ -294,10 +294,13 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                         raise EmptyMainSetError
                     rates = None
                     if mode == "single":
-                        rates = (single_user_rate(cfg, users[0], ests[0].beam(cfg), sigma2),)
+                        rates = (single_user_rate(h, ests[0].beam(cfg), sigma2),)
                     elif mode == "multi":
-                        labels = [PolarPoint(e.theta_hat, e.r_hat) for e in ests]
-                        rates = _group_rates(cfg, users, labels, sigma2)
+                        for key in {(e.theta_hat, e.r_hat) for e in ests} - channels.keys():
+                            channels[key] = los_channel(cfg, PolarPoint(*key))
+                        H_hat = np.column_stack([channels[e.theta_hat, e.r_hat] for e in ests])
+                        V = multiuser_precode(H_hat, sigma2)
+                        rates = tuple(map(float, multiuser_rate(H, V, sigma2)))
                 except (EmptyMainSetError, SingularChannelError):
                     yield TrialRow(t, i, scheme, users, None)
                     continue

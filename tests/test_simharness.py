@@ -241,12 +241,12 @@ class TestSimulate:
         calls = []
         real = nfbeam.simharness.multiuser_precode
 
-        def flaky(cfg, positions, sigma2):
+        def flaky(H_hat, sigma2):
             # rows of trial 0 at 10 dB: full CSI (call 1), proposed, joint (call 3)
             calls.append(None)
             if len(calls) in (1, 3):
                 raise SingularChannelError("injected")
-            return real(cfg, positions, sigma2)
+            return real(H_hat, sigma2)
 
         monkeypatch.setattr(nfbeam.simharness, "multiuser_precode", flaky)
         rows = list(simulate(sc, "multi"))
@@ -297,7 +297,8 @@ class TestSimulate:
 def reference_rows(sc, mode, far_field_picks):
     """`simulate` written out plainly: each (trial, SNR point, scheme)
     training calls the public training function on a fresh
-    NoiseModel(sigma2, noise_key(...)), and every rate is computed anew.
+    NoiseModel(sigma2, noise_key(...)), and every rate is computed anew, on
+    channels built for its row.
     The codebooks and the user draws are built here, not taken from `sc`,
     and a data beam is built without `LocationEstimate.beam`: a contiguous
     copy of the DFT codebook's column for a far-field pick (a strided
@@ -332,10 +333,12 @@ def reference_rows(sc, mode, far_field_picks):
 
             def rates(labels, beams):
                 if mode == "single":
-                    return (single_user_rate(cfg, users[0], beams[0], sigma2),)
+                    return (single_user_rate(los_channel(cfg, users[0]), beams[0], sigma2),)
                 if mode == "multi":
-                    v = multiuser_precode(cfg, labels, sigma2)
-                    return tuple(float(x) for x in multiuser_rate(cfg, users, v, sigma2))
+                    H = np.column_stack([los_channel(cfg, p) for p in users])
+                    v = multiuser_precode(np.column_stack([los_channel(cfg, p) for p in labels]),
+                                          sigma2)
+                    return tuple(float(x) for x in multiuser_rate(H, v, sigma2))
                 return None
 
             if mode != "nmse":
@@ -431,3 +434,30 @@ def test_header_contains_resolved_bounds():
     r_fre, r_ray = region_boundaries(ArrayConfig(64, 100e9))
     assert header["r_range"] == f"{r_fre!r}..{min(100.0, r_ray)!r}"
     assert "rayleigh_m" in header
+
+
+def test_rate_stage_builds_each_channel_once_per_trial(monkeypatch):
+    # more users in one trial than the 64-entry channel memo holds; the
+    # trainings reach los_channel through `estimators` and are not counted
+    calls = []
+
+    def counting(cfg, p):
+        calls.append(p)
+        return los_channel(cfg, p)
+
+    monkeypatch.setattr(nfbeam.simharness, "los_channel", counting)
+    monkeypatch.setattr(nfbeam.beamforming, "los_channel", counting, raising=False)
+    sc = ScenarioConfig(n_antennas=128, trials=1, m_users=80, snr_ref_db_grid=(4.0, 30.0),
+                        schemes=SCHEMES)
+    rows = list(simulate(sc, "multi"))
+    assert len(rows) == 2 * (1 + len(SCHEMES))
+    labels = {e[:2] for r in rows if r.scheme != FULL_CSI and r.estimates is not None
+              for e in r.estimates}
+    assert len(labels) > 64
+    # the M true channels, then each distinct label's, however many SNR points
+    assert len(calls) == 80 + len(labels)
+    assert calls[:80] == list(rows[0].users)
+    assert {(p.theta, p.r) for p in calls[80:]} == labels
+    calls.clear()
+    assert len(list(simulate(sc, "nmse"))) == 2 * len(SCHEMES)
+    assert calls == []
