@@ -42,7 +42,8 @@ def multiuser_precode(H_hat: np.ndarray, sigma2: float) -> np.ndarray:
         V = np.linalg.solve(gram, H_hat.conj().T).conj().T  # H gram^{-1}, as gram is Hermitian
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError(f"regularized Gram matrix is singular: {exc}") from exc
-    norm = np.linalg.norm(V)
+    # numpy's sum, not BLAS's threaded norm, so the bits hold at any thread count
+    norm = math.sqrt((V.real**2 + V.imag**2).sum())
     if not np.isfinite(norm) or norm == 0:
         raise SingularChannelError("precoder collapsed; duplicate estimated positions?")
     return V * (1.0 / norm)

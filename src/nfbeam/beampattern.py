@@ -72,13 +72,19 @@ def taylor_f(cfg: ArrayConfig, p: PolarPoint, phi: float) -> complex:
 
     (1/N) sum_n exp(j pi [-delta_n (theta - phi)
                           + delta_n^2 d (1 - theta^2) / (2 r)])
+
+    The offsets come in mirror pairs +-delta, whose two terms add up to
+    2 cos(pi delta (theta - phi)) exp(j q), q = pi delta^2 d (1 - theta^2)
+    / (2 r); so the sum runs over delta > 0 only, with the centre
+    element's 1 added for odd N. It stays within ~2.5e-14 of the direct
+    N-term sum. Both reductions are numpy sums, not dot products, whose
+    BLAS threading would tie the last bits to the thread count.
     """
-    delta = _geometry(cfg)[0][:, 0]
-    phase = np.pi * (
-        -delta * (p.theta - phi)
-        + delta**2 * cfg.spacing * (1.0 - p.theta**2) / (2.0 * p.r)
-    )
-    return complex(np.exp(1j * phase).sum() / cfg.n_antennas)
+    n = cfg.n_antennas
+    delta = _geometry(cfg)[0][n // 2 + n % 2:, 0]
+    q = (math.pi * cfg.spacing * (1.0 - p.theta**2) / (2.0 * p.r)) * (delta * delta)
+    amp = np.cos((math.pi * (p.theta - phi)) * delta)
+    return complex(2.0 * (amp * np.cos(q)).sum() + n % 2, 2.0 * (amp * np.sin(q)).sum()) / n
 
 
 _E34 = complex(math.cos(3 * math.pi / 4), math.sin(3 * math.pi / 4))

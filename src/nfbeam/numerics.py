@@ -86,7 +86,9 @@ class NoiseModel:
     it at another power without re-seeding or redrawing. numpy's draws
     are sequentially consistent (n draws, then m draws, equal n + m
     draws), so a replayed stream yields exactly the samples of a fresh
-    NoiseModel(sigma2, seed), whatever chunk sizes it is read in.
+    NoiseModel(sigma2, seed), whatever chunk sizes it is read in. Each
+    chunk's complex units re + 1j im are formed once, on its first read,
+    and kept by (position, size); a replayed read only scales them.
     """
 
     sigma2: float
@@ -95,6 +97,7 @@ class NoiseModel:
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
         self._units = np.empty(0)  # unit normals drawn so far, in draw order
+        self._chunks: dict[tuple[int, int], np.ndarray] = {}
         self.replay(self.sigma2)
 
     def replay(self, sigma2: float) -> NoiseModel:
@@ -108,11 +111,11 @@ class NoiseModel:
     def sample(self, n: int) -> np.ndarray:
         """Next n complex draws."""
         std = math.sqrt(self.sigma2 / 2.0)
-        mid, end = self._pos + n, self._pos + 2 * n
-        if end > self._units.size:
-            more = self._rng.standard_normal(end - self._units.size)
-            self._units = np.concatenate((self._units, more))
-        re = self._units[self._pos:mid]
-        im = self._units[mid:end]
+        pos, mid, end = self._pos, self._pos + n, self._pos + 2 * n
+        if (pos, n) not in self._chunks:
+            if end > self._units.size:
+                more = self._rng.standard_normal(end - self._units.size)
+                self._units = np.concatenate((self._units, more))
+            self._chunks[pos, n] = self._units[pos:mid] + 1j * self._units[mid:end]
         self._pos = end
-        return std * (re + 1j * im)
+        return std * self._chunks[pos, n]

@@ -38,10 +38,7 @@ INVOCATIONS = (
     "rate-single --N 64 --trials 4",
     "rate-multi --N 64 --M 4 --trials 2 --dump-users fast",
     "rate-multi --N 127 --M 6 --trials 1 --dump-users exhaustive",
-    # M = 80 passes 64 distinct labels; N M = 10,000 keeps the precoder's
-    # norm below OpenBLAS's threaded-dot size, so the bytes hold at any
-    # thread count (at N = 128 they differ between 1 and 2 threads)
-    "rate-multi --N 125 --M 80 --trials 1 --snr-db 4 30 --dump-users proposed",
+    "rate-multi --N 128 --M 80 --trials 1 --snr-db 4 30 --dump-users proposed",
     "overhead --N 256",
     "codebook-dump --kind dft --N 64",
     "codebook-dump --kind polar --N 64",

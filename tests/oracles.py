@@ -12,7 +12,8 @@ product h^H M, whose accuracy `tests/test_codebooks.py` checks against
 the matrix and an exact sum, and take the data beam from the matrix. The
 multi-user rate oracle forms one product h_u^H V per user. The polar
 codebook oracle builds one column per entry with the scalar steering
-formula.
+formula. The quadratic-phase oracle sums all N terms one by one, without
+pairing the mirrored offsets.
 """
 
 import math
@@ -29,6 +30,15 @@ def quadrature_f(alpha: float, beta: float, panels: int = 2 ** 16) -> complex:
     x = (np.arange(panels) + 0.5) * (2.0 / panels) - 1.0
     phase = np.pi * (alpha * x * x - beta * x)
     return 0.5 * (2.0 / panels) * complex(np.cos(phase).sum(), np.sin(phase).sum())
+
+
+def taylor_f_by_terms(cfg, p, phi: float) -> complex:
+    """(1/N) sum_n exp(j pi [-delta_n (theta - phi) + delta_n^2 d (1 - theta^2) / (2 r)])
+    by the direct N-term sum over `cfg.element_offsets()`."""
+    delta = cfg.element_offsets()
+    phase = np.pi * (-delta * (p.theta - phi)
+                     + delta**2 * cfg.spacing * (1.0 - p.theta**2) / (2.0 * p.r))
+    return complex(np.exp(1j * phase).sum() / cfg.n_antennas)
 
 
 def erf_real_quadrature(x: float, panels: int = 200001) -> float:

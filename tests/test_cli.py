@@ -159,7 +159,10 @@ class TestExperiments:
         src = str(Path(nfbeam.__file__).resolve().parents[1])
         runs = [["nmse", "--N", "64", "--trials", "3", "--dump-estimates"],
                 ["rate-multi", "--N", "64", "--M", "4", "--trials", "1", "--dump-users", "fast"],
-                ["rate-single", "--N", "64", "--trials", "2", "--schemes", "proposed,exhaustive"]]
+                ["rate-single", "--N", "64", "--trials", "2", "--schemes", "proposed,exhaustive"],
+                # N M = 10,240 precoder entries, past OpenBLAS's threaded-dot size
+                ["rate-multi", "--N", "128", "--M", "80", "--trials", "1", "--snr-db", "4", "30",
+                 "--dump-users", "proposed"]]
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / threads
@@ -169,7 +172,7 @@ class TestExperiments:
                 subprocess.run([sys.executable, "-m", "nfbeam.cli", *argv, "--out", str(out)],
                                env=env, check=True, capture_output=True)
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert len(outputs[0]) == 5
+        assert len(outputs[0]) == 7
         assert outputs[0] == outputs[1]
 
     def test_byte_identical_reruns(self, tmp_path):

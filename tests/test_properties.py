@@ -1,7 +1,8 @@
 """Property tests of the angle and distance stages and the four
 trainings against plain-loop oracles, of the pilot budgets and range
 bounds of the four trainings, of the closed-form sweep response against
-its quadratic-phase sum, of erf's symmetries, and of the mirror identity
+its quadratic-phase sum and of that sum's mirror-pair form against all N
+terms, of erf's symmetries, and of the mirror identity
 the codebook builder relies on; and that a failing property fails its
 test, not the session."""
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nfbeam import (
@@ -43,7 +44,7 @@ from nfbeam.codebooks import _far_field_columns, dft_angle_grid
 from nfbeam.errors import EmptyMainSetError
 from oracles import (estimate_angle_by_loops, exhaustive_training_by_loops,
                      fast_training_by_loops, joint_training_by_loops, proposed_training_by_loops,
-                     same_bits, width_distance_by_mask)
+                     same_bits, taylor_f_by_terms, width_distance_by_mask)
 
 BOOK = build_dft_codebook(ArrayConfig(64, 100e9))
 CFG32 = ArrayConfig(32, 100e9)
@@ -197,6 +198,19 @@ def test_closed_form_matches_quadratic_phase_sum(n, theta, data):
     phi = float(data.draw(st.sampled_from(grid[np.abs(grid - theta) <= 0.2])))
     ab = AlphaBeta.from_geometry(cfg, p, phi)
     assert abs(closed_form_f(ab) - taylor_f(cfg, p, phi)) <= 0.03
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2048), st.floats(-0.99, 0.99), st.floats(0.0, 1.0), st.floats(-1.0, 1.0))
+@example(2, 0.5, 0.0, -0.3)
+@example(3, -0.7, 0.3, 1.0)
+def test_taylor_f_pair_sum_matches_the_direct_sum(n, theta, u, phi):
+    # r runs log-uniformly in u from R_Fre out to 1000 R_Ray; N = 2 is the
+    # smallest array and N = 3 the smallest with a centre element
+    cfg = ArrayConfig(n, 100e9)
+    r_fre, r_ray = region_boundaries(cfg)
+    p = PolarPoint(theta, r_fre * (1000 * r_ray / r_fre) ** u)
+    assert abs(taylor_f(cfg, p, phi) - taylor_f_by_terms(cfg, p, phi)) <= 1e-12
 
 
 # Real and imaginary parts out to the largest |z| the closed forms feed
