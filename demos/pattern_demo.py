@@ -42,8 +42,8 @@ for r in [8.0, 16.0, 32.0]:
           f"1/(2 sqrt(alpha)) = {central_gain(ab):.4f}")
     print(f"   half-gain width: measured {got:.4f}, law N d (1-t^2)/r = {law:.4f} "
           f"({abs(got-law)/law:.1%} off)")
-    print(f"   on the grid: {grid_set.angles.size} beams above 1/2 x step 2/N "
-          f"= {grid_set.width:.4f}")
+    beams = round(grid_set.width * cfg.n_antennas / 2)
+    print(f"   on the grid: {beams} beams above 1/2 x step 2/N = {grid_set.width:.4f}")
 
 print("\nA far-field user for contrast (width law does not apply there):")
 p = PolarPoint(0.0, 5 * r_ray)

@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from .errors import SingularChannelError
+from .numerics import adjoint_product, vdot
 
 
 def _check_users(H: np.ndarray) -> None:
@@ -23,7 +24,7 @@ def _check_users(H: np.ndarray) -> None:
 
 def single_user_rate(h: np.ndarray, v: np.ndarray, sigma2: float) -> float:
     """R = log2(1 + |h^H v|^2 / sigma^2) for a unit-norm beam v."""
-    snr = abs(np.vdot(h, v)) ** 2 / sigma2 if sigma2 > 0 else math.inf
+    snr = abs(vdot(h, v)) ** 2 / sigma2 if sigma2 > 0 else math.inf
     return math.log2(1.0 + snr) if math.isfinite(snr) else math.inf
 
 
@@ -37,12 +38,12 @@ def multiuser_precode(H_hat: np.ndarray, sigma2: float) -> np.ndarray:
     """
     _check_users(H_hat)
     m = H_hat.shape[1]
-    gram = H_hat.conj().T @ H_hat + m * sigma2 * np.eye(m)
+    gram = adjoint_product(H_hat, H_hat) + m * sigma2 * np.eye(m)
     try:
         V = np.linalg.solve(gram, H_hat.conj().T).conj().T  # H gram^{-1}, as gram is Hermitian
     except np.linalg.LinAlgError as exc:
         raise SingularChannelError(f"regularized Gram matrix is singular: {exc}") from exc
-    # numpy's sum, not BLAS's threaded norm, so the bits hold at any thread count
+    # numpy's sum, not a BLAS dot (numerics.DOT_BLOCK), so the bits hold at any thread count
     norm = math.sqrt((V.real**2 + V.imag**2).sum())
     if not np.isfinite(norm) or norm == 0:
         raise SingularChannelError("precoder collapsed; duplicate estimated positions?")
@@ -57,7 +58,7 @@ def multiuser_rate(H: np.ndarray, V: np.ndarray, sigma2: float) -> np.ndarray:
     _check_users(H)
     if V.shape != H.shape:
         raise ValueError(f"precoder of shape {V.shape} for channels of shape {H.shape}")
-    rx = np.abs(H.conj().T @ V) ** 2
+    rx = np.abs(adjoint_product(H, V)) ** 2
     signal = np.diagonal(rx)
     interference = rx.sum(axis=1) - signal
     return np.log2(1.0 + signal / (interference + sigma2))

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayConfig, PolarPoint, _geometry, near_field_steering
-from .codebooks import Codebook, _far_field_columns, _noiseless_product, dft_angle_grid
+from .codebooks import Codebook, _far_field_columns, dft_angle_grid
 from .errors import DomainError, EmptyMainSetError
-from .numerics import erf_complex
+from .numerics import erf_complex, vdot
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,8 @@ class AlphaBeta:
 
 @dataclass(frozen=True)
 class MainAngleSet:
-    """The main run of grid angles above a threshold, and its width."""
+    """Width of the main run of grid angles above a threshold."""
 
-    angles: np.ndarray
     width: float
 
 
@@ -57,14 +56,14 @@ def exact_gain(cfg: ArrayConfig, p: PolarPoint, phi: float) -> float:
     """|b^H(theta, r) a(phi)| by the direct N-term sum."""
     b = near_field_steering(cfg, p)
     a = _far_field_columns(cfg, np.array([phi]))[:, 0]
-    return float(abs(np.vdot(b, a)))
+    return float(abs(vdot(b, a)))
 
 
 def exact_gain_grid(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> np.ndarray:
     """Exact gains against every codeword of the sweep codebook: the
-    codebook's noiseless product with the steering vector, an FFT for
-    the DFT codebook."""
-    return np.abs(_noiseless_product(near_field_steering(cfg, p), codebook))
+    codebook's noiseless sweep of the steering vector, an FFT for the
+    DFT codebook."""
+    return np.abs(codebook.noiseless_sweep(near_field_steering(cfg, p)))
 
 
 def taylor_f(cfg: ArrayConfig, p: PolarPoint, phi: float) -> complex:
@@ -77,8 +76,8 @@ def taylor_f(cfg: ArrayConfig, p: PolarPoint, phi: float) -> complex:
     2 cos(pi delta (theta - phi)) exp(j q), q = pi delta^2 d (1 - theta^2)
     / (2 r); so the sum runs over delta > 0 only, with the centre
     element's 1 added for odd N. It stays within ~2.5e-14 of the direct
-    N-term sum. Both reductions are numpy sums, not dot products, whose
-    BLAS threading would tie the last bits to the thread count.
+    N-term sum. Both reductions are numpy sums, not BLAS dot products,
+    so no thread count reaches their bits (`numerics.DOT_BLOCK`).
     """
     n = cfg.n_antennas
     delta = _geometry(cfg)[0][n // 2 + n % 2:, 0]
@@ -104,12 +103,6 @@ def closed_form_f(ab: AlphaBeta) -> complex:
 def central_gain(ab: AlphaBeta) -> float:
     """Large-alpha approximation of the gain at phi = theta: 1/(2 sqrt(alpha))."""
     return 1.0 / (2.0 * math.sqrt(ab.alpha))
-
-
-def normalized_closed_form_gain(ab: AlphaBeta) -> float:
-    """Normalized gain in reduced coordinates: |f~| / central_gain, i.e.
-    (1/2)|erf(.) - erf(.)|."""
-    return 2.0 * math.sqrt(ab.alpha) * abs(closed_form_f(ab))
 
 
 def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> np.ndarray:
@@ -155,13 +148,11 @@ def _main_run(gains: np.ndarray, rho: float) -> tuple[int, int]:
 
 
 def measure_width(gains: np.ndarray, rho: float) -> MainAngleSet:
-    """Main angle set at threshold rho of gains on the DFT grid
-    `dft_angle_grid(gains.size)`, and its `run_width`. Only the run
-    around the strongest sample is kept, so sidelobe ripples and noise
-    spikes cannot stretch the measured width."""
-    lo, hi = _main_run(gains, rho)
-    return MainAngleSet(angles=dft_angle_grid(gains.size)[lo:hi + 1],
-                        width=run_width(lo, hi, gains.size))
+    """`run_width` of the main angle set at threshold rho of gains on the
+    DFT grid `dft_angle_grid(gains.size)`. Only the run around the
+    strongest sample is kept, so sidelobe ripples and noise spikes cannot
+    stretch the measured width."""
+    return MainAngleSet(width=run_width(*_main_run(gains, rho), gains.size))
 
 
 def interpolated_width(gains: np.ndarray, rho: float) -> float:

@@ -21,6 +21,8 @@ SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 # each): one user's trainings and refinement candidates. The rate stage
 # meets each channel once, as `simulate` keeps a trial's channels itself.
 _MEMO_SIZE = 64
+# Configs kept by `_geometry` and `region_boundaries`: a process meets few.
+_CONFIG_MEMO_SIZE = 8
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -85,7 +87,7 @@ class PolarPoint:
             raise ValueError(f"r must be finite and positive, got {self.r}")
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=_CONFIG_MEMO_SIZE)
 def _geometry(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
     """Read-only columns delta_n and delta_n^2 d^2 of `_distances`."""
     delta = cfg.element_offsets()[:, None]
@@ -146,7 +148,7 @@ def los_channel(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     return _read_only(math.sqrt(cfg.n_antennas) * g * phase * near_field_steering(cfg, p))
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=_CONFIG_MEMO_SIZE)
 def region_boundaries(cfg: ArrayConfig) -> tuple[float, float]:
     """(Fresnel distance, Rayleigh distance) for this aperture; memoized."""
     D = cfg.aperture

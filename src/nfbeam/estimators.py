@@ -25,7 +25,7 @@ from .channel import (ArrayConfig, PolarPoint, _check_count, los_channel, near_f
                       region_boundaries)
 from .codebooks import FAR_FIELD, Codebook, _far_field_columns
 from .errors import EmptyMainSetError
-from .numerics import NoiseModel
+from .numerics import NoiseModel, vdot
 
 # Points of the joint baseline's log-spaced distance grid (`default_z_mu_grid`).
 Z_MU_SIZE = 64
@@ -168,7 +168,7 @@ def _refine(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     """One pilot per near-field candidate codeword: (theta, r, |y|)."""
     h = los_channel(cfg, p)
     pilot_noise = noise.sample(len(cands)).tolist()
-    return [(t, r, abs(complex(np.vdot(h, near_field_steering(cfg, PolarPoint(t, r)))) + z))
+    return [(t, r, abs(complex(vdot(h, near_field_steering(cfg, PolarPoint(t, r)))) + z))
             for (t, r), z in zip(cands, pilot_noise)]
 
 

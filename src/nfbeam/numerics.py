@@ -1,4 +1,5 @@
-"""Complex error function and seedable Gaussian noise streams.
+"""Complex error function, seedable Gaussian noise streams, and dot
+products whose bits do not depend on the BLAS thread count.
 
 The closed-form beam pattern expressions evaluate erf along the rays
 arg(z) = +-pi/4 and +-3pi/4, where |exp(-z^2)| = 1 and the function stays
@@ -119,3 +120,37 @@ class NoiseModel:
             self._chunks[pos, n] = self._units[pos:mid] + 1j * self._units[mid:end]
         self._pos = end
         return std * self._chunks[pos, n]
+
+
+# OpenBLAS splits a dot product of more than 10,000 terms over its threads,
+# which ties the last bits of the sum to the thread count. The products
+# below sum over blocks of at most DOT_BLOCK terms, one BLAS call each,
+# added in order from the first block; up to DOT_BLOCK terms a product is
+# the one call it would be anyway, with the same bits.
+DOT_BLOCK = 8192
+
+
+def _blocked(product, a: np.ndarray, b: np.ndarray):
+    """product(a, b) of a product that sums over the first axis, over
+    blocks of at most DOT_BLOCK entries of it. The sum starts from the
+    first block, not from 0, which could turn a -0.0 into +0.0."""
+    total = product(a[:DOT_BLOCK], b[:DOT_BLOCK])
+    for lo in range(DOT_BLOCK, len(a), DOT_BLOCK):
+        total = total + product(a[lo:lo + DOT_BLOCK], b[lo:lo + DOT_BLOCK])
+    return total
+
+
+def vdot(a: np.ndarray, b: np.ndarray) -> complex:
+    """a^H b of two vectors: `np.vdot`, blocked."""
+    return _blocked(np.vdot, a, b)
+
+
+def adjoint_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A^H B of two matrices of N rows, blocked over the rows."""
+    return _blocked(lambda x, y: x.conj().T @ y, a, b)
+
+
+def norm(x: np.ndarray) -> float:
+    """||x|| of a complex vector as `np.linalg.norm` forms it, from the
+    dot products of the real and imaginary parts, blocked."""
+    return math.sqrt(_blocked(np.dot, x.real, x.real) + _blocked(np.dot, x.imag, x.imag))

@@ -35,7 +35,7 @@ from .estimators import (
     joint_training,
     proposed_training,
 )
-from .numerics import NoiseModel
+from .numerics import NoiseModel, norm
 
 REFERENCE_POINT = PolarPoint(0.0, 5.0)  # calibration user for the reference SNR
 
@@ -84,7 +84,7 @@ class ScenarioConfig:
     trials: int = 200
     seed: int = 0
     theta_range: tuple[float, float] = (-0.8, 0.8)
-    r_range: tuple[float, float] | None = None   # None: [R_Fre, min(100 m, R_Ray)]
+    r_range: tuple[float, float] | None = None   # None: see r_bounds
     m_users: int = 10
     schemes: tuple[str, ...] = SCHEMES
     reference_mode: str = TOTAL_ENERGY
@@ -140,11 +140,12 @@ class ScenarioConfig:
 
     @cached_property
     def r_bounds(self) -> tuple[float, float]:
-        """The user box's distance range: r_range, or [R_Fre, min(100 m, R_Ray)]."""
+        """The user box's distance range: r_range, else [R_Fre, min(100 m, R_Ray)],
+        or the whole near field [R_Fre, R_Ray] where that is empty (R_Fre >= 100 m)."""
         if self.r_range is not None:
             return self.r_range
         r_fre, r_ray = region_boundaries(self.cfg)
-        return (r_fre, min(100.0, r_ray))
+        return (r_fre, min(100.0, r_ray) if r_fre < 100.0 else r_ray)
 
     @cached_property
     def sigma2s(self) -> tuple[float, ...]:
@@ -270,7 +271,7 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                    for p, noise in zip(users, noises)]
         if mode == "single":
             h = los_channel(cfg, users[0])
-            matched = h / np.linalg.norm(h)
+            matched = h / norm(h)
         elif mode == "multi":
             H = np.column_stack([los_channel(cfg, p) for p in users])
             channels = {}  # label (theta_hat, r_hat) -> its channel, for this trial only
@@ -423,8 +424,9 @@ def overhead_report(sc: ScenarioConfig) -> list[OverheadRow]:
         if scheme in ("proposed", "joint"):
             formula, expected = "N+k", n + sc.k
         elif scheme == "fast":
-            # distance pilots actually swept
-            formula, expected = "N+k*S_cand", n + est.distance_stage_evals
+            # S_cand: the polar entries at each candidate's grid angle
+            grid_idx = [sc.codebook.nearest_index(t) for t, _, _ in est.candidates]
+            formula, expected = "N+k*S_cand", n + int(sc.polar.angle_count[grid_idx].sum())
         else:
             formula, expected = "N*S", len(sc.polar)
         rows.append(OverheadRow(scheme, est.pilot_count, formula, expected,

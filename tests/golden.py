@@ -35,6 +35,7 @@ TABLE = Path(__file__).with_name("golden.json")
 INVOCATIONS = (
     "nmse --N 64 --trials 4 --dump-estimates",
     "nmse --N 63 --trials 4 --reference-mode per-antenna",
+    "nmse --N 64 --trials 2 --svg",
     "rate-single --N 64 --trials 4",
     "rate-multi --N 64 --M 4 --trials 2 --dump-users fast",
     "rate-multi --N 127 --M 6 --trials 1 --dump-users exhaustive",

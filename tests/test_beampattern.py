@@ -18,7 +18,7 @@ from nfbeam import (
     region_boundaries,
     taylor_f,
 )
-from nfbeam.beampattern import exact_gain_grid, normalized_closed_form_gain
+from nfbeam.beampattern import exact_gain_grid
 from nfbeam.errors import DomainError, EmptyMainSetError
 from oracles import quadrature_f
 
@@ -189,7 +189,7 @@ class TestMeasureWidth:
         pat = normalized_pattern(cfg512, FIG2, book)
         assert pat.max() == pytest.approx(1.163, abs=2e-3)
         ms = measure_width(pat, 0.999)
-        assert ms.angles.size <= 5
+        assert ms.width <= 5 * 2 / 512
 
     def test_rho_above_raw_peak_is_empty(self, cfg512):
         # on the raw pattern (peak ~0.23) any rho above the peak empties
@@ -257,12 +257,17 @@ class TestClosedFormWidth:
                 assert abs(w - closed_form_width(cfg512, p)) / closed_form_width(cfg512, p) <= 0.10
 
 
+def normalized_gain(ab):
+    """|f~| / central_gain from the two public closed forms."""
+    return abs(closed_form_f(ab)) / central_gain(ab)
+
+
 class TestReducedCoordinateProperties:
     def test_normalized_gain_even_in_beta(self):
         for alpha in [0.7, 2.5, 10.0]:
             for beta in [0.3, 2 * alpha, 3 * alpha]:
-                a = normalized_closed_form_gain(AlphaBeta(alpha, beta))
-                b = normalized_closed_form_gain(AlphaBeta(alpha, -beta))
+                a = normalized_gain(AlphaBeta(alpha, beta))
+                b = normalized_gain(AlphaBeta(alpha, -beta))
                 assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
 
     def test_half_gain_crossing_is_unique_per_side(self):
@@ -272,14 +277,14 @@ class TestReducedCoordinateProperties:
         # on each side is unique
         for alpha in [2.0, 4.0, 8.0, 20.0, 30.0, 50.0]:
             outside = np.linspace(2 * alpha + 0.05, 2 * alpha + 6, 150)
-            vals_out = [normalized_closed_form_gain(AlphaBeta(alpha, b)) for b in outside]
+            vals_out = [normalized_gain(AlphaBeta(alpha, b)) for b in outside]
             assert max(vals_out) < 0.5
             inside = np.linspace(0.0, 2 * alpha - 1.0, 150)
-            vals_in = [normalized_closed_form_gain(AlphaBeta(alpha, b)) for b in inside]
+            vals_in = [normalized_gain(AlphaBeta(alpha, b)) for b in inside]
             assert min(vals_in) > 0.5
 
     def test_half_gain_at_edge(self):
         # at beta = 2 alpha the normalized closed-form gain passes 1/2
         for alpha in [2.0, 6.144, 20.0]:
-            val = normalized_closed_form_gain(AlphaBeta(alpha, 2 * alpha))
+            val = normalized_gain(AlphaBeta(alpha, 2 * alpha))
             assert val == pytest.approx(0.5, abs=0.06)

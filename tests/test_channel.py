@@ -195,6 +195,17 @@ def test_cached_geometry_is_read_only_and_shared(cfg64):
     assert same_bits(delta2_d2, cfg64.element_offsets()[:, None] ** 2 * cfg64.spacing ** 2)
 
 
+@pytest.mark.parametrize("fn", [_geometry, region_boundaries],
+                         ids=["_geometry", "region_boundaries"])
+def test_per_config_caches_have_a_small_bound_of_their_own(fn):
+    # a process meets a few array configs, not a user's worth of channels
+    maxsize = fn.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize < los_channel.cache_info().maxsize
+    for n in range(2, maxsize + 12):
+        fn(ArrayConfig(n, 100e9))
+    assert fn.cache_info().currsize == maxsize
+
+
 @pytest.mark.parametrize("n", [2, 3, 64, 100, 255, 256, 512, 1024])
 def test_scaling_by_the_reciprocal_root_keeps_the_bits_of_the_division(n):
     # the steering and far-field formulas multiply by 1/sqrt(N); numpy

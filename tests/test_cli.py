@@ -68,6 +68,13 @@ class TestPattern:
         assert len(svg) == 1
         assert svg[0].read_text().startswith("<svg")
 
+    def test_runs_where_r_fre_passes_100_m(self, tmp_path):
+        # N = 4096: R_Fre = 138.9 m, so the default box is the whole near field
+        rc = run(["pattern", "--N", "4096", "--theta", "0.2", "--r", "300",
+                  "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert "r_range=138.9" in next(tmp_path.glob("pattern_*.csv")).read_text()
+
 
 class TestTrain:
     def test_single_shot(self, tmp_path, capsys):
@@ -157,12 +164,19 @@ class TestExperiments:
 
     def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         src = str(Path(nfbeam.__file__).resolve().parents[1])
+        far = ["--trials", "2", "--schemes", "proposed", "--snr-db", "10", "30",
+               "--r-range", "1200", "5000", "--reference-mode", "per-antenna"]
         runs = [["nmse", "--N", "64", "--trials", "3", "--dump-estimates"],
                 ["rate-multi", "--N", "64", "--M", "4", "--trials", "1", "--dump-users", "fast"],
                 ["rate-single", "--N", "64", "--trials", "2", "--schemes", "proposed,exhaustive"],
                 # N M = 10,240 precoder entries, past OpenBLAS's threaded-dot size
                 ["rate-multi", "--N", "128", "--M", "80", "--trials", "1", "--snr-db", "4", "30",
-                 "--dump-users", "proposed"]]
+                 "--dump-users", "proposed"],
+                # N = 10,240: every dot product, norm and M = 1 Gram is past
+                # the threaded size, so numerics sums it in blocks
+                ["rate-single", "--N", "10240", *far],
+                ["rate-multi", "--M", "1", "--N", "10240", *far],
+                ["pattern", "--N", "10240", "--theta", "0.2", "--r", "1500"]]
         outputs = []
         for threads in ("1", "2"):
             out = tmp_path / threads
@@ -172,7 +186,7 @@ class TestExperiments:
                 subprocess.run([sys.executable, "-m", "nfbeam.cli", *argv, "--out", str(out)],
                                env=env, check=True, capture_output=True)
             outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
-        assert len(outputs[0]) == 7
+        assert len(outputs[0]) == 10
         assert outputs[0] == outputs[1]
 
     def test_byte_identical_reruns(self, tmp_path):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from nfbeam import ArrayConfig, NoiseModel, build_polar_codebook, erf_complex
-from oracles import erf_real_quadrature, quadrature_f
+from nfbeam.numerics import DOT_BLOCK, adjoint_product, norm, vdot
+from oracles import erf_real_quadrature, quadrature_f, same_bits
 
 
 def test_erf_zero():
@@ -137,3 +138,20 @@ class TestNoiseModel:
     def test_replay_rejects_negative_power(self):
         with pytest.raises(ValueError):
             NoiseModel(1.0, 0).replay(-1.0)
+
+
+@pytest.mark.parametrize("n", [3, DOT_BLOCK, DOT_BLOCK + 1, 2 * DOT_BLOCK + 5])
+def test_blocked_products_are_numpy_s_up_to_one_block(n):
+    # up to DOT_BLOCK terms each is the numpy call it replaces, bit for
+    # bit; past it, a sum of blocks within rounding of the one call
+    rng = np.random.default_rng(n)
+    u, v = (rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(2))
+    a, b = (rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3)) for _ in range(2))
+    pairs = [(vdot(u, v), np.vdot(u, v)), (adjoint_product(a, b), a.conj().T @ b),
+             (adjoint_product(a[:, :1], a[:, :1]), a[:, :1].conj().T @ a[:, :1]),
+             (norm(u), np.linalg.norm(u))]
+    for got, ref in pairs:
+        if n <= DOT_BLOCK:
+            assert same_bits(got, ref)
+        else:
+            assert np.allclose(got, ref, rtol=1e-13, atol=0)

@@ -317,7 +317,8 @@ def reference_rows(sc, mode, far_field_picks):
         "exhaustive": lambda p, noise: exhaustive_training(cfg, p, noise, polar),
     }
     r_fre, r_ray = region_boundaries(cfg)
-    r_range = sc.r_range if sc.r_range is not None else (r_fre, min(100.0, r_ray))
+    r_range = sc.r_range if sc.r_range is not None else (
+        r_fre, min(100.0, r_ray) if r_fre < 100.0 else r_ray)
 
     def draw(rng):
         theta = float(rng.uniform(*sc.theta_range))
@@ -434,6 +435,18 @@ def test_header_contains_resolved_bounds():
     r_fre, r_ray = region_boundaries(ArrayConfig(64, 100e9))
     assert header["r_range"] == f"{r_fre!r}..{min(100.0, r_ray)!r}"
     assert "rayleigh_m" in header
+
+
+@pytest.mark.parametrize("n, fc, whole_field", [
+    (3289, 100e9, False),  # R_Fre 99.96 m
+    (4096, 100e9, True),   # R_Fre 138.9 m
+    (2048, 28e9, True),    # R_Fre 175.4 m
+])
+def test_default_box_is_the_whole_near_field_once_r_fre_reaches_100_m(n, fc, whole_field):
+    # [R_Fre, min(100 m, R_Ray)] is empty there, which failed every command
+    sc = ScenarioConfig(n_antennas=n, carrier_hz=fc)
+    r_fre, r_ray = region_boundaries(sc.cfg)
+    assert sc.r_bounds == (r_fre, r_ray if whole_field else 100.0)
 
 
 def test_rate_stage_builds_each_channel_once_per_trial(monkeypatch):
