@@ -18,8 +18,10 @@ import numpy as np
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
 # Entries kept by each of the steering and channel memos (16 N bytes
-# each): one user's trainings and refinement candidates. The rate stage
-# meets each channel once, as `simulate` keeps a trial's channels itself.
+# each). A training reads its user's channel twice (sweep and pilots);
+# the trainings build their candidate codewords in blocks, outside the
+# steering memo (in `simulate`, once per user), and the rate stage meets
+# each channel once, as `simulate` keeps a trial's channels itself.
 _MEMO_SIZE = 64
 # Configs kept by `_geometry` and `region_boundaries`: a process meets few.
 _CONFIG_MEMO_SIZE = 8
@@ -98,10 +100,12 @@ def _distances(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) -> np.nd
     """N x K matrix of element distances to the users (thetas[k], radii[k]).
 
     r^(n) = sqrt(r^2 + delta_n^2 d^2 - 2 r theta delta_n d), with r^2
-    formed as r * r in one array pass.
+    formed as r * r in one array pass. Evaluated as K x N, one user per
+    row, and returned as its transposed view, so each column is contiguous.
     """
     delta, delta2_d2 = _geometry(cfg)
-    return np.sqrt(radii * radii + delta2_d2 - 2 * radii * thetas * delta * cfg.spacing)
+    r = radii[:, None]
+    return np.sqrt(r * r + delta2_d2.T - 2 * r * thetas[:, None] * delta.T * cfg.spacing).T
 
 
 def element_distances(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
@@ -113,11 +117,16 @@ def steering_columns(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) ->
     """N x K matrix whose column k is b(thetas[k], radii[k]).
 
     The one steering formula: `near_field_steering` is its single-column
-    case and the polar codebook builds its rings in blocks of it, so a
-    codebook column has the bits of the memoized vector.
+    case, the polar codebook builds its rings in blocks of it and the
+    refinement builds its candidate codewords in blocks of it, so a
+    codebook column or a candidate codeword has the bits of the memoized
+    vector. Computed row-wise (K x N, so numpy's inner loops run over the
+    N elements) and returned as the transposed view: every column is
+    contiguous, which keeps the bits of a dot product with it.
     """
-    rn = _distances(cfg, thetas, radii)
-    return np.exp(-2j * np.pi * (rn - radii) / cfg.wavelength) * (1 / math.sqrt(cfg.n_antennas))
+    rn = _distances(cfg, thetas, radii).T
+    rows = np.exp(-2j * np.pi * (rn - radii[:, None]) / cfg.wavelength)
+    return (rows * (1 / math.sqrt(cfg.n_antennas))).T
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

@@ -18,7 +18,6 @@ import os
 import sys
 import types
 import typing
-from dataclasses import astuple
 from pathlib import Path
 
 from numpy.linalg import LinAlgError
@@ -279,7 +278,8 @@ def _cmd_overhead(args) -> int:
     sc = _scenario_from_args(args)
     rows = overhead_report(sc)
     out = _out_dir(args) / f"overhead_N{sc.n_antennas}_k{sc.k}.csv"
-    write_csv(out, OVERHEAD_COLUMNS, map(astuple, rows), sc.as_header_dict())
+    write_csv(out, OVERHEAD_COLUMNS, ([getattr(r, c) for c in OVERHEAD_COLUMNS] for r in rows),
+              sc.as_header_dict())
     for r in rows:
         print(f"{r.scheme}: {r.pilots_measured} pilots ({r.pilots_formula} = "
               f"{r.pilots_expected}), distance-stage evals {r.distance_stage_evals}")

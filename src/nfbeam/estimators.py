@@ -12,23 +12,40 @@ All four end in one pick (`_pick`): one pilot per candidate codeword,
 near-field beams or groups of polar entries, and the first strongest
 (theta, r, |y|) candidate wins. An estimate holds scalars only; its
 `beam` rebuilds the chosen codeword from the label.
+
+The width scheme and the joint baseline run in two stages. The
+candidate stage (`proposed_candidates`, `joint_candidates`) sweeps,
+estimates the angle and the distances, and draws the noise of the k
+refinement pilots where the training draws it, returning a
+`Refinement`. The pilot stage (`refinement_pilots`) forms |h^H b + z|
+from given codewords b and ends in the pick. `proposed_training` and
+`joint_training` compose the two with the candidates' own codewords
+(`codeword_rows`); `simharness.simulate` runs every candidate stage of a
+user first and builds that user's distinct candidate codewords once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .beampattern import contiguous_run, run_width, width_law
 from .channel import (ArrayConfig, PolarPoint, _check_count, los_channel, near_field_steering,
-                      region_boundaries)
+                      region_boundaries, steering_columns)
 from .codebooks import FAR_FIELD, Codebook, _far_field_columns
 from .errors import EmptyMainSetError
 from .numerics import NoiseModel, vdot
 
 # Points of the joint baseline's log-spaced distance grid (`default_z_mu_grid`).
 Z_MU_SIZE = 64
+# Entries per steering-formula call in `codeword_rows`, as
+# codebooks._COLUMN_BLOCK bounds the codebook builds: 33 codewords build
+# 2.2x faster in one block than one at a time at N = 256, but at N = 4096
+# an unbounded block of 33 was 1.15-1.45x slower, and blocks of at most
+# this many entries were at parity.
+_ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -163,13 +180,38 @@ def _pick(cfg: ArrayConfig, cands: list[tuple[float, float, float]], pilot_count
                             distance_stage_evals=evals)
 
 
-def _refine(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
-            cands: list[tuple[float, float]]) -> list[tuple[float, float, float]]:
-    """One pilot per near-field candidate codeword: (theta, r, |y|)."""
+@dataclass(frozen=True)
+class Refinement:
+    """What a candidate stage hands the pilot stage: the near-field
+    candidates (theta, r), the noise of one pilot per candidate (drawn
+    right after the sweep's), and the training's pilot count and
+    distance-stage evaluations."""
+
+    cands: tuple[tuple[float, float], ...]
+    pilot_noise: tuple[complex, ...]
+    pilot_count: int
+    evals: int
+
+
+def codeword_rows(cfg: ArrayConfig, labels: Sequence[tuple[float, float]]) -> list[np.ndarray]:
+    """The near-field codeword b(theta, r) of each (theta, r) label, each a
+    contiguous vector with the bits of `near_field_steering`: the columns
+    of `steering_columns` blocks of at most _ROW_BLOCK entries."""
+    thetas, radii = np.array(labels, dtype=float).reshape(-1, 2).T
+    step = max(1, _ROW_BLOCK // cfg.n_antennas)
+    return [b for lo in range(0, len(labels), step)
+            for b in steering_columns(cfg, thetas[lo:lo + step], radii[lo:lo + step]).T]
+
+
+def refinement_pilots(cfg: ArrayConfig, p: PolarPoint, ref: Refinement,
+                      rows: Sequence[np.ndarray]) -> LocationEstimate:
+    """Pilot stage of the proposed and joint trainings: one pilot
+    |h^H b + z| per candidate, b its codeword in `rows` (one per
+    candidate, in order) and z its drawn noise; then the pick."""
     h = los_channel(cfg, p)
-    pilot_noise = noise.sample(len(cands)).tolist()
-    return [(t, r, abs(complex(vdot(h, near_field_steering(cfg, PolarPoint(t, r)))) + z))
-            for (t, r), z in zip(cands, pilot_noise)]
+    cands = [(t, r, abs(complex(vdot(h, b)) + z))
+             for (t, r), b, z in zip(ref.cands, rows, ref.pilot_noise)]
+    return _pick(cfg, cands, ref.pilot_count, ref.evals)
 
 
 def _sweep_groups(polar: Codebook, h: np.ndarray, groups: list[slice],
@@ -194,11 +236,21 @@ def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     (k when the main set holds at least k angles). The distance stage is
     one width inversion per candidate.
     """
+    ref = proposed_candidates(cfg, p, noise, ec, codebook)
+    return refinement_pilots(cfg, p, ref, codeword_rows(cfg, ref.cands))
+
+
+def proposed_candidates(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
+                        ec: EstimatorConfig, codebook: Codebook) -> Refinement:
+    """Candidate stage of `proposed_training`: the sweep, the clustered
+    median angle, one width inversion per candidate angle, then the
+    refinement pilots' noise."""
     amp = beam_sweep(cfg, p, codebook, noise)
     _, cis = estimate_angle(amp, codebook, ec, clustering=True)
     cands = [(float(codebook.angle_grid[ci]), estimate_distance(amp, codebook, ci)[0])
              for ci in cis]
-    return _pick(cfg, _refine(cfg, p, noise, cands), len(codebook) + len(cands), len(cands))
+    return Refinement(tuple(cands), tuple(noise.sample(len(cands)).tolist()),
+                      len(codebook) + len(cands), len(cands))
 
 
 def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
@@ -207,6 +259,16 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     """Baseline: global (unclustered) median angle; the distance is found
     by searching the z_mu grid for the best width-model match, so the
     distance stage costs |z_mu| model evaluations per candidate."""
+    ref = joint_candidates(cfg, p, noise, ec, z_mu_grid, codebook)
+    return refinement_pilots(cfg, p, ref, codeword_rows(cfg, ref.cands))
+
+
+def joint_candidates(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
+                     ec: EstimatorConfig, z_mu_grid: np.ndarray,
+                     codebook: Codebook) -> Refinement:
+    """Candidate stage of `joint_training`: the sweep, the global median
+    angle, the z_mu search per candidate angle, then the refinement
+    pilots' noise."""
     amp = beam_sweep(cfg, p, codebook, noise)
     _, cis = estimate_angle(amp, codebook, ec, clustering=False)
     cands = []
@@ -221,7 +283,8 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
         else:
             r_hat = float(z_mu_grid[np.abs(predicted - width).argmin()])
         cands.append((theta_i, r_hat))
-    return _pick(cfg, _refine(cfg, p, noise, cands), len(codebook) + len(cands), evals)
+    return Refinement(tuple(cands), tuple(noise.sample(len(cands)).tolist()),
+                      len(codebook) + len(cands), evals)
 
 
 def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,

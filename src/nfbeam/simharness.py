@@ -15,7 +15,7 @@ which makes the schemes see identical sweep noise within a trial.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -29,11 +29,16 @@ from .errors import EmptyMainSetError, SingularChannelError
 from .estimators import (
     Z_MU_SIZE,
     EstimatorConfig,
+    Refinement,
+    codeword_rows,
     default_z_mu_grid,
     exhaustive_training,
     fast_training,
+    joint_candidates,
     joint_training,
+    proposed_candidates,
     proposed_training,
+    refinement_pilots,
 )
 from .numerics import NoiseModel, norm
 
@@ -52,6 +57,13 @@ TRAININGS = {
     "exhaustive": lambda sc, p, noise: exhaustive_training(sc.cfg, p, noise, sc.polar),
 }
 SCHEMES = tuple(TRAININGS)
+# The candidate stages of the schemes that end in refinement pilots, which
+# `simulate` runs in place of their trainings; looked up the same way.
+CANDIDATE_STAGES = {
+    "proposed": lambda sc, p, noise: proposed_candidates(sc.cfg, p, noise, sc.ec, sc.codebook),
+    "joint": lambda sc, p, noise: joint_candidates(sc.cfg, p, noise, sc.ec, sc.z_mu,
+                                                   sc.codebook),
+}
 FULL_CSI = "full-csi"
 
 
@@ -243,11 +255,14 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
     users per trial under per-user noise keys and rates the group under RZF,
     with a full-CSI row precoded from the true channels. A trial trains user
     by user, each user's trainings back to back so that every codebook's last
-    sweep serves them; a rate mode then builds the true channels once, multi
-    mode each distinct label's channel once, and the trial yields its rows. A
-    scheme's row is an outage when any user's estimate is None (an empty main
-    set); a multi-user row, full CSI included, is also an outage when RZF
-    finds its Gram matrix singular.
+    sweep serves them. Proposed and joint run in two stages: the user's
+    candidate stages first, then one build of the user's distinct candidate
+    codewords (`codeword_rows`), then the pilot stages from those rows; fast
+    and exhaustive run whole. A rate mode then builds the true channels once,
+    multi mode each distinct label's channel once, and the trial yields its
+    rows. A scheme's row is an outage when any user's estimate is None (an
+    empty main set); a multi-user row, full CSI included, is also an outage
+    when RZF finds its Gram matrix singular.
     """
     if mode not in ("nmse", "single", "multi"):
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
@@ -255,11 +270,19 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         raise ValueError(f"m_users = {sc.m_users} exceeds n_antennas = {sc.n_antennas}")
     cfg = sc.cfg
 
-    def train(scheme, p, noise):  # the estimate, or None on an empty main set
+    def stage(scheme, p, noise):  # a Refinement or an estimate; None on an empty main set
         try:
-            return TRAININGS[scheme](sc, p, noise)
+            return CANDIDATE_STAGES.get(scheme, TRAININGS[scheme])(sc, p, noise)
         except EmptyMainSetError:
             return None
+
+    def train(p, noise):  # [i][j]: the estimate at SNR point i under scheme j, or None
+        staged = [[stage(s, p, noise.replay(x)) for s in sc.schemes] for x in sc.sigma2s]
+        refs = [r for row in staged for r in row if isinstance(r, Refinement)]
+        labels = list(dict.fromkeys(c for r in refs for c in r.cands))
+        rows = dict(zip(labels, codeword_rows(cfg, labels)))
+        return [[refinement_pilots(cfg, p, r, [rows[c] for c in r.cands])
+                 if isinstance(r, Refinement) else r for r in row] for row in staged]
 
     for t in range(sc.trials):
         rng = np.random.default_rng(user_rng_key(sc.seed, t))
@@ -267,8 +290,7 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         noises = [NoiseModel(sc.sigma2s[0], noise_key(sc.seed, t, u if mode == "multi" else None))
                   for u in range(len(users))]
         # trained[u][i][j]: user u's estimate at SNR point i under scheme j, or None
-        trained = [[[train(s, p, noise.replay(x)) for s in sc.schemes] for x in sc.sigma2s]
-                   for p, noise in zip(users, noises)]
+        trained = [train(p, noise) for p, noise in zip(users, noises)]
         if mode == "single":
             h = los_channel(cfg, users[0])
             matched = h / norm(h)
@@ -458,4 +480,5 @@ RECORD_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
 
 
 def write_records_csv(path, records: Sequence[MetricsRecord], header: dict) -> None:
-    write_csv(path, RECORD_COLUMNS, (astuple(r) for r in records), header)
+    write_csv(path, RECORD_COLUMNS, ([getattr(r, c) for c in RECORD_COLUMNS] for r in records),
+              header)

@@ -36,6 +36,8 @@ INVOCATIONS = (
     "nmse --N 64 --trials 4 --dump-estimates",
     "nmse --N 63 --trials 4 --reference-mode per-antenna",
     "nmse --N 64 --trials 2 --svg",
+    # each user's refinement codewords span several steering-formula blocks
+    "nmse --N 1024 --trials 2 --snr-db 4 16 30 --dump-estimates",
     "rate-single --N 64 --trials 4",
     "rate-multi --N 64 --M 4 --trials 2 --dump-users fast",
     "rate-multi --N 127 --M 6 --trials 1 --dump-users exhaustive",

@@ -137,7 +137,7 @@ class TestExperiments:
 
     def test_estimate_dump_trains_once_per_trial_snr_and_scheme(self, tmp_path, monkeypatch):
         calls = []
-        for name in ("proposed_training", "joint_training"):
+        for name in ("proposed_candidates", "joint_candidates"):
             original = getattr(nfbeam.simharness, name)
             monkeypatch.setattr(nfbeam.simharness, name,
                                 lambda *a, _f=original, **kw: calls.append(1) or _f(*a, **kw))

@@ -1,6 +1,7 @@
 """Property tests of the angle and distance stages and the four
 trainings against plain-loop oracles, of the pilot budgets and range
-bounds of the four trainings, of the closed-form sweep response against
+bounds of the four trainings, of the staged width trainings fed from a
+shared codeword block against the trainings, of the closed-form sweep response against
 its quadratic-phase sum and of that sum's mirror-pair form against all N
 terms, of erf's symmetries, and of the mirror identity
 the codebook builder relies on; and that a failing property fails its
@@ -42,6 +43,8 @@ from nfbeam import (
 from nfbeam.channel import steering_columns
 from nfbeam.codebooks import _far_field_columns, dft_angle_grid
 from nfbeam.errors import EmptyMainSetError
+from nfbeam.estimators import (codeword_rows, joint_candidates, proposed_candidates,
+                               refinement_pilots)
 from oracles import (estimate_angle_by_loops, exhaustive_training_by_loops,
                      fast_training_by_loops, joint_training_by_loops, proposed_training_by_loops,
                      same_bits, taylor_f_by_terms, width_distance_by_mask)
@@ -148,6 +151,39 @@ def test_width_trainings_equal_loop_oracles_to_the_bit(p, snr_db, key, ec):
         assert same_bits(np.array(est.candidates), np.array(cands))
         assert est.pilot_count == pilots
         assert same_bits(est.beam(CFG32), w)
+
+
+@lru_cache(maxsize=8)
+def dft_books_at(n):
+    cfg = ArrayConfig(n, 100e9)
+    return cfg, build_dft_codebook(cfg), default_z_mu_grid(cfg)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 300), st.integers(1, 5), st.floats(-0.95, 0.95), st.floats(0.0, 1.0),
+       snrs, keys)
+@example(2, 2, 0.4, 0.5, 10.0, 1)
+@example(3, 5, -0.6, 0.1, -15.0, 2)
+def test_stages_from_a_shared_row_block_equal_the_trainings(n, k, theta, u, snr_db, key):
+    # what simulate does per user: both candidate stages on one replayed
+    # stream, one codeword block for their distinct candidates, then the
+    # pilot stages; each must give its training's estimate on a fresh stream
+    cfg, book, z_mu = dft_books_at(n)
+    r_fre, r_ray = region_boundaries(cfg)
+    p = PolarPoint(theta, r_fre + u * (r_ray - r_fre))
+    sigma2 = calibrate_noise(cfg, snr_db, "per-antenna")
+    ec = EstimatorConfig(k=k)
+    noise = NoiseModel(sigma2, key)
+    refs = [proposed_candidates(cfg, p, noise.replay(sigma2), ec, book),
+            joint_candidates(cfg, p, noise.replay(sigma2), ec, z_mu, book)]
+    labels = list(dict.fromkeys(c for ref in refs for c in ref.cands))
+    rows = dict(zip(labels, codeword_rows(cfg, labels)))
+    staged = [refinement_pilots(cfg, p, ref, [rows[c] for c in ref.cands]) for ref in refs]
+    trained = [proposed_training(cfg, p, NoiseModel(sigma2, key), ec, book),
+               joint_training(cfg, p, NoiseModel(sigma2, key), ec, z_mu, book)]
+    assert staged == trained
+    for a, b in zip(staged, trained):
+        assert same_bits(np.array(a.candidates), np.array(b.candidates))
 
 
 @settings(max_examples=100, deadline=None)

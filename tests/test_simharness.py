@@ -265,7 +265,7 @@ class TestSimulate:
         # user 1 of trial 0 under proposed at 20 dB: row 4 of the run
         target = (clean[0].users[1], sc.sigma2s[1])
         hits = []
-        real = nfbeam.simharness.proposed_training
+        real = nfbeam.simharness.proposed_candidates
 
         def flaky(cfg, p, noise, ec, codebook):
             if (p, noise.sigma2) == target:
@@ -273,7 +273,7 @@ class TestSimulate:
                 raise EmptyMainSetError("injected")
             return real(cfg, p, noise, ec, codebook)
 
-        monkeypatch.setattr(nfbeam.simharness, "proposed_training", flaky)
+        monkeypatch.setattr(nfbeam.simharness, "proposed_candidates", flaky)
         rows = list(simulate(sc, "multi"))
         assert len(hits) == 1
         assert len(rows) == len(clean) == 2 * 2 * 3
@@ -474,3 +474,61 @@ def test_rate_stage_builds_each_channel_once_per_trial(monkeypatch):
     calls.clear()
     assert len(list(simulate(sc, "nmse"))) == 2 * len(SCHEMES)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode, row_block", [("nmse", None), ("multi", None), ("multi", 4 * 128)])
+def test_each_users_refinement_codewords_are_built_once_in_row_blocks(monkeypatch, mode,
+                                                                      row_block):
+    # a user's proposed and joint trainings share candidates across SNR
+    # points and schemes; simulate builds each distinct (theta, r) once, in
+    # blocks of at most _ROW_BLOCK entries, and the bits do not depend on
+    # the block size
+    sc = ScenarioConfig(n_antennas=128, trials=2, m_users=10, snr_ref_db_grid=(4.0, 16.0, 30.0),
+                        schemes=SCHEMES)
+    sc.polar  # built before the count
+    clean = list(simulate(sc, mode))
+    events = []
+    formula = nfbeam.estimators.steering_columns
+
+    def counting(cfg, thetas, radii):
+        events.append(("block", list(zip(thetas.tolist(), radii.tolist()))))
+        return formula(cfg, thetas, radii)
+
+    def recording(stage):
+        def recorded(cfg, p, noise, *rest):
+            ref = stage(cfg, p, noise, *rest)
+            events.append(("cands", p, ref.cands))
+            return ref
+        return recorded
+
+    monkeypatch.setattr(nfbeam.estimators, "steering_columns", counting)
+    for name in ("proposed_candidates", "joint_candidates"):
+        monkeypatch.setattr(nfbeam.simharness, name, recording(getattr(nfbeam.simharness, name)))
+    if row_block is not None:
+        monkeypatch.setattr(nfbeam.estimators, "_ROW_BLOCK", row_block)
+    near_field_steering.cache_clear()
+    los_channel.cache_clear()
+    assert list(simulate(sc, mode)) == clean
+    per_user = []  # [user, candidates of its stages, labels of its blocks]
+    for event in events:
+        if event[0] == "cands":
+            if not per_user or per_user[-1][0] != event[1]:
+                per_user.append([event[1], [], []])
+            per_user[-1][1].extend(event[2])
+        else:
+            per_user[-1][2].append(event[1])
+    assert len(per_user) == sc.trials * (sc.m_users if mode == "multi" else 1)
+    step = nfbeam.estimators._ROW_BLOCK // 128
+    shared = 0
+    for _, cands, blocks in per_user:
+        distinct = list(dict.fromkeys(cands))
+        assert [c for b in blocks for c in b] == distinct  # each once, first-seen order
+        assert [len(b) for b in blocks] == [len(distinct[i:i + step])
+                                            for i in range(0, len(distinct), step)]
+        shared += len(cands) - len(distinct)
+    assert shared > 0
+    if row_block is not None:
+        assert max(len(blocks) for _, _, blocks in per_user) > 1
+    if mode == "nmse":  # the steering memo serves only the users' channels
+        info = near_field_steering.cache_info()
+        assert info.hits + info.misses == sc.trials
