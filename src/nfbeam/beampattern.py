@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ArrayConfig, PolarPoint, _geometry, near_field_steering
-from .codebooks import Codebook, _far_field_columns, dft_angle_grid
+from .codebooks import FAR_FIELD, Codebook, codewords, dft_angle_grid
 from .errors import DomainError, EmptyMainSetError
 from .numerics import erf_complex, vdot
 
@@ -53,10 +53,9 @@ class MainAngleSet:
 
 
 def exact_gain(cfg: ArrayConfig, p: PolarPoint, phi: float) -> float:
-    """|b^H(theta, r) a(phi)| by the direct N-term sum."""
+    """|b^H(theta, r) a(phi)| by the direct N-term sum, a(phi) the DFT codeword."""
     b = near_field_steering(cfg, p)
-    a = _far_field_columns(cfg, np.array([phi]))[:, 0]
-    return float(abs(vdot(b, a)))
+    return float(abs(vdot(b, codewords(cfg, [(phi, FAR_FIELD)])[phi, FAR_FIELD])))
 
 
 def exact_gain_grid(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> np.ndarray:
@@ -107,12 +106,13 @@ def central_gain(ab: AlphaBeta) -> float:
 
 def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> np.ndarray:
     """Sweep gains over the codebook's grid divided by the exact gain at
-    phi = theta.
+    phi = theta, both from one steering vector.
 
     The channel-level and steering-level normalizations coincide: the
-    scalar sqrt(N) g exp(-j 2 pi r / lambda) cancels in the ratio.
-    """
-    return exact_gain_grid(cfg, p, codebook) / exact_gain(cfg, p, p.theta)
+    scalar sqrt(N) g exp(-j 2 pi r / lambda) cancels in the ratio."""
+    b = near_field_steering(cfg, p)
+    a = codewords(cfg, [(p.theta, FAR_FIELD)])[p.theta, FAR_FIELD]
+    return np.abs(codebook.noiseless_sweep(b)) / float(abs(vdot(b, a)))
 
 
 def contiguous_run(values, center: int, rho: float, scale: float = 1.0) -> tuple[int, int]:

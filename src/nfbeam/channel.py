@@ -17,11 +17,9 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
-# Entries kept by each of the steering and channel memos (16 N bytes
-# each). A training reads its user's channel twice (sweep and pilots);
-# the trainings build their candidate codewords in blocks, outside the
-# steering memo (in `simulate`, once per user), and the rate stage meets
-# each channel once, as `simulate` keeps a trial's channels itself.
+# Entries kept by the channel memo (16 N bytes each). A training reads its
+# user's channel twice (sweep and pilots); the rate stage reads each true
+# channel once per trial and builds label channels from `codebooks` codewords.
 _MEMO_SIZE = 64
 # Configs kept by `_geometry` and `region_boundaries`: a process meets few.
 _CONFIG_MEMO_SIZE = 8
@@ -117,28 +115,25 @@ def steering_columns(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) ->
     """N x K matrix whose column k is b(thetas[k], radii[k]).
 
     The one steering formula: `near_field_steering` is its single-column
-    case, the polar codebook builds its rings in blocks of it and the
-    refinement builds its candidate codewords in blocks of it, so a
-    codebook column or a candidate codeword has the bits of the memoized
-    vector. Computed row-wise (K x N, so numpy's inner loops run over the
-    N elements) and returned as the transposed view: every column is
-    contiguous, which keeps the bits of a dot product with it.
+    case and `codebooks` builds every near-field codeword in blocks of it,
+    so a codebook entry, a candidate codeword or a data beam has the bits
+    of the single vector. Computed row-wise (K x N, so numpy's inner loops
+    run over the N elements) and returned as the transposed view: every
+    column is contiguous, which keeps the bits of a dot product with it.
     """
     rn = _distances(cfg, thetas, radii).T
     rows = np.exp(-2j * np.pi * (rn - radii[:, None]) / cfg.wavelength)
     return (rows * (1 / math.sqrt(cfg.n_antennas))).T
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def near_field_steering(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     """Unit-norm steering vector b(theta, r).
 
     Entry n is exp(-j 2 pi (r^(n) - r) / lambda) / sqrt(N). In the limit
     r -> infinity this tends entrywise to the far-field DFT codeword at
-    the same spatial angle. Memoized on (cfg, p): the array is shared and
-    read-only, so copy it before writing.
+    the same spatial angle.
     """
-    return _read_only(steering_columns(cfg, np.array([p.theta]), np.array([p.r]))[:, 0])
+    return steering_columns(cfg, np.array([p.theta]), np.array([p.r]))[:, 0]
 
 
 def channel_gain(cfg: ArrayConfig, r: float) -> float:
@@ -146,15 +141,22 @@ def channel_gain(cfg: ArrayConfig, r: float) -> float:
     return cfg.wavelength / (4.0 * math.pi * r)
 
 
+def channel_from_steering(cfg: ArrayConfig, r: float, b: np.ndarray) -> np.ndarray:
+    """sqrt(N) g exp(j 2 pi r / lambda) b: the LoS channel at range r with
+    steering vector b, for `los_channel` and for estimated labels' codewords."""
+    g = channel_gain(cfg, r)
+    phase = np.exp(2j * np.pi * r / cfg.wavelength)
+    return math.sqrt(cfg.n_antennas) * g * phase * b
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def los_channel(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     """LoS channel h; h^H = sqrt(N) g exp(-j 2 pi r / lambda) b^H(theta, r).
 
-    Memoized on (cfg, p) like `near_field_steering`: shared and read-only.
+    Memoized on (cfg, p): the array is shared and read-only, so copy it
+    before writing.
     """
-    g = channel_gain(cfg, p.r)
-    phase = np.exp(2j * np.pi * p.r / cfg.wavelength)
-    return _read_only(math.sqrt(cfg.n_antennas) * g * phase * near_field_steering(cfg, p))
+    return _read_only(channel_from_steering(cfg, p.r, near_field_steering(cfg, p)))
 
 
 @lru_cache(maxsize=_CONFIG_MEMO_SIZE)

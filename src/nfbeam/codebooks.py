@@ -30,8 +30,7 @@ so delta (-phi) = (-delta) phi in the far field; the rings of -theta get
 the same radii, since theta^2 is the same float, and the ring distance is
 formed as ((2 r theta) delta) d, where a sign flip of theta or of delta
 gives the same float. So a codeword evaluated directly at a negative
-angle, as `matrix` and `LocationEstimate.beam` do, has the bits of the
-mirrored copy.
+angle, as `matrix` and `codewords` do, has the bits of the mirrored copy.
 The conjugate symmetry of the columns is not used: it would turn the +0
 imaginary part of an odd N's delta = 0 row into -0.
 
@@ -57,6 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -68,9 +68,10 @@ FAR_FIELD = math.inf
 # Coherence parameter of the polar codebook's rings (`build_polar_codebook`).
 BETA_POLAR = 1.6
 
-# Columns evaluated per formula call when building a codebook or its
-# matrix: bounds the N x block temporaries (2 MiB each at N = 1024).
-_COLUMN_BLOCK = 128
+# Entries (N per codeword) per formula call in every codeword build: bounds
+# the 128 KiB block temporaries. Polar builds at N = 256 and 1024 and the
+# trial loop's refinement codewords ran fastest or within 3% of it here.
+_BLOCK = 8192
 
 
 def dft_angle_grid(n: int) -> np.ndarray:
@@ -161,23 +162,32 @@ class Codebook:
 
 
 def _far_field_columns(cfg: ArrayConfig, angles: np.ndarray) -> np.ndarray:
-    """N x K matrix whose column k is the DFT codeword at angles[k]:
-    the one far-field formula."""
-    phase = np.outer(cfg.element_offsets(), angles)
-    return np.exp(1j * np.pi * phase) * (1 / math.sqrt(cfg.n_antennas))
+    """N x K matrix whose column k is the DFT codeword at angles[k], the one
+    far-field formula; row-wise, as `steering_columns`, so columns are contiguous."""
+    phase = np.outer(angles, cfg.element_offsets())
+    return (np.exp(1j * np.pi * phase) * (1 / math.sqrt(cfg.n_antennas))).T
 
 
 def _columns(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray):
-    """Yield (cols, block) pairs, block[:, c] the codeword of label
-    (thetas[cols[c]], radii[cols[c]]), until every label is covered: the
-    far-field formula where r = inf, `steering_columns` elsewhere, in
-    blocks of at most `_COLUMN_BLOCK` labels."""
+    """Yield (cols, block) pairs, block[:, c] the contiguous codeword of label
+    (thetas[cols[c]], radii[cols[c]]), until every label is covered: the far-field
+    formula where r = inf, `steering_columns` elsewhere, `_BLOCK` entries at most."""
     far = np.isinf(radii)
-    for cols in (np.flatnonzero(far), np.flatnonzero(~far)):
-        for lo in range(0, cols.size, _COLUMN_BLOCK):
-            block = cols[lo:lo + _COLUMN_BLOCK]
+    step = max(1, _BLOCK // cfg.n_antennas)
+    for cols in (far.nonzero()[0], (~far).nonzero()[0]):
+        for lo in range(0, cols.size, step):
+            block = cols[lo:lo + step]
             yield block, (_far_field_columns(cfg, thetas[block]) if far[block[0]]
                           else steering_columns(cfg, thetas[block], radii[block]))
+
+
+def codewords(cfg: ArrayConfig,
+              labels: Sequence[tuple[float, float]]) -> dict[tuple[float, float], np.ndarray]:
+    """The one label-to-codeword map: each (theta, r) label's codeword, r = inf
+    marking the DFT codeword at theta, as a contiguous vector (`_columns`)."""
+    thetas, radii = np.array(labels, dtype=float).reshape(-1, 2).T
+    return {labels[i]: b for cols, block in _columns(cfg, thetas, radii)
+            for i, b in zip(cols.tolist(), block.T)}
 
 
 def _build(cfg: ArrayConfig, rings: list[list[float]]) -> Codebook:

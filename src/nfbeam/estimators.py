@@ -10,8 +10,9 @@ a distance.
 
 All four end in one pick (`_pick`): one pilot per candidate codeword,
 near-field beams or groups of polar entries, and the first strongest
-(theta, r, |y|) candidate wins. An estimate holds scalars only; its
-`beam` rebuilds the chosen codeword from the label.
+(theta, r, |y|) candidate wins. An estimate holds scalars only: its
+codeword is `codebooks.codewords`' entry for its label, (theta_hat, inf)
+for a far-field pick and (theta_hat, r_hat) otherwise.
 
 The width scheme and the joint baseline run in two stages. The
 candidate stage (`proposed_candidates`, `joint_candidates`) sweeps,
@@ -19,33 +20,25 @@ estimates the angle and the distances, and draws the noise of the k
 refinement pilots where the training draws it, returning a
 `Refinement`. The pilot stage (`refinement_pilots`) forms |h^H b + z|
 from given codewords b and ends in the pick. `proposed_training` and
-`joint_training` compose the two with the candidates' own codewords
-(`codeword_rows`); `simharness.simulate` runs every candidate stage of a
-user first and builds that user's distinct candidate codewords once.
+`joint_training` compose the two with the candidates' `codewords`, which
+`simharness.simulate` builds once per user for all its stages.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping
 
 import numpy as np
 
 from .beampattern import contiguous_run, run_width, width_law
-from .channel import (ArrayConfig, PolarPoint, _check_count, los_channel, near_field_steering,
-                      region_boundaries, steering_columns)
-from .codebooks import FAR_FIELD, Codebook, _far_field_columns
+from .channel import ArrayConfig, PolarPoint, _check_count, los_channel, region_boundaries
+from .codebooks import FAR_FIELD, Codebook, codewords
 from .errors import EmptyMainSetError
 from .numerics import NoiseModel, vdot
 
 # Points of the joint baseline's log-spaced distance grid (`default_z_mu_grid`).
 Z_MU_SIZE = 64
-# Entries per steering-formula call in `codeword_rows`, as
-# codebooks._COLUMN_BLOCK bounds the codebook builds: 33 codewords build
-# 2.2x faster in one block than one at a time at N = 256, but at N = 4096
-# an unbounded block of 33 was 1.15-1.45x slower, and blocks of at most
-# this many entries were at parity.
-_ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -69,13 +62,6 @@ class LocationEstimate:
     pilot_count: int
     candidates: tuple[tuple[float, float, float], ...]  # (theta, r, |y| of its pilot)
     distance_stage_evals: int = 0
-
-    def beam(self, cfg: ArrayConfig) -> np.ndarray:
-        """Unit-norm data beam: the chosen codeword, evaluated from its
-        label with the bits of the codebook's column."""
-        if self.far_field:
-            return _far_field_columns(cfg, np.array([self.theta_hat]))[:, 0]
-        return near_field_steering(cfg, PolarPoint(self.theta_hat, self.r_hat))
 
 
 def _pilots(s: np.ndarray, noise: NoiseModel) -> np.ndarray:
@@ -193,24 +179,14 @@ class Refinement:
     evals: int
 
 
-def codeword_rows(cfg: ArrayConfig, labels: Sequence[tuple[float, float]]) -> list[np.ndarray]:
-    """The near-field codeword b(theta, r) of each (theta, r) label, each a
-    contiguous vector with the bits of `near_field_steering`: the columns
-    of `steering_columns` blocks of at most _ROW_BLOCK entries."""
-    thetas, radii = np.array(labels, dtype=float).reshape(-1, 2).T
-    step = max(1, _ROW_BLOCK // cfg.n_antennas)
-    return [b for lo in range(0, len(labels), step)
-            for b in steering_columns(cfg, thetas[lo:lo + step], radii[lo:lo + step]).T]
-
-
 def refinement_pilots(cfg: ArrayConfig, p: PolarPoint, ref: Refinement,
-                      rows: Sequence[np.ndarray]) -> LocationEstimate:
+                      rows: Mapping[tuple[float, float], np.ndarray]) -> LocationEstimate:
     """Pilot stage of the proposed and joint trainings: one pilot
-    |h^H b + z| per candidate, b its codeword in `rows` (one per
-    candidate, in order) and z its drawn noise; then the pick."""
+    |h^H b + z| per candidate, b its codeword in `rows` (label -> codeword)
+    and z its drawn noise; then the pick."""
     h = los_channel(cfg, p)
-    cands = [(t, r, abs(complex(vdot(h, b)) + z))
-             for (t, r), b, z in zip(ref.cands, rows, ref.pilot_noise)]
+    cands = [(t, r, abs(complex(vdot(h, rows[t, r])) + z))
+             for (t, r), z in zip(ref.cands, ref.pilot_noise)]
     return _pick(cfg, cands, ref.pilot_count, ref.evals)
 
 
@@ -237,7 +213,7 @@ def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     one width inversion per candidate.
     """
     ref = proposed_candidates(cfg, p, noise, ec, codebook)
-    return refinement_pilots(cfg, p, ref, codeword_rows(cfg, ref.cands))
+    return refinement_pilots(cfg, p, ref, codewords(cfg, ref.cands))
 
 
 def proposed_candidates(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
@@ -260,7 +236,7 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     by searching the z_mu grid for the best width-model match, so the
     distance stage costs |z_mu| model evaluations per candidate."""
     ref = joint_candidates(cfg, p, noise, ec, z_mu_grid, codebook)
-    return refinement_pilots(cfg, p, ref, codeword_rows(cfg, ref.cands))
+    return refinement_pilots(cfg, p, ref, codewords(cfg, ref.cands))
 
 
 def joint_candidates(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,

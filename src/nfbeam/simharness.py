@@ -22,15 +22,15 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .beamforming import multiuser_precode, multiuser_rate, single_user_rate
-from .channel import (ArrayConfig, PolarPoint, _check_count, channel_gain, los_channel,
-                      region_boundaries)
-from .codebooks import BETA_POLAR, Codebook, build_dft_codebook, build_polar_codebook
+from .channel import (ArrayConfig, PolarPoint, _check_count, channel_from_steering, channel_gain,
+                      los_channel, region_boundaries)
+from .codebooks import (BETA_POLAR, FAR_FIELD, Codebook, build_dft_codebook, build_polar_codebook,
+                        codewords)
 from .errors import EmptyMainSetError, SingularChannelError
 from .estimators import (
     Z_MU_SIZE,
     EstimatorConfig,
     Refinement,
-    codeword_rows,
     default_z_mu_grid,
     exhaustive_training,
     fast_training,
@@ -255,14 +255,16 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
     users per trial under per-user noise keys and rates the group under RZF,
     with a full-CSI row precoded from the true channels. A trial trains user
     by user, each user's trainings back to back so that every codebook's last
-    sweep serves them. Proposed and joint run in two stages: the user's
-    candidate stages first, then one build of the user's distinct candidate
-    codewords (`codeword_rows`), then the pilot stages from those rows; fast
-    and exhaustive run whole. A rate mode then builds the true channels once,
-    multi mode each distinct label's channel once, and the trial yields its
-    rows. A scheme's row is an outage when any user's estimate is None (an
-    empty main set); a multi-user row, full CSI included, is also an outage
-    when RZF finds its Gram matrix singular.
+    sweep serves them: proposed's and joint's candidate stages (fast and
+    exhaustive run whole), one `codewords` call for the labels the trial
+    lacks (the user's candidates and, in a rate mode, fast's and exhaustive's
+    picks), then the pilot stages; the trial keeps its picks' codewords. A
+    data beam is the codeword of (theta_hat, inf) for a far-field pick, else
+    of (theta_hat, r_hat); a label channel, built once per trial and label,
+    is `channel_from_steering` of the (theta_hat, r_hat) codeword. A row is
+    an outage when any user's estimate is None (an empty main set); a
+    multi-user row, full CSI included, also when RZF finds its Gram matrix
+    singular.
     """
     if mode not in ("nmse", "single", "multi"):
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
@@ -276,27 +278,38 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         except EmptyMainSetError:
             return None
 
-    def train(p, noise):  # [i][j]: the estimate at SNR point i under scheme j, or None
+    def rate_label(e):  # the label whose codeword rates estimate e
+        return e.theta_hat, FAR_FIELD if e.far_field and mode == "single" else e.r_hat
+
+    def train(p, noise, kept):
+        # [i][j]: the estimate at SNR point i under scheme j, or None; in a
+        # rate mode, kept (label -> codeword of the trial's picks) gains p's picks
         staged = [[stage(s, p, noise.replay(x)) for s in sc.schemes] for x in sc.sigma2s]
-        refs = [r for row in staged for r in row if isinstance(r, Refinement)]
-        labels = list(dict.fromkeys(c for r in refs for c in r.cands))
-        rows = dict(zip(labels, codeword_rows(cfg, labels)))
-        return [[refinement_pilots(cfg, p, r, [rows[c] for c in r.cands])
-                 if isinstance(r, Refinement) else r for r in row] for row in staged]
+        done = [r for row in staged for r in row if r is not None]
+        labels = [c for r in done if isinstance(r, Refinement) for c in r.cands] + [
+            rate_label(e) for e in done if mode != "nmse" and not isinstance(e, Refinement)]
+        words = {**kept, **codewords(cfg, [c for c in dict.fromkeys(labels) if c not in kept])}
+        trained = [[refinement_pilots(cfg, p, r, words) if isinstance(r, Refinement) else r
+                    for r in row] for row in staged]
+        if mode != "nmse":
+            kept.update((rate_label(e), words[rate_label(e)])
+                        for row in trained for e in row if e is not None)
+        return trained
 
     for t in range(sc.trials):
         rng = np.random.default_rng(user_rng_key(sc.seed, t))
         users = tuple(sc.draw_user(rng) for _ in range(sc.m_users if mode == "multi" else 1))
         noises = [NoiseModel(sc.sigma2s[0], noise_key(sc.seed, t, u if mode == "multi" else None))
                   for u in range(len(users))]
+        kept = {}
         # trained[u][i][j]: user u's estimate at SNR point i under scheme j, or None
-        trained = [train(p, noise) for p, noise in zip(users, noises)]
+        trained = [train(p, noise, kept) for p, noise in zip(users, noises)]
         if mode == "single":
             h = los_channel(cfg, users[0])
             matched = h / norm(h)
         elif mode == "multi":
             H = np.column_stack([los_channel(cfg, p) for p in users])
-            channels = {}  # label (theta_hat, r_hat) -> its channel, for this trial only
+            channels = {key: channel_from_steering(cfg, key[1], b) for key, b in kept.items()}
         exact = tuple((p.theta, p.r, 0) for p in users)
         for i, sigma2 in enumerate(sc.sigma2s):
             if mode == "single":
@@ -317,11 +330,9 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                         raise EmptyMainSetError
                     rates = None
                     if mode == "single":
-                        rates = (single_user_rate(h, ests[0].beam(cfg), sigma2),)
+                        rates = (single_user_rate(h, kept[rate_label(ests[0])], sigma2),)
                     elif mode == "multi":
-                        for key in {(e.theta_hat, e.r_hat) for e in ests} - channels.keys():
-                            channels[key] = los_channel(cfg, PolarPoint(*key))
-                        H_hat = np.column_stack([channels[e.theta_hat, e.r_hat] for e in ests])
+                        H_hat = np.column_stack([channels[rate_label(e)] for e in ests])
                         V = multiuser_precode(H_hat, sigma2)
                         rates = tuple(map(float, multiuser_rate(H, V, sigma2)))
                 except (EmptyMainSetError, SingularChannelError):

@@ -9,8 +9,9 @@ trainings read the half-gain run from a mask of the whole sweep and form
 one steering vector and one `vdot` per refinement candidate. The polar
 baselines' oracles read every pilot out of the package's one full
 product h^H M, whose accuracy `tests/test_codebooks.py` checks against
-the matrix and an exact sum, and take the data beam from the matrix. The
-multi-user rate oracle forms one product h_u^H V per user. The polar
+the matrix and an exact sum, and take the data beam from the matrix.
+`data_beam` is no oracle: it is the package's data beam of an estimate,
+for comparing with one. The multi-user rate oracle forms one product h_u^H V per user. The polar
 codebook oracle builds one column per entry with the scalar steering
 formula. The quadratic-phase oracle sums all N terms one by one, without
 pairing the mirrored offsets.
@@ -21,7 +22,7 @@ import math
 import numpy as np
 
 from nfbeam import los_channel, region_boundaries
-from nfbeam.codebooks import FAR_FIELD, _noiseless_product, dft_angle_grid, ring_scale
+from nfbeam.codebooks import FAR_FIELD, _noiseless_product, codewords, dft_angle_grid, ring_scale
 
 
 def quadrature_f(alpha: float, beta: float, panels: int = 2 ** 16) -> complex:
@@ -236,6 +237,14 @@ def multiuser_rate_by_loops(cfg, users, V, sigma2) -> np.ndarray:
         interference = rx.sum() - signal
         rates.append(math.log2(1.0 + signal / (interference + sigma2)))
     return np.array(rates)
+
+
+def data_beam(cfg, est) -> np.ndarray:
+    """The data beam `simulate` rates a single-user estimate with: the
+    package's codeword of (theta_hat, inf) for a far-field pick and of
+    (theta_hat, r_hat) otherwise."""
+    label = (est.theta_hat, FAR_FIELD if est.far_field else est.r_hat)
+    return codewords(cfg, [label])[label]
 
 
 def same_bits(a, b) -> bool:

@@ -101,6 +101,12 @@ class TestMultiuserPrecode:
             if not np.all(np.isfinite(V)):
                 raise SingularChannelError("non-finite precoder")
 
+    def test_all_zero_channels_collapse_the_precoder(self):
+        # the regularized Gram matrix M sigma^2 I solves, but H gram^{-1}
+        # is zero and has no norm to scale by
+        with pytest.raises(SingularChannelError, match="precoder collapsed"):
+            multiuser_precode(np.zeros((8, 3), dtype=complex), 1e-9)
+
 
 class TestMultiuserRate:
     def test_single_user_reduction(self, cfg256):

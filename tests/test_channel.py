@@ -1,8 +1,13 @@
+import importlib
 import math
+import pkgutil
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nfbeam
 from nfbeam import (
     ArrayConfig,
     PolarPoint,
@@ -156,8 +161,7 @@ class TestChannel:
         assert got == pytest.approx(expected, abs=1e-9)
 
 
-@pytest.mark.parametrize("fn", [near_field_steering, los_channel],
-                         ids=["near_field_steering", "los_channel"])
+@pytest.mark.parametrize("fn", [los_channel], ids=["los_channel"])
 class TestMemo:
     def test_shared_array_raises_on_write(self, fn, cfg64):
         p = PolarPoint(0.3, 2.0)
@@ -171,8 +175,7 @@ class TestMemo:
     def test_bitwise_equal_to_fresh_computation(self, fn, cfg64):
         p = PolarPoint(-0.55, 1.3)
         cached = fn(cfg64, p)
-        near_field_steering.cache_clear()
-        los_channel.cache_clear()
+        fn.cache_clear()
         fresh = fn(cfg64, p)
         assert fresh is not cached
         assert fresh.tobytes() == cached.tobytes()
@@ -183,6 +186,23 @@ class TestMemo:
         for i in range(maxsize + 10):
             fn(cfg64, PolarPoint(0.0, 1.0 + i / 1000))
         assert fn.cache_info().currsize == maxsize
+
+
+def test_the_package_keeps_exactly_three_memos():
+    # a new memo has to be named here: every lru_cache-wrapped function of
+    # src/nfbeam, at module level or in a class, and every such decorator
+    # in its source, wherever it sits
+    found = set()
+    for info in pkgutil.iter_modules(nfbeam.__path__):
+        module = importlib.import_module(f"nfbeam.{info.name}")
+        for obj in vars(module).values():
+            for fn in [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]:
+                if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                    found.add(f"{info.name}.{fn.__qualname__}")
+    assert found == {"channel._geometry", "channel.region_boundaries", "channel.los_channel"}
+    decorators = re.compile(r"^\s*@(functools\.)?(lru_cache|cache)\b", re.MULTILINE)
+    sources = Path(nfbeam.__file__).parent.glob("*.py")
+    assert sum(len(decorators.findall(f.read_text())) for f in sources) == len(found)
 
 
 def test_cached_geometry_is_read_only_and_shared(cfg64):

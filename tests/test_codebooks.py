@@ -5,7 +5,6 @@ import weakref
 import numpy as np
 import pytest
 
-import nfbeam.beampattern
 import nfbeam.codebooks
 from nfbeam import (
     ArrayConfig,
@@ -22,7 +21,7 @@ from nfbeam.cli import main
 from nfbeam.codebooks import ring_scale
 from nfbeam.errors import EmptyGridError
 from nfbeam.simharness import ScenarioConfig, simulate
-from oracles import dft_matrix_by_formula, polar_codebook_by_loops, same_bits
+from oracles import data_beam, dft_matrix_by_formula, polar_codebook_by_loops, same_bits
 
 
 class TestDftCodebook:
@@ -122,7 +121,6 @@ class TestDftCodebook:
             return real(cfg, angles)
 
         monkeypatch.setattr(nfbeam.codebooks, "_far_field_columns", counting)
-        monkeypatch.setattr(nfbeam.beampattern, "_far_field_columns", counting)
         sc = ScenarioConfig(n_antennas=64, trials=2, schemes=("proposed", "joint"),
                             snr_ref_db_grid=(10.0, 20.0))
         assert len(list(simulate(sc, "nmse"))) == 2 * 2 * 2
@@ -214,6 +212,26 @@ class TestPolarCodebook:
         assert same_bits(book.angle_start, start)
         assert same_bits(book.angle_count, count)
 
+    @pytest.mark.parametrize("n", [16, 17, 63, 64, 255, 256, 1024])
+    def test_fold_has_the_bits_of_the_oracle_matrix_folded(self, n):
+        # M_u is the oracle's entries of angle index >= N//2; even and odd
+        # are its rows n and N-1-n added and subtracted, odd N's middle row
+        # last in even; entry j below M_u mirrors the entry of M_u with the
+        # negated angle and the same radius, rows reversed
+        book = build_polar_codebook(ArrayConfig(n, 100e9))
+        matrix, thetas, radii, start, _ = polar_codebook_by_loops(book.cfg)
+        half, upper = n // 2, start[n // 2]
+        m_u = matrix[:, upper:]
+        top, bottom = m_u[:half], m_u[::-1][:half]
+        even = np.vstack([top + bottom, m_u[half:n - half]]) if n % 2 else top + bottom
+        assert same_bits(book._even, even)
+        assert same_bits(book._odd, top - bottom)
+        entry = {(t, r): k for k, (t, r) in enumerate(zip(thetas[upper:].tolist(),
+                                                           radii[upper:].tolist()))}
+        sources = [entry[-t, r] for t, r in zip(thetas[:upper].tolist(), radii[:upper].tolist())]
+        assert same_bits(book._sources, np.array(sources))
+        assert same_bits(matrix[:, :upper], m_u[::-1, sources])
+
     @pytest.mark.parametrize("n", [64, 65, 256])
     def test_rings_are_evaluated_for_the_upper_half_only(self, monkeypatch, n):
         # the entries of angle index < N//2 are mirrored copies
@@ -258,13 +276,13 @@ class TestPolarCodebook:
     @pytest.mark.parametrize("n", [33, 64, 256])
     def test_column_has_the_bits_of_the_matrix(self, n):
         # the data beam of an estimate labelled with entry j, its range
-        # clipped to R_Ray as the trainings clip it, is column j
+        # clipped to R_Ray as the trainings clip it, built alone, is column j
         cfg = ArrayConfig(n, 100e9)
         book = build_polar_codebook(cfg)
         _, r_ray = region_boundaries(cfg)
         for j, (theta, r) in enumerate(zip(book.thetas.tolist(), book.radii.tolist())):
             est = LocationEstimate(theta, min(r, r_ray), math.isinf(r), 0, ())
-            assert same_bits(est.beam(cfg), book.matrix[:, j])
+            assert same_bits(data_beam(cfg, est), book.matrix[:, j])
 
     @pytest.mark.parametrize("n", [16, 17, 64, 255, 256])
     def test_stores_half_the_matrix(self, n):

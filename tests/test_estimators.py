@@ -32,7 +32,7 @@ from nfbeam import (
 )
 from nfbeam.errors import EmptyMainSetError
 from nfbeam.estimators import _pick
-from oracles import exhaustive_training_by_loops, fast_training_by_loops, same_bits
+from oracles import data_beam, exhaustive_training_by_loops, fast_training_by_loops, same_bits
 
 
 def silent(seed=0):
@@ -279,7 +279,7 @@ class TestProposedTraining:
         est = proposed_training(cfg512, PolarPoint(-0.2, 12.0), silent(), EstimatorConfig(),
                                 book512)
         expected = near_field_steering(cfg512, PolarPoint(est.theta_hat, est.r_hat))
-        assert np.allclose(est.beam(cfg512), expected, atol=1e-12)
+        assert np.allclose(data_beam(cfg512, est), expected, atol=1e-12)
 
     def test_noiseless_accuracy_in_resolvable_zone(self, cfg512, book512):
         # per-user 15 percent distance accuracy requires a well-developed
@@ -357,7 +357,7 @@ def test_polar_pick_keeps_first_of_equal_maxima(cfg256, polar256):
     est = _pick(cfg256, cands, 300, 44)
     assert (est.theta_hat, est.r_hat) == (polar256.thetas[9], min(polar256.radii[9], r_ray))
     assert est.far_field and est.candidates[1][1] == r_ray
-    assert same_bits(est.beam(cfg256), polar256.matrix[:, 9])
+    assert same_bits(data_beam(cfg256, est), polar256.matrix[:, 9])
     assert (est.pilot_count, est.distance_stage_evals, len(est.candidates)) == (300, 44, 3)
 
 
@@ -469,7 +469,7 @@ def test_fast_and_exhaustive_form_one_polar_product_per_channel(monkeypatch, cfg
                                                             ec, polar, book)
         assert (est.theta_hat, est.r_hat, est.candidates, est.pilot_count) == (theta, r, cands,
                                                                                pilots)
-        assert np.array_equal(est.beam(cfg64), w)
+        assert np.array_equal(data_beam(cfg64, est), w)
         return est
 
     a = train_at(40.0)
@@ -501,4 +501,4 @@ def test_polar_baselines_equal_loop_oracles(n):
                 (fast, fast_training_by_loops(cfg, p, NoiseModel(sigma2, (n, u)), ec, polar, book)),
                 (exh, exhaustive_training_by_loops(cfg, p, NoiseModel(sigma2, (n, u)), polar))):
             assert (est.theta_hat, est.r_hat, est.pilot_count) == (theta, r, pilots)
-            assert np.array_equal(est.beam(cfg), w)
+            assert np.array_equal(data_beam(cfg, est), w)

@@ -41,11 +41,10 @@ from nfbeam import (
     taylor_f,
 )
 from nfbeam.channel import steering_columns
-from nfbeam.codebooks import _far_field_columns, dft_angle_grid
+from nfbeam.codebooks import _far_field_columns, codewords, dft_angle_grid
 from nfbeam.errors import EmptyMainSetError
-from nfbeam.estimators import (codeword_rows, joint_candidates, proposed_candidates,
-                               refinement_pilots)
-from oracles import (estimate_angle_by_loops, exhaustive_training_by_loops,
+from nfbeam.estimators import joint_candidates, proposed_candidates, refinement_pilots
+from oracles import (data_beam, estimate_angle_by_loops, exhaustive_training_by_loops,
                      fast_training_by_loops, joint_training_by_loops, proposed_training_by_loops,
                      same_bits, taylor_f_by_terms, width_distance_by_mask)
 
@@ -150,7 +149,7 @@ def test_width_trainings_equal_loop_oracles_to_the_bit(p, snr_db, key, ec):
         assert same_bits(np.array([est.theta_hat, est.r_hat]), np.array([theta, r]))
         assert same_bits(np.array(est.candidates), np.array(cands))
         assert est.pilot_count == pilots
-        assert same_bits(est.beam(CFG32), w)
+        assert same_bits(data_beam(CFG32, est), w)
 
 
 @lru_cache(maxsize=8)
@@ -177,8 +176,8 @@ def test_stages_from_a_shared_row_block_equal_the_trainings(n, k, theta, u, snr_
     refs = [proposed_candidates(cfg, p, noise.replay(sigma2), ec, book),
             joint_candidates(cfg, p, noise.replay(sigma2), ec, z_mu, book)]
     labels = list(dict.fromkeys(c for ref in refs for c in ref.cands))
-    rows = dict(zip(labels, codeword_rows(cfg, labels)))
-    staged = [refinement_pilots(cfg, p, ref, [rows[c] for c in ref.cands]) for ref in refs]
+    rows = codewords(cfg, labels)
+    staged = [refinement_pilots(cfg, p, ref, rows) for ref in refs]
     trained = [proposed_training(cfg, p, NoiseModel(sigma2, key), ec, book),
                joint_training(cfg, p, NoiseModel(sigma2, key), ec, z_mu, book)]
     assert staged == trained
@@ -220,7 +219,7 @@ def test_polar_trainings_equal_loop_oracles_to_the_bit(n, snr_db, key, data):
         assert same_bits(np.array([est.theta_hat, est.r_hat]), np.array([theta, r]))
         assert same_bits(np.array(est.candidates), np.array(cands))
         assert est.pilot_count == pilots
-        assert same_bits(est.beam(cfg), w)
+        assert same_bits(data_beam(cfg, est), w)
 
 
 @settings(max_examples=300, deadline=None)

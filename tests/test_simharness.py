@@ -20,18 +20,19 @@ from nfbeam import (
     los_channel,
     multiuser_precode,
     multiuser_rate,
-    near_field_steering,
     proposed_training,
     region_boundaries,
     single_user_rate,
 )
-from nfbeam.channel import steering_columns
+from nfbeam.channel import channel_from_steering, steering_columns
+from nfbeam.codebooks import _far_field_columns
 from nfbeam.errors import EmptyMainSetError, SingularChannelError
 from nfbeam.simharness import (
     FULL_CSI,
     PER_ANTENNA,
     SCHEMES,
     TOTAL_ENERGY,
+    USER_RATE_COLUMNS,
     ScenarioConfig,
     TrialRow,
     noise_key,
@@ -39,9 +40,12 @@ from nfbeam.simharness import (
     run_nmse_experiment,
     run_rate_experiment,
     simulate,
+    user_rate_table,
     user_rng_key,
+    write_csv,
     write_records_csv,
 )
+from oracles import same_bits
 
 
 class TestCalibrateNoise:
@@ -259,6 +263,31 @@ class TestSimulate:
         assert records[("joint", 10.0)].outage_count == 1
         assert records[("proposed", 10.0)].outage_count == 0
 
+    def test_user_rate_table_leaves_an_outage_rows_fields_empty(self, monkeypatch, tmp_path):
+        # joint's trial-0 row at 10 dB made an outage as in the test above
+        sc = small_scenario(trials=2, m_users=3)
+        calls = []
+        real = nfbeam.simharness.multiuser_precode
+
+        def flaky(H_hat, sigma2):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SingularChannelError("injected")
+            return real(H_hat, sigma2)
+
+        monkeypatch.setattr(nfbeam.simharness, "multiuser_precode", flaky)
+        rows = list(simulate(sc, "multi"))
+        assert [r.estimates is None for r in rows[:3]] == [False, False, True]
+        table = list(user_rate_table(sc, rows, "joint"))
+        users = rows[0].users
+        assert table[:3] == [(10.0, u, p.theta, p.r, None, None, None, None)
+                             for u, p in enumerate(users)]
+        assert [t[0] for t in table[3:]] == [20.0] * 3
+        assert all(None not in t for t in table[3:])
+        write_csv(tmp_path / "users.csv", USER_RATE_COLUMNS, table, {})
+        lines = (tmp_path / "users.csv").read_text().splitlines()
+        assert lines[1:4] == [f"10.0,{u},{p.theta!r},{p.r!r},,,," for u, p in enumerate(users)]
+
     def test_empty_main_set_makes_only_its_row_an_outage(self, monkeypatch):
         sc = small_scenario(trials=2, m_users=3)
         clean = list(simulate(sc, "multi"))
@@ -300,7 +329,7 @@ def reference_rows(sc, mode, far_field_picks):
     NoiseModel(sigma2, noise_key(...)), and every rate is computed anew, on
     channels built for its row.
     The codebooks and the user draws are built here, not taken from `sc`,
-    and a data beam is built without `LocationEstimate.beam`: a contiguous
+    and a data beam is built without the package's codeword rows: a contiguous
     copy of the DFT codebook's column for a far-field pick (a strided
     column changes np.vdot's bits), `steering_columns` otherwise. Each
     far-field pick is appended to `far_field_picks`."""
@@ -373,7 +402,6 @@ def test_simulate_rows_equal_fresh_stream_reference(mode):
     sc = ScenarioConfig(n_antennas=32, snr_ref_db_grid=(-20.0, -5.0, 10.0), trials=3, seed=9,
                         m_users=3, schemes=SCHEMES, reference_mode=TOTAL_ENERGY)
     rows = list(simulate(sc, mode))
-    near_field_steering.cache_clear()
     los_channel.cache_clear()
     far_field_picks = []
     expected = list(reference_rows(sc, mode, far_field_picks))
@@ -451,14 +479,21 @@ def test_default_box_is_the_whole_near_field_once_r_fre_reaches_100_m(n, fc, who
 
 def test_rate_stage_builds_each_channel_once_per_trial(monkeypatch):
     # more users in one trial than the 64-entry channel memo holds; the
-    # trainings reach los_channel through `estimators` and are not counted
-    calls = []
+    # trainings reach los_channel through `estimators` and are not counted.
+    # The true channels come from los_channel, the label channels from the
+    # picks' codeword rows through channel_from_steering
+    true, labelled = [], []
 
     def counting(cfg, p):
-        calls.append(p)
+        true.append(p)
         return los_channel(cfg, p)
 
+    def counting_labels(cfg, r, b):
+        labelled.append(r)
+        return channel_from_steering(cfg, r, b)
+
     monkeypatch.setattr(nfbeam.simharness, "los_channel", counting)
+    monkeypatch.setattr(nfbeam.simharness, "channel_from_steering", counting_labels)
     monkeypatch.setattr(nfbeam.beamforming, "los_channel", counting, raising=False)
     sc = ScenarioConfig(n_antennas=128, trials=1, m_users=80, snr_ref_db_grid=(4.0, 30.0),
                         schemes=SCHEMES)
@@ -468,27 +503,75 @@ def test_rate_stage_builds_each_channel_once_per_trial(monkeypatch):
               for e in r.estimates}
     assert len(labels) > 64
     # the M true channels, then each distinct label's, however many SNR points
-    assert len(calls) == 80 + len(labels)
-    assert calls[:80] == list(rows[0].users)
-    assert {(p.theta, p.r) for p in calls[80:]} == labels
-    calls.clear()
+    assert true == list(rows[0].users)
+    assert sorted(labelled) == sorted(r for _, r in labels)
+    true.clear()
     assert len(list(simulate(sc, "nmse"))) == 2 * len(SCHEMES)
-    assert calls == []
+    assert true == [] and len(labelled) == len(labels)
 
 
-@pytest.mark.parametrize("mode, row_block", [("nmse", None), ("multi", None), ("multi", 4 * 128)])
-def test_each_users_refinement_codewords_are_built_once_in_row_blocks(monkeypatch, mode,
-                                                                      row_block):
+@pytest.mark.parametrize("mode", ["single", "multi"])
+def test_rate_stage_rates_each_pick_from_its_own_codeword(monkeypatch, mode):
+    # test_simulate_rows_equal_fresh_stream_reference's scenario, which has
+    # far-field picks: every data beam has the bits of its pick's DFT
+    # codeword (far-field pick) or of the steering formula at (theta_hat,
+    # r_hat), and every label channel the bits of los_channel there. No
+    # polar ring lies at R_Ray, so a fast or exhaustive pick at R_Ray is a
+    # far-field pick
+    sc = ScenarioConfig(n_antennas=32, snr_ref_db_grid=(-20.0, -5.0, 10.0), trials=3, seed=9,
+                        m_users=3, schemes=SCHEMES, reference_mode=TOTAL_ENERGY)
+    cfg = sc.cfg
+    _, r_ray = region_boundaries(cfg)
+    assert r_ray not in sc.polar.radii.tolist()
+    beams, channel_sets = [], []
+    real_rate, real_precode = single_user_rate, multiuser_precode
+
+    def rate(h, v, sigma2):
+        beams.append(v)
+        return real_rate(h, v, sigma2)
+
+    def precode(H_hat, sigma2):
+        channel_sets.append(H_hat)
+        return real_precode(H_hat, sigma2)
+
+    monkeypatch.setattr(nfbeam.simharness, "single_user_rate", rate)
+    monkeypatch.setattr(nfbeam.simharness, "multiuser_precode", precode)
+    rows = list(simulate(sc, mode))
+    assert all(r.estimates is not None for r in rows)
+    received = beams if mode == "single" else channel_sets
+    assert len(received) == len(rows)
+    far = 0
+    for row, got in zip(rows, received):
+        if row.scheme == FULL_CSI:
+            continue
+        for u, (theta, r, _) in enumerate(row.estimates):
+            far_pick = row.scheme in ("fast", "exhaustive") and r == r_ray
+            far += far_pick
+            if mode == "single":
+                expected = (_far_field_columns(cfg, np.array([theta])) if far_pick
+                            else steering_columns(cfg, np.array([theta]), np.array([r])))[:, 0]
+                assert same_bits(got, expected)
+            else:
+                assert same_bits(got[:, u], los_channel(cfg, PolarPoint(theta, r)))
+    assert far > 0
+
+
+@pytest.mark.parametrize("mode, block", [("nmse", None), ("multi", None), ("multi", 4 * 128)])
+def test_each_users_refinement_codewords_are_built_once_in_row_blocks(monkeypatch, mode, block):
     # a user's proposed and joint trainings share candidates across SNR
     # points and schemes; simulate builds each distinct (theta, r) once, in
-    # blocks of at most _ROW_BLOCK entries, and the bits do not depend on
-    # the block size
+    # one codewords call per user of blocks of at most codebooks._BLOCK
+    # entries, and the bits do not depend on the block size. In multi mode
+    # that call also builds the labels of fast's and exhaustive's picks,
+    # except those an earlier user of the trial picked, whose rows it keeps
     sc = ScenarioConfig(n_antennas=128, trials=2, m_users=10, snr_ref_db_grid=(4.0, 16.0, 30.0),
                         schemes=SCHEMES)
     sc.polar  # built before the count
     clean = list(simulate(sc, mode))
-    events = []
-    formula = nfbeam.estimators.steering_columns
+    assert all(r.estimates is not None for r in clean)
+    events, steered = [], []
+    formula = nfbeam.codebooks.steering_columns
+    single = nfbeam.channel.near_field_steering
 
     def counting(cfg, thetas, radii):
         events.append(("block", list(zip(thetas.tolist(), radii.tolist()))))
@@ -501,12 +584,16 @@ def test_each_users_refinement_codewords_are_built_once_in_row_blocks(monkeypatc
             return ref
         return recorded
 
-    monkeypatch.setattr(nfbeam.estimators, "steering_columns", counting)
+    def steering(cfg, p):
+        steered.append(p)
+        return single(cfg, p)
+
+    monkeypatch.setattr(nfbeam.codebooks, "steering_columns", counting)
+    monkeypatch.setattr(nfbeam.channel, "near_field_steering", steering)
     for name in ("proposed_candidates", "joint_candidates"):
         monkeypatch.setattr(nfbeam.simharness, name, recording(getattr(nfbeam.simharness, name)))
-    if row_block is not None:
-        monkeypatch.setattr(nfbeam.estimators, "_ROW_BLOCK", row_block)
-    near_field_steering.cache_clear()
+    if block is not None:
+        monkeypatch.setattr(nfbeam.codebooks, "_BLOCK", block)
     los_channel.cache_clear()
     assert list(simulate(sc, mode)) == clean
     per_user = []  # [user, candidates of its stages, labels of its blocks]
@@ -517,18 +604,22 @@ def test_each_users_refinement_codewords_are_built_once_in_row_blocks(monkeypatc
             per_user[-1][1].extend(event[2])
         else:
             per_user[-1][2].append(event[1])
-    assert len(per_user) == sc.trials * (sc.m_users if mode == "multi" else 1)
-    step = nfbeam.estimators._ROW_BLOCK // 128
+    m = sc.m_users if mode == "multi" else 1
+    assert len(per_user) == sc.trials * m
+    # the steering formula runs outside the blocks only for the users' channels
+    assert steered == [p for p, _, _ in per_user]
+    step = nfbeam.codebooks._BLOCK // 128
     shared = 0
-    for _, cands, blocks in per_user:
-        distinct = list(dict.fromkeys(cands))
+    for u, (p, cands, blocks) in enumerate(per_user):
+        trial = [r for r in clean if r.trial == u // m and r.scheme != FULL_CSI]
+        kept = {e[:2] for r in trial for e in r.estimates[:u % m]}  # earlier users' picks
+        picks = [r.estimates[u % m][:2] for r in trial if r.scheme in ("fast", "exhaustive")]
+        labels = cands + picks if mode == "multi" else cands
+        distinct = [c for c in dict.fromkeys(labels) if c not in kept]
         assert [c for b in blocks for c in b] == distinct  # each once, first-seen order
         assert [len(b) for b in blocks] == [len(distinct[i:i + step])
                                             for i in range(0, len(distinct), step)]
-        shared += len(cands) - len(distinct)
+        shared += len(cands) - len(dict.fromkeys(cands))
     assert shared > 0
-    if row_block is not None:
+    if block is not None:
         assert max(len(blocks) for _, _, blocks in per_user) > 1
-    if mode == "nmse":  # the steering memo serves only the users' channels
-        info = near_field_steering.cache_info()
-        assert info.hits + info.misses == sc.trials
