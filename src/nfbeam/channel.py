@@ -17,13 +17,6 @@ import numpy as np
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 
-# Entries kept by the channel memo (16 N bytes each). A training reads its
-# user's channel twice (sweep and pilots); the rate stage reads each true
-# channel once per trial and builds label channels from `codebooks` codewords.
-_MEMO_SIZE = 64
-# Configs kept by `_geometry` and `region_boundaries`: a process meets few.
-_CONFIG_MEMO_SIZE = 8
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -87,7 +80,7 @@ class PolarPoint:
             raise ValueError(f"r must be finite and positive, got {self.r}")
 
 
-@lru_cache(maxsize=_CONFIG_MEMO_SIZE)
+@lru_cache(maxsize=1)
 def _geometry(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
     """Read-only columns delta_n and delta_n^2 d^2 of `_distances`."""
     delta = cfg.element_offsets()[:, None]
@@ -149,17 +142,18 @@ def channel_from_steering(cfg: ArrayConfig, r: float, b: np.ndarray) -> np.ndarr
     return math.sqrt(cfg.n_antennas) * g * phase * b
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=1)
 def los_channel(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     """LoS channel h; h^H = sqrt(N) g exp(-j 2 pi r / lambda) b^H(theta, r).
 
-    Memoized on (cfg, p): the array is shared and read-only, so copy it
-    before writing.
+    Keeps its last (cfg, p), as every memo does (see `simharness.simulate`
+    for the order that makes each user's channel one miss): the array is
+    shared and read-only, so copy it before writing.
     """
     return _read_only(channel_from_steering(cfg, p.r, near_field_steering(cfg, p)))
 
 
-@lru_cache(maxsize=_CONFIG_MEMO_SIZE)
+@lru_cache(maxsize=1)
 def region_boundaries(cfg: ArrayConfig) -> tuple[float, float]:
     """(Fresnel distance, Rayleigh distance) for this aperture; memoized."""
     D = cfg.aperture

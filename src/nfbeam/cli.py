@@ -22,7 +22,7 @@ from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
-from .beampattern import exact_gain, exact_gain_grid
+from .beampattern import exact_gain, exact_gain_grid, normalized_pattern
 from .channel import PolarPoint
 from .codebooks import BETA_POLAR, ring_scale
 from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
@@ -196,7 +196,7 @@ def _cmd_pattern(args) -> int:
     book = sc.codebook
     raw = exact_gain_grid(cfg, p, book)
     central = exact_gain(cfg, p, p.theta)
-    norm = raw / central  # normalized_pattern's expression
+    norm = normalized_pattern(cfg, p, book)
     grid = book.angle_grid
     out = _out_dir(args) / f"pattern_N{cfg.n_antennas}_theta{args.theta}_r{args.r}.csv"
     header = sc.as_header_dict()

@@ -9,8 +9,9 @@ holds, per angle of the DFT grid, that far-field codeword followed by
 distance rings; the polar codebook's rings are r_{n,s} = Z (1 - theta^2)/s,
 and the DFT codebook is the one without rings. A codebook's arrays are
 read-only, and it keeps its last noiseless sweep h^H M, so the trainings
-of one user, run back to back, share one product per codebook: the fast
-baseline reads its per-angle polar entries out of that product too.
+of one user, run back to back (the order `simharness.simulate` states for
+every memo), share one product per codebook: the fast baseline reads its
+per-angle polar entries out of that product too.
 
 The DFT sweep is one inverse FFT. With c = (N-1)/2, delta_n = n - c and
 phi_i = 2 (i - c)/N, so pi delta_n phi_i = (2 pi/N)(n - c)(i - c) and
@@ -139,7 +140,8 @@ class Codebook:
         return self.thetas.size
 
     def noiseless_sweep(self, h: np.ndarray) -> np.ndarray:
-        """h^H M, read-only; reused while the channel's bytes, dtype and shape repeat."""
+        """h^H M, read-only; reused while the channel's bytes, dtype and shape
+        repeat: one entry, as every memo (see `simharness.simulate`)."""
         key = (h.dtype.char, h.shape, h.tobytes())
         last_key, s = self._last  # one read, so a concurrent sweep cannot swap it
         if last_key != key:

@@ -253,18 +253,21 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
     mode "nmse" trains one user per trial; "single" adds the single-user rates
     and a full-CSI row (matched filter) per SNR point; "multi" trains m_users
     users per trial under per-user noise keys and rates the group under RZF,
-    with a full-CSI row precoded from the true channels. A trial trains user
-    by user, each user's trainings back to back so that every codebook's last
-    sweep serves them: proposed's and joint's candidate stages (fast and
-    exhaustive run whole), one `codewords` call for the labels the trial
-    lacks (the user's candidates and, in a rate mode, fast's and exhaustive's
-    picks), then the pilot stages; the trial keeps its picks' codewords. A
-    data beam is the codeword of (theta_hat, inf) for a far-field pick, else
-    of (theta_hat, r_hat); a label channel, built once per trial and label,
-    is `channel_from_steering` of the (theta_hat, r_hat) codeword. A row is
-    an outage when any user's estimate is None (an empty main set); a
-    multi-user row, full CSI included, also when RZF finds its Gram matrix
-    singular.
+    with a full-CSI row precoded from the true channels. Every memo keeps its
+    last entry only (`los_channel`, `_geometry`, `region_boundaries`, each
+    codebook's last sweep), and one config at a time, one user at a time,
+    makes each miss once per config or user. A trial trains user by user,
+    each user's trainings back to back: proposed's and joint's candidate
+    stages (fast and exhaustive run whole), one `codewords` call for the
+    labels the trial lacks (the user's candidates and, in a rate mode, fast's
+    and exhaustive's picks), then the pilot stages; a rate mode then keeps the
+    user's channel (a hit), so the rate stage looks none up, and the trial
+    keeps its picks' codewords. A data beam is the codeword of (theta_hat, inf)
+    for a far-field pick, else of (theta_hat, r_hat); a label channel, built
+    once per trial and label, is `channel_from_steering` of the (theta_hat,
+    r_hat) codeword. A row is an outage when any user's estimate is None (an
+    empty main set); a multi-user row, full CSI included, also when RZF finds
+    its Gram matrix singular.
     """
     if mode not in ("nmse", "single", "multi"):
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
@@ -282,8 +285,9 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         return e.theta_hat, FAR_FIELD if e.far_field and mode == "single" else e.r_hat
 
     def train(p, noise, kept):
-        # [i][j]: the estimate at SNR point i under scheme j, or None; in a
-        # rate mode, kept (label -> codeword of the trial's picks) gains p's picks
+        # -> ([i][j]: the estimate at SNR point i under scheme j, or None; in a
+        # rate mode p's channel), and in a rate mode kept (label -> codeword of
+        # the trial's picks) gains p's picks
         staged = [[stage(s, p, noise.replay(x)) for s in sc.schemes] for x in sc.sigma2s]
         done = [r for row in staged for r in row if r is not None]
         labels = [c for r in done if isinstance(r, Refinement) for c in r.cands] + [
@@ -291,10 +295,11 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         words = {**kept, **codewords(cfg, [c for c in dict.fromkeys(labels) if c not in kept])}
         trained = [[refinement_pilots(cfg, p, r, words) if isinstance(r, Refinement) else r
                     for r in row] for row in staged]
-        if mode != "nmse":
-            kept.update((rate_label(e), words[rate_label(e)])
-                        for row in trained for e in row if e is not None)
-        return trained
+        if mode == "nmse":
+            return trained, None
+        kept.update((rate_label(e), words[rate_label(e)])
+                    for row in trained for e in row if e is not None)
+        return trained, los_channel(cfg, p)
 
     for t in range(sc.trials):
         rng = np.random.default_rng(user_rng_key(sc.seed, t))
@@ -303,12 +308,12 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                   for u in range(len(users))]
         kept = {}
         # trained[u][i][j]: user u's estimate at SNR point i under scheme j, or None
-        trained = [train(p, noise, kept) for p, noise in zip(users, noises)]
+        trained, hs = zip(*(train(p, noise, kept) for p, noise in zip(users, noises)))
         if mode == "single":
-            h = los_channel(cfg, users[0])
+            h = hs[0]
             matched = h / norm(h)
         elif mode == "multi":
-            H = np.column_stack([los_channel(cfg, p) for p in users])
+            H = np.column_stack(hs)
             channels = {key: channel_from_steering(cfg, key[1], b) for key, b in kept.items()}
         exact = tuple((p.theta, p.r, 0) for p in users)
         for i, sigma2 in enumerate(sc.sigma2s):

@@ -9,8 +9,6 @@ _WIDTH, _HEIGHT = 640, 420  # canvas size in px
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
     step = (hi - lo) / (n - 1)
     return [lo + i * step for i in range(n)]
 
@@ -22,7 +20,8 @@ def line_plot_svg(
     title: str = "",
     log_y: bool = False,
 ) -> str:
-    """Render named (x, y) series as an SVG document string."""
+    """Render named (x, y) series as an SVG document string; with no point
+    to draw (no series, or no positive y on a log axis) an empty frame."""
     import math
 
     pad_l, pad_r, pad_t, pad_b = 70, 20, 30, 50
@@ -31,10 +30,8 @@ def line_plot_svg(
 
     xs = [x for x_, _ in series.values() for x in x_]
     ys = [ty(y) for _, y_ in series.values() for y in y_ if (y > 0 or not log_y)]
-    if not xs or not ys:
-        raise ValueError("nothing to plot")
-    x0, x1 = min(xs), max(xs)
-    y0, y1 = min(ys), max(ys)
+    x0, x1 = min(xs, default=0.0), max(xs, default=0.0)
+    y0, y1 = min(ys, default=0.0), max(ys, default=0.0)
     if x1 == x0:
         x1 = x0 + 1
     if y1 == y0:

@@ -169,6 +169,15 @@ class TestNormalizedPattern:
         w = interpolated_width(pat, 0.5)
         assert w <= 3 * (2 / 512)
 
+    @pytest.mark.parametrize("reverse", [False, True], ids=["left-edge", "right-edge"])
+    def test_main_run_touching_a_grid_edge_ends_there(self, reverse):
+        # grid -0.875, -0.625, ...: the run starts at the first point and
+        # crosses 0.5 at 60% of the step from -0.375 (gain 0.8) to -0.125 (0.3)
+        gains = np.array([1.0, 1.0, 0.8, 0.3, 0.1, 0.1, 0.1, 0.1])
+        assert interpolated_width(gains[::-1] if reverse else gains, 0.5) == \
+            pytest.approx(0.875 - 0.375 + 0.6 * 0.25, rel=1e-12)
+        assert interpolated_width(np.ones(8), 0.5) == pytest.approx(1.75, rel=1e-12)
+
 
 class TestMeasureWidth:
     def test_fig2_width_within_ten_percent(self, cfg512):

@@ -11,6 +11,7 @@ import nfbeam
 import nfbeam.simharness
 from nfbeam import ArrayConfig, build_polar_codebook
 from nfbeam.cli import EXIT_CONFIG, EXIT_OK, load_config_file, main
+from nfbeam.errors import SingularChannelError
 from nfbeam.simharness import ScenarioConfig
 
 
@@ -259,7 +260,8 @@ class TestErrors:
         assert rc == EXIT_CONFIG
         assert "warp_factor" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["trials=2.5", "carrier_hz=abc", "theta_range=0.1"])
+    @pytest.mark.parametrize("line", ["trials=2.5", "carrier_hz=abc", "theta_range=0.1",
+                                      "trials 2"])
     def test_unparsable_config_value_names_line_and_key(self, tmp_path, capsys, line):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(f"n_antennas=64\n{line}\n")
@@ -304,6 +306,7 @@ class TestErrors:
     def test_config_file_values_used_and_flags_override(self, tmp_path):
         cfg = tmp_path / "ok.cfg"
         cfg.write_text(
+            "# warp_factor=9, skipped as a comment\n"
             "n_antennas=64\ntrials=4\nseed=11\nsnr_ref_db_grid=15\n"
             "schemes=proposed\nreference_mode=per-antenna\ntheta_range=-0.5,0.5\n")
         rc = run(["nmse", "--config", str(cfg), "--trials", "3", "--out", str(tmp_path)])
@@ -413,6 +416,13 @@ class TestErrors:
         assert "m_users" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_dump_users_scheme_must_be_simulated(self, tmp_path, capsys):
+        rc = run(["rate-multi", "--N", "16", "--M", "2", "--trials", "1", "--snr-db", "20",
+                  "--schemes", "proposed", "--dump-users", "fast", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "--dump-users scheme 'fast'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_runtime_failure_exit_code(self, tmp_path, capsys):
         # a huge coherence parameter shrinks every distance ring below
         # the Fresnel cutoff: EmptyGrid, exit 3
@@ -434,3 +444,20 @@ class TestErrors:
                   "--schemes", "proposed", "--out", str(tmp_path)])
         assert rc == EXIT_RUNTIME
         assert "runtime failure: injected" in capsys.readouterr().err
+
+    def test_all_outage_run_writes_its_csv_and_an_empty_plot(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # every row an outage is a result, not a config error
+        def singular(*args, **kwargs):
+            raise SingularChannelError("injected")
+
+        monkeypatch.setattr(nfbeam.simharness, "multiuser_precode", singular)
+        rc = run(["rate-multi", "--N", "32", "--M", "2", "--trials", "1", "--snr-db", "10",
+                  "--schemes", "proposed", "--svg", "--out", str(tmp_path)])
+        assert rc == EXIT_OK
+        assert capsys.readouterr().err == ""
+        csv = tmp_path / "rate_multi_N32_seed0.csv"
+        lines = [ln for ln in csv.read_text().splitlines() if not ln.startswith("#")]
+        assert lines[1:] == ["full-csi,10.0,,,,1,,0", "proposed,10.0,,,,1,,0"]
+        svg = csv.with_suffix(".svg").read_text()
+        assert svg.startswith("<svg") and "<polyline" not in svg

@@ -135,6 +135,9 @@ class TestUserSampler:
     dict(snr_ref_db_grid=(-3230.0,)),  # finite SNR, infinite noise power
     dict(schemes=()),
     dict(schemes=("proposed", "proposed")),
+    dict(schemes=("proposed", "warp")),
+    dict(rho2_fraction=0.0),
+    dict(rho2_fraction=1.0),
 ])
 def test_scenario_rejects_invalid_values_at_construction(kw):
     with pytest.raises(ValueError):
@@ -478,8 +481,8 @@ def test_default_box_is_the_whole_near_field_once_r_fre_reaches_100_m(n, fc, who
 
 
 def test_rate_stage_builds_each_channel_once_per_trial(monkeypatch):
-    # more users in one trial than the 64-entry channel memo holds; the
-    # trainings reach los_channel through `estimators` and are not counted.
+    # 80 users in one trial, whose picks hold more than 64 distinct labels;
+    # the trainings reach los_channel through `estimators` and are not counted.
     # The true channels come from los_channel, the label channels from the
     # picks' codeword rows through channel_from_steering
     true, labelled = [], []
@@ -508,6 +511,21 @@ def test_rate_stage_builds_each_channel_once_per_trial(monkeypatch):
     true.clear()
     assert len(list(simulate(sc, "nmse"))) == 2 * len(SCHEMES)
     assert true == [] and len(labelled) == len(labels)
+
+
+@pytest.mark.parametrize("mode, m_users", [("nmse", 10), ("single", 10), ("multi", 10),
+                                           ("multi", 40), ("multi", 80)])
+def test_every_true_channel_is_built_once_per_user(mode, m_users):
+    # the channel memo keeps one entry; the trial loop reads each user's
+    # channel only between its first training and the next user's
+    r_fre, r_ray = region_boundaries(ArrayConfig(256, 100e9))
+    sc = ScenarioConfig(n_antennas=256, snr_ref_db_grid=(4.0, 10.0, 16.0, 22.0, 30.0), trials=3,
+                        m_users=m_users, reference_mode=PER_ANTENNA, r_range=(r_fre, 0.05 * r_ray))
+    los_channel.cache_clear()
+    rows = list(simulate(sc, mode))
+    users = sc.trials * (m_users if mode == "multi" else 1)
+    assert len({p for r in rows for p in r.users}) == users
+    assert los_channel.cache_info().misses == users
 
 
 @pytest.mark.parametrize("mode", ["single", "multi"])
