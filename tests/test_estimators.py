@@ -47,12 +47,6 @@ def test_estimator_config_rejects_non_integer_counts(field, value):
     assert getattr(EstimatorConfig(**{field: np.int32(2)}), field) == 2
 
 
-@pytest.mark.parametrize("value", [0.0, 1.0])
-def test_estimator_config_rejects_rho2_fraction_outside_the_open_unit_interval(value):
-    with pytest.raises(ValueError, match="rho2_fraction"):
-        EstimatorConfig(rho2_fraction=value)
-
-
 @pytest.fixture(scope="module")
 def book512(cfg512):
     return build_dft_codebook(cfg512)
