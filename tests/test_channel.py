@@ -207,6 +207,18 @@ def test_the_package_keeps_exactly_three_memos():
     assert sum(len(decorators.findall(f.read_text())) for f in sources) == len(found)
 
 
+@pytest.mark.parametrize("fn", [_geometry, region_boundaries],
+                         ids=["_geometry", "region_boundaries"])
+def test_per_config_caches_have_a_small_bound_of_their_own(fn):
+    # a run uses one array config at a time, so a config memo never holds
+    # more than the channel memo does
+    maxsize = fn.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= los_channel.cache_info().maxsize
+    for n in range(2, maxsize + 12):
+        fn(ArrayConfig(n, 100e9))
+    assert fn.cache_info().currsize == maxsize
+
+
 def test_cached_geometry_is_read_only_and_shared(cfg64):
     delta, delta2_d2 = _geometry(cfg64)
     assert _geometry(ArrayConfig(64, 100e9))[0] is delta
