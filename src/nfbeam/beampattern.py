@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ArrayConfig, PolarPoint, _geometry, near_field_steering
+from .channel import ArrayConfig, PolarPoint, near_field_steering
 from .codebooks import FAR_FIELD, Codebook, codewords, dft_angle_grid
 from .errors import DomainError, EmptyMainSetError
 from .numerics import erf_complex, vdot
@@ -79,7 +79,7 @@ def taylor_f(cfg: ArrayConfig, p: PolarPoint, phi: float) -> complex:
     so no thread count reaches their bits (`numerics.DOT_BLOCK`).
     """
     n = cfg.n_antennas
-    delta = _geometry(cfg)[0][n // 2 + n % 2:, 0]
+    delta = cfg.element_offsets[n // 2 + n % 2:]
     q = (math.pi * cfg.spacing * (1.0 - p.theta**2) / (2.0 * p.r)) * (delta * delta)
     amp = np.cos((math.pi * (p.theta - phi)) * delta)
     return complex(2.0 * (amp * np.cos(q)).sum() + n % 2, 2.0 * (amp * np.sin(q)).sum()) / n

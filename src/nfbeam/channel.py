@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -37,7 +37,8 @@ class ArrayConfig:
     """Uniform linear array at half-wavelength spacing.
 
     The wavelength is always derived from the carrier so that (lambda,
-    f_c) can never disagree; d = lambda/2 is fixed by construction.
+    f_c) can never disagree; d = lambda/2 is fixed by construction. Derived
+    values are cached on first use; __eq__ and __hash__ read only the fields.
     """
 
     n_antennas: int
@@ -48,22 +49,32 @@ class ArrayConfig:
         if not (math.isfinite(self.carrier_hz) and self.carrier_hz > 0):
             raise ValueError(f"carrier must be finite and positive, got {self.carrier_hz}")
 
-    @property
+    @cached_property
     def wavelength(self) -> float:
         return SPEED_OF_LIGHT / self.carrier_hz
 
-    @property
+    @cached_property
     def spacing(self) -> float:
         return self.wavelength / 2.0
 
-    @property
+    @cached_property
     def aperture(self) -> float:
         return self.n_antennas * self.spacing
 
+    @cached_property
     def element_offsets(self) -> np.ndarray:
-        """delta_n = (2n - N + 1)/2 for n = 0..N-1."""
-        n = np.arange(self.n_antennas)
-        return (2 * n - self.n_antennas + 1) / 2.0
+        """Read-only delta_n = (2n - N + 1)/2 for n = 0..N-1."""
+        return _read_only(np.arange(self.n_antennas) - (self.n_antennas - 1) / 2.0)
+
+    @cached_property
+    def _offsets_sq_d2(self) -> np.ndarray:
+        """Read-only delta_n^2 d^2, the constant term of `_distances`."""
+        return _read_only(self.element_offsets**2 * self.spacing**2)
+
+    @cached_property
+    def _boundaries(self) -> tuple[float, float]:
+        D, lam = self.aperture, self.wavelength
+        return 0.5 * math.sqrt(D**3 / lam), 2.0 * D**2 / lam
 
 
 @dataclass(frozen=True)
@@ -80,13 +91,6 @@ class PolarPoint:
             raise ValueError(f"r must be finite and positive, got {self.r}")
 
 
-@lru_cache(maxsize=1)
-def _geometry(cfg: ArrayConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only columns delta_n and delta_n^2 d^2 of `_distances`."""
-    delta = cfg.element_offsets()[:, None]
-    return _read_only(delta), _read_only(delta**2 * cfg.spacing**2)
-
-
 def _distances(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """N x K matrix of element distances to the users (thetas[k], radii[k]).
 
@@ -94,9 +98,9 @@ def _distances(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) -> np.nd
     formed as r * r in one array pass. Evaluated as K x N, one user per
     row, and returned as its transposed view, so each column is contiguous.
     """
-    delta, delta2_d2 = _geometry(cfg)
     r = radii[:, None]
-    return np.sqrt(r * r + delta2_d2.T - 2 * r * thetas[:, None] * delta.T * cfg.spacing).T
+    return np.sqrt(r * r + cfg._offsets_sq_d2
+                   - 2 * r * thetas[:, None] * cfg.element_offsets * cfg.spacing).T
 
 
 def element_distances(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
@@ -146,18 +150,13 @@ def channel_from_steering(cfg: ArrayConfig, r: float, b: np.ndarray) -> np.ndarr
 def los_channel(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
     """LoS channel h; h^H = sqrt(N) g exp(-j 2 pi r / lambda) b^H(theta, r).
 
-    Keeps its last (cfg, p), as every memo does (see `simharness.simulate`
-    for the order that makes each user's channel one miss): the array is
-    shared and read-only, so copy it before writing.
+    The package's one `lru_cache`: it keeps its last (cfg, p) (see
+    `simharness.simulate` for the order that makes each user's channel one
+    miss), and the array is shared and read-only, so copy it before writing.
     """
     return _read_only(channel_from_steering(cfg, p.r, near_field_steering(cfg, p)))
 
 
-@lru_cache(maxsize=1)
 def region_boundaries(cfg: ArrayConfig) -> tuple[float, float]:
-    """(Fresnel distance, Rayleigh distance) for this aperture; memoized."""
-    D = cfg.aperture
-    lam = cfg.wavelength
-    r_fresnel = 0.5 * math.sqrt(D**3 / lam)
-    r_rayleigh = 2.0 * D**2 / lam
-    return r_fresnel, r_rayleigh
+    """(Fresnel distance, Rayleigh distance) for this aperture."""
+    return cfg._boundaries

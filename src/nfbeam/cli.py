@@ -314,8 +314,8 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    # LinAlgError subclasses ValueError but is a runtime fault, not a config error
-    except (EmptyMainSetError, EmptyGridError, SingularChannelError, LinAlgError) as exc:
+    # LinAlgError (a ValueError) and OSError (the output path, a write) are runtime faults
+    except (EmptyMainSetError, EmptyGridError, SingularChannelError, LinAlgError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:

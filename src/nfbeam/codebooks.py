@@ -8,10 +8,10 @@ peaks at the codeword whose grid angle matches the user. A `Codebook`
 holds, per angle of the DFT grid, that far-field codeword followed by
 distance rings; the polar codebook's rings are r_{n,s} = Z (1 - theta^2)/s,
 and the DFT codebook is the one without rings. A codebook's arrays are
-read-only, and it keeps its last noiseless sweep h^H M, so the trainings
-of one user, run back to back (the order `simharness.simulate` states for
-every memo), share one product per codebook: the fast baseline reads its
-per-angle polar entries out of that product too.
+read-only, and it keeps its last noiseless sweep h^H M (the other memo is
+`channel.los_channel`), so the trainings of one user, run back to back, as
+`simharness.simulate` does, share one product per codebook: the fast
+baseline reads its per-angle polar entries out of that product too.
 
 The DFT sweep is one inverse FFT. With c = (N-1)/2, delta_n = n - c and
 phi_i = 2 (i - c)/N, so pi delta_n phi_i = (2 pi/N)(n - c)(i - c) and
@@ -166,7 +166,7 @@ class Codebook:
 def _far_field_columns(cfg: ArrayConfig, angles: np.ndarray) -> np.ndarray:
     """N x K matrix whose column k is the DFT codeword at angles[k], the one
     far-field formula; row-wise, as `steering_columns`, so columns are contiguous."""
-    phase = np.outer(angles, cfg.element_offsets())
+    phase = np.outer(angles, cfg.element_offsets)
     return (np.exp(1j * np.pi * phase) * (1 / math.sqrt(cfg.n_antennas))).T
 
 
@@ -240,6 +240,8 @@ def build_dft_codebook(cfg: ArrayConfig) -> Codebook:
 
 
 def ring_scale(cfg: ArrayConfig, beta_polar: float) -> float:
+    if not (math.isfinite(beta_polar) and beta_polar > 0):
+        raise ValueError(f"beta_polar must be finite and positive, got {beta_polar}")
     return cfg.n_antennas**2 * cfg.spacing**2 / (2.0 * beta_polar**2 * cfg.wavelength)
 
 
@@ -247,10 +249,8 @@ def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = BETA_POLAR) -> Co
     """Polar codebook on the DFT angle grid: per angle theta_n, rings
     r = Z (1 - theta_n^2)/s, s = 1, 2, ..., truncated to [R_Fre, R_Ray],
     after the far-field codeword."""
-    if not (math.isfinite(beta_polar) and beta_polar > 0):
-        raise ValueError(f"beta_polar must be finite and positive, got {beta_polar}")
-    r_fre, r_ray = region_boundaries(cfg)
     z = ring_scale(cfg, beta_polar)
+    r_fre, r_ray = region_boundaries(cfg)
     rings = []
     for t in dft_angle_grid(cfg.n_antennas):
         span = z * (1.0 - t * t)

@@ -25,7 +25,7 @@ from .beamforming import multiuser_precode, multiuser_rate, single_user_rate
 from .channel import (ArrayConfig, PolarPoint, _check_count, channel_from_steering, channel_gain,
                       los_channel, region_boundaries)
 from .codebooks import (BETA_POLAR, FAR_FIELD, Codebook, build_dft_codebook, build_polar_codebook,
-                        codewords)
+                        codewords, ring_scale)
 from .errors import EmptyMainSetError, SingularChannelError
 from .estimators import (
     Z_MU_SIZE,
@@ -120,8 +120,7 @@ class ScenarioConfig:
             self.sigma2s
         except ValueError as exc:
             raise ValueError(f"snr_ref_db_grid: {exc}") from None
-        if not (math.isfinite(self.beta_polar) and self.beta_polar > 0):
-            raise ValueError(f"beta_polar must be finite and positive, got {self.beta_polar}")
+        ring_scale(cfg, self.beta_polar)  # checks beta_polar
         if len(self.schemes) == 0:
             raise ValueError("schemes is empty")
         unknown = set(self.schemes) - set(SCHEMES)
@@ -253,21 +252,20 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
     mode "nmse" trains one user per trial; "single" adds the single-user rates
     and a full-CSI row (matched filter) per SNR point; "multi" trains m_users
     users per trial under per-user noise keys and rates the group under RZF,
-    with a full-CSI row precoded from the true channels. Every memo keeps its
-    last entry only (`los_channel`, `_geometry`, `region_boundaries`, each
-    codebook's last sweep), and one config at a time, one user at a time,
-    makes each miss once per config or user. A trial trains user by user,
-    each user's trainings back to back: proposed's and joint's candidate
-    stages (fast and exhaustive run whole), one `codewords` call for the
-    labels the trial lacks (the user's candidates and, in a rate mode, fast's
-    and exhaustive's picks), then the pilot stages; a rate mode then keeps the
-    user's channel (a hit), so the rate stage looks none up, and the trial
-    keeps its picks' codewords. A data beam is the codeword of (theta_hat, inf)
-    for a far-field pick, else of (theta_hat, r_hat); a label channel, built
-    once per trial and label, is `channel_from_steering` of the (theta_hat,
-    r_hat) codeword. A row is an outage when any user's estimate is None (an
-    empty main set); a multi-user row, full CSI included, also when RZF finds
-    its Gram matrix singular.
+    with a full-CSI row precoded from the true channels. The memos, the one
+    `lru_cache` (`los_channel`) and each codebook's last sweep, keep their last
+    entry only, and one user at a time makes each miss once per user. A trial
+    trains user by user, each user's trainings back to back: proposed's and
+    joint's candidate stages (fast and exhaustive run whole), one `codewords`
+    call for the labels the trial lacks (the user's candidates and, in a rate
+    mode, fast's and exhaustive's picks), then the pilot stages; a rate mode
+    then keeps the user's channel (a hit), so the rate stage looks none up, and
+    the trial keeps its picks' codewords. A data beam is the codeword of
+    (theta_hat, inf) for a far-field pick, else of (theta_hat, r_hat); a label
+    channel, built once per trial and label, is `channel_from_steering` of the
+    (theta_hat, r_hat) codeword. A row is an outage when any user's estimate is
+    None (an empty main set); a multi-user row, full CSI included, also when
+    RZF finds its Gram matrix singular.
     """
     if mode not in ("nmse", "single", "multi"):
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")

@@ -13,6 +13,13 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi); a flat range widens by a unit, or by lo/2 toward 0 where a unit rounds away."""
+    if hi != lo:
+        return lo, hi
+    return (lo, lo + 1) if lo + 1 != lo else (min(lo, lo / 2), max(lo, lo / 2))
+
+
 def line_plot_svg(
     series: dict[str, tuple[Sequence[float], Sequence[float]]],
     xlabel: str,
@@ -30,12 +37,8 @@ def line_plot_svg(
 
     xs = [x for x_, _ in series.values() for x in x_]
     ys = [ty(y) for _, y_ in series.values() for y in y_ if (y > 0 or not log_y)]
-    x0, x1 = min(xs, default=0.0), max(xs, default=0.0)
-    y0, y1 = min(ys, default=0.0), max(ys, default=0.0)
-    if x1 == x0:
-        x1 = x0 + 1
-    if y1 == y0:
-        y1 = y0 + 1
+    x0, x1 = _span(min(xs, default=0.0), max(xs, default=0.0))
+    y0, y1 = _span(min(ys, default=0.0), max(ys, default=0.0))
     plot_w = _WIDTH - pad_l - pad_r
     plot_h = _HEIGHT - pad_t - pad_b
 

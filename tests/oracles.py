@@ -35,8 +35,8 @@ def quadrature_f(alpha: float, beta: float, panels: int = 2 ** 16) -> complex:
 
 def taylor_f_by_terms(cfg, p, phi: float) -> complex:
     """(1/N) sum_n exp(j pi [-delta_n (theta - phi) + delta_n^2 d (1 - theta^2) / (2 r)])
-    by the direct N-term sum over `cfg.element_offsets()`."""
-    delta = cfg.element_offsets()
+    by the direct N-term sum over `cfg.element_offsets`."""
+    delta = cfg.element_offsets
     phase = np.pi * (-delta * (p.theta - phi)
                      + delta**2 * cfg.spacing * (1.0 - p.theta**2) / (2.0 * p.r))
     return complex(np.exp(1j * phase).sum() / cfg.n_antennas)
@@ -220,7 +220,7 @@ def exhaustive_training_by_loops(cfg, p, noise, polar):
 def steering_by_formula(cfg, theta: float, r: float) -> np.ndarray:
     """b(theta, r) for one user, evaluated as scalar expressions of
     Python floats times numpy arrays."""
-    delta = cfg.element_offsets()
+    delta = cfg.element_offsets
     d = cfg.spacing
     rn = np.sqrt(r * r + delta**2 * d**2 - 2 * r * theta * delta * d)
     return np.exp(-2j * np.pi * (rn - r) / cfg.wavelength) / math.sqrt(cfg.n_antennas)
@@ -257,7 +257,7 @@ def same_bits(a, b) -> bool:
 def dft_matrix_by_formula(cfg) -> np.ndarray:
     """Every DFT codeword at once: exp(j pi delta_n phi_m) / sqrt(N)."""
     grid = dft_angle_grid(cfg.n_antennas)
-    return np.exp(1j * np.pi * np.outer(cfg.element_offsets(), grid)) / math.sqrt(cfg.n_antennas)
+    return np.exp(1j * np.pi * np.outer(cfg.element_offsets, grid)) / math.sqrt(cfg.n_antennas)
 
 
 def polar_codebook_by_loops(cfg, beta_polar: float = 1.6):

@@ -2,6 +2,8 @@ import importlib
 import math
 import pkgutil
 import re
+from collections import Counter
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -10,15 +12,20 @@ import pytest
 import nfbeam
 from nfbeam import (
     ArrayConfig,
+    EstimatorConfig,
+    NoiseModel,
     PolarPoint,
     SPEED_OF_LIGHT,
+    build_dft_codebook,
     channel_gain,
     element_distances,
     los_channel,
     near_field_steering,
+    proposed_training,
     region_boundaries,
+    taylor_f,
 )
-from nfbeam.channel import _distances, _geometry, steering_columns
+from nfbeam.channel import _distances, steering_columns
 from nfbeam.codebooks import _far_field_columns, dft_angle_grid
 from oracles import (dft_matrix_by_formula, element_distance_by_coordinates, same_bits,
                      steering_by_distances, steering_by_formula)
@@ -38,7 +45,7 @@ def test_array_config_rejects_a_non_integer_antenna_count(n):
 
 
 def test_array_config_accepts_numpy_integers():
-    assert ArrayConfig(np.int64(64), 100e9).element_offsets().size == 64
+    assert ArrayConfig(np.int64(64), 100e9).element_offsets.size == 64
 
 
 def test_wavelength_and_spacing(cfg512):
@@ -58,7 +65,7 @@ def test_polar_point_validation():
 
 
 def test_element_offsets_centered(cfg512):
-    delta = cfg512.element_offsets()
+    delta = cfg512.element_offsets
     assert delta[0] == -(512 - 1) / 2
     assert delta[-1] == (512 - 1) / 2
     assert delta.sum() == 0.0
@@ -117,7 +124,7 @@ class TestSteering:
     def test_far_field_limit_approaches_dft_codeword(self, cfg512):
         theta = 0.5
         _, r_ray = region_boundaries(cfg512)
-        delta = cfg512.element_offsets()
+        delta = cfg512.element_offsets
         a = np.exp(1j * np.pi * delta * theta) / np.sqrt(512)
 
         def max_phase_dev(r):
@@ -199,7 +206,7 @@ def test_the_package_keeps_exactly_three_memos():
             for fn in [obj, *vars(obj).values()] if isinstance(obj, type) else [obj]:
                 if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
                     found[f"{info.name}.{fn.__qualname__}"] = fn
-    assert set(found) == {"channel._geometry", "channel.region_boundaries", "channel.los_channel"}
+    assert set(found) == {"channel.los_channel"}
     # one rule for every memo: it keeps its last entry (see simharness.simulate)
     assert {fn.cache_info().maxsize for fn in found.values()} == {1}
     decorators = re.compile(r"^\s*@(functools\.)?(lru_cache|cache)\b", re.MULTILINE)
@@ -207,26 +214,58 @@ def test_the_package_keeps_exactly_three_memos():
     assert sum(len(decorators.findall(f.read_text())) for f in sources) == len(found)
 
 
-@pytest.mark.parametrize("fn", [_geometry, region_boundaries],
-                         ids=["_geometry", "region_boundaries"])
-def test_per_config_caches_have_a_small_bound_of_their_own(fn):
-    # a run uses one array config at a time, so a config memo never holds
-    # more than the channel memo does
-    maxsize = fn.cache_info().maxsize
-    assert maxsize is not None and 0 < maxsize <= los_channel.cache_info().maxsize
-    for n in range(2, maxsize + 12):
-        fn(ArrayConfig(n, 100e9))
-    assert fn.cache_info().currsize == maxsize
+def test_cached_geometry_is_read_only_and_shared():
+    # each instance builds its arrays once and every caller shares them;
+    # an equal instance builds its own, with the same bits
+    for n in (64, 65):
+        cfg, other = ArrayConfig(n, 100e9), ArrayConfig(n, 100e9)
+        delta, delta2_d2 = cfg.element_offsets, cfg._offsets_sq_d2
+        assert cfg.element_offsets is delta and cfg._offsets_sq_d2 is delta2_d2
+        assert other == cfg and other.element_offsets is not delta
+        for a in (delta, delta2_d2):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
+        k = np.arange(n)
+        assert same_bits(delta, (2 * k - n + 1) / 2.0)  # +0.0 at the centre of odd n
+        assert same_bits(delta2_d2, delta ** 2 * cfg.spacing ** 2)
+        assert same_bits(other.element_offsets, delta)
+        assert same_bits(other._offsets_sq_d2, delta2_d2)
 
 
-def test_cached_geometry_is_read_only_and_shared(cfg64):
-    delta, delta2_d2 = _geometry(cfg64)
-    assert _geometry(ArrayConfig(64, 100e9))[0] is delta
-    for a in (delta, delta2_d2):
-        with pytest.raises(ValueError, match="read-only"):
-            a[0] = 0.0
-    assert same_bits(delta[:, 0], cfg64.element_offsets())
-    assert same_bits(delta2_d2, cfg64.element_offsets()[:, None] ** 2 * cfg64.spacing ** 2)
+def test_configs_in_turn_get_the_bits_of_each_config_alone(monkeypatch):
+    # no derived value is kept across configs: running two configs in turn
+    # gives each one's own bits, and every instance builds each of its
+    # derived values once
+    p = PolarPoint(0.3, 2.0)  # in the near field of both arrays
+
+    def run(cfg):
+        est = proposed_training(cfg, p, NoiseModel(1e-12, (3, 1)), EstimatorConfig(k=3),
+                                build_dft_codebook(cfg))
+        return (near_field_steering(cfg, p).tobytes(), taylor_f(cfg, p, 0.25),
+                region_boundaries(cfg), est)
+
+    specs = [(64, 100e9), (65, 60e9)]
+    alone = [run(ArrayConfig(*spec)) for spec in specs]
+    builds = Counter()
+    derived = ("wavelength", "spacing", "aperture", "element_offsets", "_offsets_sq_d2",
+               "_boundaries")
+    assert {k for k, v in vars(ArrayConfig).items() if isinstance(v, cached_property)} == {*derived}
+    for name in derived:
+        def build(cfg, f=vars(ArrayConfig)[name].func, name=name):
+            builds[id(cfg), name] += 1
+            return f(cfg)
+        prop = cached_property(build)
+        prop.__set_name__(ArrayConfig, name)
+        monkeypatch.setattr(ArrayConfig, name, prop)
+    cfgs = [ArrayConfig(*spec) for spec in specs]
+    for _ in range(2):
+        assert [run(cfg) for cfg in cfgs] == alone
+    assert sorted(builds) == sorted((id(cfg), name) for cfg in cfgs for name in derived)
+    assert set(builds.values()) == {1}
+    for cfg in cfgs:
+        for a in (cfg.element_offsets, cfg._offsets_sq_d2):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 100, 255, 256, 512, 1024])
@@ -259,7 +298,7 @@ def test_taylor_expansion_residual(cfg512):
     # second-order expansion of the element distance is accurate past the
     # Fresnel distance: |r_n - (r - d_n d t + d_n^2 d^2 (1-t^2)/(2r))| / r <= 1e-3
     r_fre, _ = region_boundaries(cfg512)
-    delta = cfg512.element_offsets()
+    delta = cfg512.element_offsets
     d = cfg512.spacing
     for theta in [-0.8, 0.0, 0.5]:
         for r in [r_fre, 10.0, 50.0]:

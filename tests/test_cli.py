@@ -248,6 +248,22 @@ class TestCodebookDump:
 
 
 class TestErrors:
+    def test_output_path_faults_are_runtime_failures(self, tmp_path):
+        # --out names an existing file, or a written file's name is taken by
+        # a directory: exit 3 with one line on stderr, no traceback
+        src = str(Path(nfbeam.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        taken = tmp_path / "file"
+        taken.write_text("")
+        (tmp_path / "dir" / "overhead_N16_k3.csv").mkdir(parents=True)
+        for out in (taken, tmp_path / "dir"):
+            done = subprocess.run([sys.executable, "-m", "nfbeam.cli", "overhead", "--N", "16",
+                                   "--out", str(out)], env=env, capture_output=True, text=True)
+            assert done.returncode == 3
+            assert done.stderr.startswith("runtime failure: ")
+            assert "Traceback" not in done.stderr
+
     def test_missing_config_file(self, tmp_path, capsys):
         rc = run(["nmse", "--config", str(tmp_path / "nope.cfg")])
         assert rc == EXIT_CONFIG

@@ -25,7 +25,7 @@ from nfbeam import (
     single_user_rate,
 )
 from nfbeam.channel import channel_from_steering, steering_columns
-from nfbeam.codebooks import _far_field_columns
+from nfbeam.codebooks import _far_field_columns, ring_scale
 from nfbeam.errors import EmptyMainSetError, SingularChannelError
 from nfbeam.simharness import (
     FULL_CSI,
@@ -142,6 +142,18 @@ class TestUserSampler:
 def test_scenario_rejects_invalid_values_at_construction(kw):
     with pytest.raises(ValueError):
         ScenarioConfig(**{"n_antennas": 64, **kw})
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.inf, math.nan])
+def test_scenario_names_a_bad_beta_polar_with_the_codebooks_message(beta):
+    # one check, in ring_scale, which construction and the polar build both reach
+    message = f"beta_polar must be finite and positive, got {beta}"
+    for make in (lambda: ScenarioConfig(n_antennas=64, beta_polar=beta),
+                 lambda: build_polar_codebook(ArrayConfig(64, 100e9), beta),
+                 lambda: ring_scale(ArrayConfig(64, 100e9), beta)):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
 
 
 @pytest.mark.parametrize("field", ["n_antennas", "trials", "seed", "m_users", "z_mu_size", "k",

@@ -17,6 +17,20 @@ def test_flat_series_spans_one_unit_above_its_value():
     assert _points(svg) == ["70.0,370.0 345.0,370.0 620.0,370.0"]
 
 
+@pytest.mark.parametrize("flat", [1e17, -1e17, 1e300])
+@pytest.mark.parametrize("axis", ["x", "y"])
+def test_flat_series_past_the_unit_rounding_step_still_spans(flat, axis):
+    # flat + 1 == flat here, so a one-unit span would be zero wide
+    ramp, level = [0.0, 1.0], [flat, flat]
+    svg = line_plot_svg({"flat": (level, ramp) if axis == "x" else (ramp, level)}, "x", "y")
+    ticks = re.findall(rf'text-anchor="{"middle" if axis == "x" else "end"}" '
+                       r'font-size="11">([^<]*)<', svg)
+    assert len(set(ticks)) == 5
+    for point in _points(svg)[0].split():
+        x, y = map(float, point.split(","))
+        assert 70.0 <= x <= 620.0 and 30.0 <= y <= 370.0
+
+
 @pytest.mark.parametrize("series, log_y", [
     ({}, False),
     ({"zero": ([4.0, 30.0], [0.0, 0.0])}, True),  # nothing positive on a log axis
