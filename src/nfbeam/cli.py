@@ -22,7 +22,7 @@ from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
-from .beampattern import exact_gain, exact_gain_grid, normalized_pattern
+from .beampattern import exact_gain, exact_gain_grid
 from .channel import PolarPoint
 from .codebooks import BETA_POLAR, ring_scale
 from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
@@ -196,7 +196,7 @@ def _cmd_pattern(args) -> int:
     book = sc.codebook
     raw = exact_gain_grid(cfg, p, book)
     central = exact_gain(cfg, p, p.theta)
-    norm = normalized_pattern(cfg, p, book)
+    norm = raw / central  # normalized_pattern's bits, from one sweep
     grid = book.angle_grid
     out = _out_dir(args) / f"pattern_N{cfg.n_antennas}_theta{args.theta}_r{args.r}.csv"
     header = sc.as_header_dict()
@@ -278,8 +278,7 @@ def _cmd_overhead(args) -> int:
     sc = _scenario_from_args(args)
     rows = overhead_report(sc)
     out = _out_dir(args) / f"overhead_N{sc.n_antennas}_k{sc.k}.csv"
-    write_csv(out, OVERHEAD_COLUMNS, ([getattr(r, c) for c in OVERHEAD_COLUMNS] for r in rows),
-              sc.as_header_dict())
+    write_csv(out, OVERHEAD_COLUMNS, rows, sc.as_header_dict())
     for r in rows:
         print(f"{r.scheme}: {r.pilots_measured} pilots ({r.pilots_formula} = "
               f"{r.pilots_expected}), distance-stage evals {r.distance_stage_evals}")

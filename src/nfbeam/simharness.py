@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -260,12 +260,16 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
     call for the labels the trial lacks (the user's candidates and, in a rate
     mode, fast's and exhaustive's picks), then the pilot stages; a rate mode
     then keeps the user's channel (a hit), so the rate stage looks none up, and
-    the trial keeps its picks' codewords. A data beam is the codeword of
-    (theta_hat, inf) for a far-field pick, else of (theta_hat, r_hat); a label
-    channel, built once per trial and label, is `channel_from_steering` of the
-    (theta_hat, r_hat) codeword. A row is an outage when any user's estimate is
-    None (an empty main set); a multi-user row, full CSI included, also when
-    RZF finds its Gram matrix singular.
+    the trial keeps its picks' codewords. Every row, the full-CSI row first at
+    each SNR point, then goes through one step: it holds each user's estimate
+    and beam, and it is an outage when any user's estimate is None (an empty
+    main set) or RZF finds its Gram matrix singular; else the mode's rate
+    function rates its beams. Single mode rates the one beam: the matched
+    filter h/||h|| for full CSI, the pick's codeword for a scheme, that of
+    (theta_hat, inf) for a far-field pick, else of (theta_hat, r_hat). Multi
+    mode precodes the stacked beams under RZF: the true channels for full CSI,
+    the label channels for a scheme, each built once per trial and label as
+    `channel_from_steering` of the (theta_hat, r_hat) codeword.
     """
     if mode not in ("nmse", "single", "multi"):
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
@@ -307,42 +311,36 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         kept = {}
         # trained[u][i][j]: user u's estimate at SNR point i under scheme j, or None
         trained, hs = zip(*(train(p, noise, kept) for p, noise in zip(users, noises)))
+        # Per mode: each pick's beam by rate label, the full-CSI row's beams and a
+        # row's per-user rates from its beams; nmse mode has no beams, no full CSI
+        beams, truth, rate = kept, (), lambda vs, sigma2: None
         if mode == "single":
             h = hs[0]
-            matched = h / norm(h)
+            truth = (h / norm(h),)  # the matched filter
+            rate = lambda vs, sigma2: (single_user_rate(h, vs[0], sigma2),)
         elif mode == "multi":
             H = np.column_stack(hs)
-            channels = {key: channel_from_steering(cfg, key[1], b) for key, b in kept.items()}
-        exact = tuple((p.theta, p.r, 0) for p in users)
+            beams = {key: channel_from_steering(cfg, key[1], b) for key, b in kept.items()}
+            truth = hs
+            rate = lambda vs, sigma2: tuple(map(float, multiuser_rate(
+                H, multiuser_precode(np.column_stack(vs), sigma2), sigma2)))
+        exact = [((p.theta, p.r, 0), v) for p, v in zip(users, truth)]
         for i, sigma2 in enumerate(sc.sigma2s):
-            if mode == "single":
-                rates = (single_user_rate(h, matched, sigma2),)
-                yield TrialRow(t, i, FULL_CSI, users, exact, rates)
-            elif mode == "multi":
-                try:
-                    V = multiuser_precode(H, sigma2)
-                    rates = tuple(map(float, multiuser_rate(H, V, sigma2)))
-                except SingularChannelError:
-                    yield TrialRow(t, i, FULL_CSI, users, None)
-                else:
-                    yield TrialRow(t, i, FULL_CSI, users, exact, rates)
-            for j, scheme in enumerate(sc.schemes):
-                ests = [user[i][j] for user in trained]
-                try:
-                    if any(e is None for e in ests):
-                        raise EmptyMainSetError
-                    rates = None
-                    if mode == "single":
-                        rates = (single_user_rate(h, kept[rate_label(ests[0])], sigma2),)
-                    elif mode == "multi":
-                        H_hat = np.column_stack([channels[rate_label(e)] for e in ests])
-                        V = multiuser_precode(H_hat, sigma2)
-                        rates = tuple(map(float, multiuser_rate(H, V, sigma2)))
-                except (EmptyMainSetError, SingularChannelError):
-                    yield TrialRow(t, i, scheme, users, None)
-                    continue
-                yield TrialRow(t, i, scheme, users,
-                               tuple((e.theta_hat, e.r_hat, e.pilot_count) for e in ests), rates)
+            # a row: its scheme and, per user, (estimate, beam), or None on an empty main set
+            rows = [(FULL_CSI, exact)] if exact else []
+            rows += [(s, [None if e is None else ((e.theta_hat, e.r_hat, e.pilot_count),
+                                                  beams.get(rate_label(e)))
+                          for e in (user[i][j] for user in trained)])
+                     for j, s in enumerate(sc.schemes)]
+            for scheme, picks in rows:
+                ests = rates = None
+                if all(pick is not None for pick in picks):
+                    ests, vs = zip(*picks)
+                    try:
+                        rates = rate(vs, sigma2)
+                    except SingularChannelError:
+                        ests = None
+                yield TrialRow(t, i, scheme, users, ests, rates)
 
 
 def _records(sc: ScenarioConfig, rows: Iterable[TrialRow], fill) -> list[MetricsRecord]:
@@ -431,8 +429,7 @@ def user_rate_table(sc: ScenarioConfig, rows: Iterable[TrialRow], scheme: str) -
                 yield (snr_db, u, p.theta, p.r, *row.estimates[u][:2], 2.0 ** rate - 1.0, rate)
 
 
-@dataclass(frozen=True)
-class OverheadRow:
+class OverheadRow(NamedTuple):
     scheme: str
     pilots_measured: int
     pilots_formula: str
@@ -440,7 +437,7 @@ class OverheadRow:
     distance_stage_evals: int
 
 
-OVERHEAD_COLUMNS = tuple(f.name for f in fields(OverheadRow))
+OVERHEAD_COLUMNS = OverheadRow._fields
 
 
 def overhead_report(sc: ScenarioConfig) -> list[OverheadRow]:

@@ -330,6 +330,39 @@ class TestSimulate:
         assert records[("proposed", 20.0)].outage_count == 1
         assert sum(r.outage_count for r in records.values()) == 1
 
+    def test_full_csi_never_depends_on_the_schemes(self, monkeypatch):
+        # every scheme's every training an empty main set: the full-CSI rows
+        # keep the exact positions and their matched-filter rate
+        sc = small_scenario(trials=3, schemes=SCHEMES)
+        clean = [r for r in simulate(sc, "single") if r.scheme == FULL_CSI]
+
+        def empty(*args):
+            raise EmptyMainSetError("injected")
+
+        for name in ("proposed_candidates", "joint_candidates", "fast_training",
+                     "exhaustive_training"):
+            monkeypatch.setattr(nfbeam.simharness, name, empty)
+        rows = list(simulate(sc, "single"))
+        assert len(rows) == 3 * 2 * (1 + len(SCHEMES))
+        full = [r for r in rows if r.scheme == FULL_CSI]
+        assert full == clean and len(full) == 3 * 2
+        for r in full:
+            p = r.users[0]
+            h = los_channel(sc.cfg, p)
+            assert r.estimates == ((p.theta, p.r, 0),)
+            assert r.rates == (single_user_rate(h, h / np.linalg.norm(h),
+                                                sc.sigma2s[r.snr_index]),)
+        assert all(r.estimates is None and r.rates is None
+                   for r in rows if r.scheme != FULL_CSI)
+        records = run_rate_experiment(sc, "single", rows)
+        assert len(records) == 2 * (1 + len(SCHEMES))
+        for rec in records:
+            if rec.scheme == FULL_CSI:
+                assert (rec.n_trials, rec.outage_count) == (3, 0)
+                assert rec.mean_rate > 0
+            else:
+                assert (rec.n_trials, rec.outage_count, rec.mean_rate) == (0, 3, None)
+
     def test_more_users_than_antennas_rejected_in_multi_mode_only(self):
         # m_users is unused outside the multi-user mode
         sc = small_scenario(m_users=65)
