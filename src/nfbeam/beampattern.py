@@ -58,11 +58,13 @@ def exact_gain(cfg: ArrayConfig, p: PolarPoint, phi: float) -> float:
     return float(abs(vdot(b, codewords(cfg, [(phi, FAR_FIELD)])[phi, FAR_FIELD])))
 
 
-def exact_gain_grid(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> np.ndarray:
-    """Exact gains against every codeword of the sweep codebook: the
-    codebook's noiseless sweep of the steering vector, an FFT for the
-    DFT codebook."""
-    return np.abs(codebook.noiseless_sweep(near_field_steering(cfg, p)))
+def sweep_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> tuple[np.ndarray, float]:
+    """(gains, central) of one steering vector b: the exact gains against
+    every codeword of the sweep codebook (its noiseless sweep of b, an
+    FFT for the DFT codebook), and `exact_gain` at phi = theta."""
+    b = near_field_steering(cfg, p)
+    a = codewords(cfg, [(p.theta, FAR_FIELD)])[p.theta, FAR_FIELD]
+    return np.abs(codebook.noiseless_sweep(b)), float(abs(vdot(b, a)))
 
 
 def taylor_f(cfg: ArrayConfig, p: PolarPoint, phi: float) -> complex:
@@ -106,13 +108,12 @@ def central_gain(ab: AlphaBeta) -> float:
 
 def normalized_pattern(cfg: ArrayConfig, p: PolarPoint, codebook: Codebook) -> np.ndarray:
     """Sweep gains over the codebook's grid divided by the exact gain at
-    phi = theta, both from one steering vector.
+    phi = theta, both from one steering vector (`sweep_pattern`).
 
     The channel-level and steering-level normalizations coincide: the
     scalar sqrt(N) g exp(-j 2 pi r / lambda) cancels in the ratio."""
-    b = near_field_steering(cfg, p)
-    a = codewords(cfg, [(p.theta, FAR_FIELD)])[p.theta, FAR_FIELD]
-    return np.abs(codebook.noiseless_sweep(b)) / float(abs(vdot(b, a)))
+    gains, central = sweep_pattern(cfg, p, codebook)
+    return gains / central
 
 
 def contiguous_run(values, center: int, rho: float, scale: float = 1.0) -> tuple[int, int]:

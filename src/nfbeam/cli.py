@@ -22,7 +22,7 @@ from pathlib import Path
 
 from numpy.linalg import LinAlgError
 
-from .beampattern import exact_gain, exact_gain_grid
+from .beampattern import sweep_pattern
 from .channel import PolarPoint
 from .codebooks import BETA_POLAR, ring_scale
 from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
@@ -194,9 +194,8 @@ def _cmd_pattern(args) -> int:
     cfg = sc.cfg
     p = PolarPoint(args.theta, args.r)
     book = sc.codebook
-    raw = exact_gain_grid(cfg, p, book)
-    central = exact_gain(cfg, p, p.theta)
-    norm = raw / central  # normalized_pattern's bits, from one sweep
+    raw, central = sweep_pattern(cfg, p, book)
+    norm = raw / central  # normalized_pattern's bits
     grid = book.angle_grid
     out = _out_dir(args) / f"pattern_N{cfg.n_antennas}_theta{args.theta}_r{args.r}.csv"
     header = sc.as_header_dict()

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -115,7 +116,6 @@ class Codebook:
     _even: np.ndarray | None = field(default=None, repr=False)
     _odd: np.ndarray | None = field(default=None, repr=False)
     _sources: np.ndarray | None = field(default=None, repr=False)
-    _matrix: np.ndarray | None = field(default=None, repr=False)  # built on first read
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -123,18 +123,16 @@ class Codebook:
                 _read_only(getattr(self, f.name))
         object.__setattr__(self, "_last", (None, None))  # (key, h^H M) of the last sweep
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
         """N x len(self) codewords, read-only, evaluated from the labels on
         the first read and kept. Sweeps and trainings do not read it."""
-        if self._matrix is None:
-            n = self.cfg.n_antennas
-            matrix = np.empty((n, len(self)), dtype=complex)
-            rows = np.arange(n)[:, None]
-            for cols, block in _columns(self.cfg, self.thetas, self.radii):
-                matrix[rows, cols] = block
-            object.__setattr__(self, "_matrix", _read_only(matrix))
-        return self._matrix
+        n = self.cfg.n_antennas
+        matrix = np.empty((n, len(self)), dtype=complex)
+        rows = np.arange(n)[:, None]
+        for cols, block in _columns(self.cfg, self.thetas, self.radii):
+            matrix[rows, cols] = block
+        return _read_only(matrix)
 
     def __len__(self) -> int:
         return self.thetas.size

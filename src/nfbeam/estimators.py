@@ -19,9 +19,11 @@ candidate stage (`proposed_candidates`, `joint_candidates`) sweeps,
 estimates the angle and the distances, and draws the noise of the k
 refinement pilots where the training draws it, returning a
 `Refinement`. The pilot stage (`refinement_pilots`) forms |h^H b + z|
-from given codewords b and ends in the pick. `proposed_training` and
-`joint_training` compose the two with the candidates' `codewords`, which
-`simharness.simulate` builds once per user for all its stages.
+for each candidate's codeword b, building the codewords it is not
+given, counts the N + k pilots (N sweep pilots, one per candidate) and
+ends in the pick. `proposed_training` and `joint_training` are each one
+call of it on their candidate stage; only `simharness.simulate` passes
+codewords, which it builds once per user for all its stages.
 """
 
 from __future__ import annotations
@@ -140,6 +142,8 @@ def estimate_distance(amp: np.ndarray, codebook: Codebook, candidate_index: int)
     """
     cfg = codebook.cfg
     grid = codebook.angle_grid
+    if not 0 <= candidate_index < grid.size:
+        raise ValueError(f"candidate index {candidate_index} outside [0, {grid.size})")
     r_fre, r_ray = region_boundaries(cfg)
     amp = memoryview(amp)  # indexes as Python floats
     if not amp[candidate_index] > 0:
@@ -170,24 +174,28 @@ def _pick(cfg: ArrayConfig, cands: list[tuple[float, float, float]], pilot_count
 class Refinement:
     """What a candidate stage hands the pilot stage: the near-field
     candidates (theta, r), the noise of one pilot per candidate (drawn
-    right after the sweep's), and the training's pilot count and
-    distance-stage evaluations."""
+    right after the sweep's), and the training's distance-stage
+    evaluations."""
 
     cands: tuple[tuple[float, float], ...]
     pilot_noise: tuple[complex, ...]
-    pilot_count: int
     evals: int
 
 
 def refinement_pilots(cfg: ArrayConfig, p: PolarPoint, ref: Refinement,
-                      rows: Mapping[tuple[float, float], np.ndarray]) -> LocationEstimate:
+                      rows: Mapping[tuple[float, float], np.ndarray] | None = None
+                      ) -> LocationEstimate:
     """Pilot stage of the proposed and joint trainings: one pilot
-    |h^H b + z| per candidate, b its codeword in `rows` (label -> codeword)
-    and z its drawn noise; then the pick."""
+    |h^H b + z| per candidate, b its codeword in `rows` (label -> codeword;
+    built by `codewords` when not given) and z its drawn noise; then the
+    pick. The pilots number N + k: N for the sweep, whose book is the DFT
+    book of N = cfg.n_antennas codewords (the only book `estimate_angle`
+    indexes), and one per candidate."""
     h = los_channel(cfg, p)
+    rows = codewords(cfg, ref.cands) if rows is None else rows
     cands = [(t, r, abs(complex(vdot(h, rows[t, r])) + z))
              for (t, r), z in zip(ref.cands, ref.pilot_noise)]
-    return _pick(cfg, cands, ref.pilot_count, ref.evals)
+    return _pick(cfg, cands, cfg.n_antennas + len(cands), ref.evals)
 
 
 def _sweep_groups(polar: Codebook, h: np.ndarray, groups: list[slice],
@@ -212,8 +220,7 @@ def proposed_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     (k when the main set holds at least k angles). The distance stage is
     one width inversion per candidate.
     """
-    ref = proposed_candidates(cfg, p, noise, ec, codebook)
-    return refinement_pilots(cfg, p, ref, codewords(cfg, ref.cands))
+    return refinement_pilots(cfg, p, proposed_candidates(cfg, p, noise, ec, codebook))
 
 
 def proposed_candidates(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
@@ -225,8 +232,7 @@ def proposed_candidates(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     _, cis = estimate_angle(amp, codebook, ec, clustering=True)
     cands = [(float(codebook.angle_grid[ci]), estimate_distance(amp, codebook, ci)[0])
              for ci in cis]
-    return Refinement(tuple(cands), tuple(noise.sample(len(cands)).tolist()),
-                      len(codebook) + len(cands), len(cands))
+    return Refinement(tuple(cands), tuple(noise.sample(len(cands)).tolist()), len(cands))
 
 
 def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
@@ -235,8 +241,7 @@ def joint_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     """Baseline: global (unclustered) median angle; the distance is found
     by searching the z_mu grid for the best width-model match, so the
     distance stage costs |z_mu| model evaluations per candidate."""
-    ref = joint_candidates(cfg, p, noise, ec, z_mu_grid, codebook)
-    return refinement_pilots(cfg, p, ref, codewords(cfg, ref.cands))
+    return refinement_pilots(cfg, p, joint_candidates(cfg, p, noise, ec, z_mu_grid, codebook))
 
 
 def joint_candidates(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
@@ -248,19 +253,14 @@ def joint_candidates(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,
     amp = beam_sweep(cfg, p, codebook, noise)
     _, cis = estimate_angle(amp, codebook, ec, clustering=False)
     cands = []
-    evals = 0
     for ci in cis:
-        _, width = estimate_distance(amp, codebook, ci)
-        theta_i = float(codebook.angle_grid[ci])
-        predicted = width_law(cfg, theta_i, z_mu_grid)
-        evals += z_mu_grid.size
-        if width <= 2.0 / cfg.n_antennas:  # single-bin run: Rayleigh fallback
-            r_hat = float(z_mu_grid[-1])
-        else:
-            r_hat = float(z_mu_grid[np.abs(predicted - width).argmin()])
-        cands.append((theta_i, r_hat))
+        theta_i, width = float(codebook.angle_grid[ci]), estimate_distance(amp, codebook, ci)[1]
+        # the best width-model match; a single-bin run falls back to the Rayleigh end
+        j = (-1 if width <= 2.0 / cfg.n_antennas
+             else np.abs(width_law(cfg, theta_i, z_mu_grid) - width).argmin())
+        cands.append((theta_i, float(z_mu_grid[j])))
     return Refinement(tuple(cands), tuple(noise.sample(len(cands)).tolist()),
-                      len(codebook) + len(cands), evals)
+                      len(cands) * z_mu_grid.size)
 
 
 def fast_training(cfg: ArrayConfig, p: PolarPoint, noise: NoiseModel,

@@ -111,6 +111,8 @@ class NoiseModel:
 
     def sample(self, n: int) -> np.ndarray:
         """Next n complex draws."""
+        if n < 0:
+            raise ValueError(f"sample count must be >= 0, got {n}")
         std = math.sqrt(self.sigma2 / 2.0)
         pos, mid, end = self._pos, self._pos + n, self._pos + 2 * n
         if (pos, n) not in self._chunks:

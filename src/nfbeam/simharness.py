@@ -15,7 +15,7 @@ which makes the schemes see identical sweep noise within a trial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -208,8 +208,7 @@ class ScenarioConfig:
         }
 
 
-@dataclass
-class MetricsRecord:
+class MetricsRecord(NamedTuple):
     scheme: str
     snr_ref_db: float
     nmse_theta: float | None = None
@@ -343,22 +342,19 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
                 yield TrialRow(t, i, scheme, users, ests, rates)
 
 
-def _records(sc: ScenarioConfig, rows: Iterable[TrialRow], fill) -> list[MetricsRecord]:
-    """One record per (SNR point, scheme) in first-seen order; `fill`
-    sets the metric fields from the non-outage rows, in trial order."""
+def _records(sc: ScenarioConfig, rows: Iterable[TrialRow], metrics) -> list[MetricsRecord]:
+    """One record per (SNR point, scheme) in first-seen order; `metrics`
+    maps the non-outage rows, in trial order, to the metric fields."""
     groups: dict[tuple[int, str], list[TrialRow]] = {}
     for row in rows:
         groups.setdefault((row.snr_index, row.scheme), []).append(row)
     records = []
     for (i, scheme), group in groups.items():
         ok = [r for r in group if r.estimates is not None]
-        rec = MetricsRecord(scheme=scheme, snr_ref_db=float(sc.snr_ref_db_grid[i]),
-                            outage_count=len(group) - len(ok), n_trials=len(ok))
-        if ok:
-            rec.mean_pilot_count = float(np.mean(
-                [sum(e[2] for e in r.estimates) / len(r.estimates) for r in ok]))
-            fill(rec, ok)
-        records.append(rec)
+        values = {} if not ok else dict(metrics(ok), mean_pilot_count=float(np.mean(
+            [sum(e[2] for e in r.estimates) / len(r.estimates) for r in ok])))
+        records.append(MetricsRecord(scheme, float(sc.snr_ref_db_grid[i]), **values,
+                                     outage_count=len(group) - len(ok), n_trials=len(ok)))
     return records
 
 
@@ -374,13 +370,13 @@ def run_nmse_experiment(sc: ScenarioConfig,
     """
     (t_lo, t_hi), (r_lo, r_hi) = sc.theta_range, sc.r_bounds
 
-    def fill(rec, ok):
+    def metrics(ok):
         se_t = float(np.sum([(r.users[0].theta - r.estimates[0][0]) ** 2 for r in ok]))
         se_r = float(np.sum([(r.users[0].r - r.estimates[0][1]) ** 2 for r in ok]))
-        rec.nmse_theta = se_t / len(ok) / ((t_hi - t_lo) ** 2 / 12.0)
-        rec.nmse_r = se_r / len(ok) / ((r_hi - r_lo) ** 2 / 12.0)
+        return dict(nmse_theta=se_t / len(ok) / ((t_hi - t_lo) ** 2 / 12.0),
+                    nmse_r=se_r / len(ok) / ((r_hi - r_lo) ** 2 / 12.0))
 
-    return _records(sc, simulate(sc, "nmse") if rows is None else rows, fill)
+    return _records(sc, simulate(sc, "nmse") if rows is None else rows, metrics)
 
 
 def run_rate_experiment(sc: ScenarioConfig, mode: str = "single",
@@ -391,10 +387,10 @@ def run_rate_experiment(sc: ScenarioConfig, mode: str = "single",
     if mode not in ("single", "multi"):
         raise ValueError(f"mode must be 'single' or 'multi', got {mode!r}")
 
-    def fill(rec, ok):
-        rec.mean_rate = float(np.sum([np.mean(r.rates) for r in ok]) / len(ok))
+    def metrics(ok):
+        return dict(mean_rate=float(np.sum([np.mean(r.rates) for r in ok]) / len(ok)))
 
-    return _records(sc, simulate(sc, mode) if rows is None else rows, fill)
+    return _records(sc, simulate(sc, mode) if rows is None else rows, metrics)
 
 
 ESTIMATE_COLUMNS = ("snr_ref_db", "trial", "scheme", "theta", "r", "theta_hat", "r_hat",
@@ -487,9 +483,8 @@ def write_csv(path, columns: Sequence[str], rows: Iterable[Sequence], header: di
             f.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-RECORD_COLUMNS = tuple(f.name for f in fields(MetricsRecord))
+RECORD_COLUMNS = MetricsRecord._fields
 
 
 def write_records_csv(path, records: Sequence[MetricsRecord], header: dict) -> None:
-    write_csv(path, RECORD_COLUMNS, ([getattr(r, c) for c in RECORD_COLUMNS] for r in records),
-              header)
+    write_csv(path, RECORD_COLUMNS, records, header)

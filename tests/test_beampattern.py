@@ -14,11 +14,12 @@ from nfbeam import (
     exact_gain,
     interpolated_width,
     measure_width,
+    near_field_steering,
     normalized_pattern,
     region_boundaries,
     taylor_f,
 )
-from nfbeam.beampattern import exact_gain_grid
+from nfbeam.beampattern import sweep_pattern
 from nfbeam.errors import DomainError, EmptyMainSetError
 from oracles import quadrature_f
 
@@ -150,6 +151,15 @@ class TestNormalizedPattern:
         pat = normalized_pattern(cfg512, PolarPoint(theta, 8.0), book)
         assert pat[256] == pytest.approx(1.0, rel=1e-12)
 
+    def test_one_steering_vector_gives_the_gains_and_the_central_gain(self, cfg256):
+        # off broadside, so phi = 0 is not phi = theta
+        book = build_dft_codebook(cfg256)
+        p = PolarPoint(0.31, 6.0)
+        gains, central = sweep_pattern(cfg256, p, book)
+        assert central == exact_gain(cfg256, p, p.theta)
+        assert np.array_equal(gains, np.abs(book.noiseless_sweep(near_field_steering(cfg256, p))))
+        assert np.array_equal(normalized_pattern(cfg256, p, book), gains / central)
+
     def test_fig2_half_gain_crossings(self, cfg512):
         # interpolated rho = 1/2 width, frozen from the dense-grid scan:
         # 0.09858, against the closed-form 0.0959
@@ -205,7 +215,7 @@ class TestMeasureWidth:
         # the main set
         book = build_dft_codebook(cfg512)
         with pytest.raises(EmptyMainSetError):
-            measure_width(exact_gain_grid(cfg512, FIG2, book), 0.9)
+            measure_width(sweep_pattern(cfg512, FIG2, book)[0], 0.9)
 
     def test_contiguous_drops_detached_spike(self):
         grid = dft_angle_grid(20)

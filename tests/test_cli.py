@@ -69,6 +69,19 @@ class TestPattern:
         assert len(svg) == 1
         assert svg[0].read_text().startswith("<svg")
 
+    def test_builds_one_steering_vector(self, tmp_path, monkeypatch):
+        # the raw, normalized and central_gain values all read one sweep_pattern
+        calls = []
+        real = nfbeam.beampattern.near_field_steering
+
+        def counting(cfg, p):
+            calls.append(p)
+            return real(cfg, p)
+
+        monkeypatch.setattr(nfbeam.beampattern, "near_field_steering", counting)
+        assert run(_PATTERN + ["--N", "64", "--out", str(tmp_path)]) == EXIT_OK
+        assert len(calls) == 1
+
     def test_runs_where_r_fre_passes_100_m(self, tmp_path):
         # N = 4096: R_Fre = 138.9 m, so the default box is the whole near field
         rc = run(["pattern", "--N", "4096", "--theta", "0.2", "--r", "300",

@@ -1,7 +1,7 @@
-"""Smoke test of the demos that run in under a second: each runs as a
-script in an empty directory and must exit 0. `nmse_demo.py` and
-`multiuser_demo.py` run Monte-Carlo experiments that take too long for
-this suite and are not run here. The README's library quick start runs
+"""Smoke test of the four demos: each runs as a script in an empty
+directory, must exit 0 and prints its closing section. The two
+Monte-Carlo demos, `nmse_demo.py` and `multiuser_demo.py`, take under a
+second each with one BLAS thread. The README's library quick start runs
 too, and prints what its comments claim."""
 
 import ast
@@ -20,6 +20,8 @@ DEMOS = Path(__file__).resolve().parents[1] / "demos"
 @pytest.mark.parametrize("demo, expected", [
     ("pattern_demo.py", "near-field region"),
     ("training_demo.py", "<- selected"),
+    ("nmse_demo.py", "distance NMSE at the top of the sweep"),
+    ("multiuser_demo.py", "average rate per user"),
 ])
 def test_demo_runs(tmp_path, demo, expected):
     env = {**os.environ, "PYTHONPATH": str(Path(nfbeam.__file__).resolve().parents[1])}

@@ -249,6 +249,14 @@ class TestEstimateDistance:
             estimate_distance(amp, book, 5)
         assert estimate_distance(amp, book, 4)[1] == 2 / 64
 
+    @pytest.mark.parametrize("ci", [-1, 64])
+    def test_candidate_index_outside_the_grid_is_rejected(self, cfg64, ci):
+        # -1 would read a run of N + 1 bins, wider than the grid
+        book = build_dft_codebook(cfg64)
+        amp = beam_sweep(cfg64, PolarPoint(0.0, 2.0), book, silent())
+        with pytest.raises(ValueError, match=rf"candidate index {ci} outside \[0, 64\)"):
+            estimate_distance(amp, book, ci)
+
     def test_width_law_inverse_at_first_candidate(self, cfg512, book512):
         # the inverted width law lands within 10% of the true 8 m
         amp = beam_sweep(cfg512, PolarPoint(0.0, 8.0), book512, silent())

@@ -135,6 +135,13 @@ class TestNoiseModel:
             for n in sizes:
                 assert stream.sample(n).tobytes() == fresh.sample(n).tobytes()
 
+    def test_negative_count_rejected_and_the_stream_kept(self):
+        # sample(-1) would return [] and move the stream back two draws
+        stream = NoiseModel(1.0, 3)
+        with pytest.raises(ValueError, match="got -1"):
+            stream.sample(-1)
+        assert stream.sample(4).tobytes() == NoiseModel(1.0, 3).sample(4).tobytes()
+
     def test_replay_rejects_negative_power(self):
         with pytest.raises(ValueError):
             NoiseModel(1.0, 0).replay(-1.0)
