@@ -4,8 +4,8 @@ location estimates, benchmarked against precoding from true positions."""
 
 from pathlib import Path
 
-from nfbeam import ArrayConfig, region_boundaries
-from nfbeam.simharness import ScenarioConfig, run_rate_experiment, write_records_csv
+from nfbeam import (ArrayConfig, ScenarioConfig, region_boundaries, run_rate_experiment,
+                    write_records_csv)
 
 cfg = ArrayConfig(256, 100e9)
 r_fre, r_ray = region_boundaries(cfg)

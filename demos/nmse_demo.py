@@ -8,9 +8,8 @@ SVG plot next to this script.
 
 from pathlib import Path
 
-from nfbeam import ArrayConfig, region_boundaries
-from nfbeam.simharness import ScenarioConfig, run_nmse_experiment, write_records_csv
-from nfbeam.svgplot import line_plot_svg
+from nfbeam import (ArrayConfig, ScenarioConfig, line_plot_svg, region_boundaries,
+                    run_nmse_experiment, write_records_csv)
 
 cfg = ArrayConfig(256, 100e9)
 r_fre, r_ray = region_boundaries(cfg)

@@ -13,13 +13,13 @@ from nfbeam import (
     PolarPoint,
     build_dft_codebook,
     build_polar_codebook,
+    calibrate_noise,
     default_z_mu_grid,
     exhaustive_training,
     fast_training,
     joint_training,
     proposed_training,
 )
-from nfbeam.simharness import calibrate_noise
 
 cfg = ArrayConfig(256, 100e9)
 book = build_dft_codebook(cfg)

@@ -103,11 +103,6 @@ def _distances(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) -> np.nd
                    - 2 * r * thetas[:, None] * cfg.element_offsets * cfg.spacing).T
 
 
-def element_distances(cfg: ArrayConfig, p: PolarPoint) -> np.ndarray:
-    """Exact distance from each element to the user."""
-    return _distances(cfg, np.array([p.theta]), np.array([p.r]))[:, 0]
-
-
 def steering_columns(cfg: ArrayConfig, thetas: np.ndarray, radii: np.ndarray) -> np.ndarray:
     """N x K matrix whose column k is b(thetas[k], radii[k]).
 

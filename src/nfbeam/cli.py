@@ -25,7 +25,7 @@ from numpy.linalg import LinAlgError
 from .beampattern import sweep_pattern
 from .channel import PolarPoint
 from .codebooks import BETA_POLAR, ring_scale
-from .errors import EmptyGridError, EmptyMainSetError, SingularChannelError
+from .errors import EmptyMainSetError, SingularChannelError
 from .numerics import NoiseModel
 from .simharness import (
     ESTIMATE_COLUMNS,
@@ -312,8 +312,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    # LinAlgError (a ValueError) and OSError (the output path, a write) are runtime faults
-    except (EmptyMainSetError, EmptyGridError, SingularChannelError, LinAlgError, OSError) as exc:
+    # LinAlgError (a ValueError) and OSError (the output path, a write) are runtime faults;
+    # an EmptyGridError (a ValueError) follows from N, the carrier and beta_polar alone
+    except (EmptyMainSetError, SingularChannelError, LinAlgError, OSError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except (ConfigError, ValueError) as exc:

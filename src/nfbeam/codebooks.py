@@ -262,6 +262,6 @@ def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = BETA_POLAR) -> Co
         rings.append(ring)
     if not any(rings):
         raise EmptyGridError(
-            f"no distance ring survives truncation to [{r_fre}, {r_ray}] at any angle"
-        )
+            f"no distance ring survives truncation to [{r_fre}, {r_ray}] m at any angle "
+            f"(N = {cfg.n_antennas}, carrier {cfg.carrier_hz!r} Hz, beta_polar = {beta_polar!r})")
     return _build(cfg, rings)

@@ -21,7 +21,8 @@ import math
 
 import numpy as np
 
-from nfbeam import los_channel, region_boundaries
+from nfbeam import region_boundaries
+from nfbeam.channel import los_channel
 from nfbeam.codebooks import FAR_FIELD, _noiseless_product, codewords, dft_angle_grid, ring_scale
 
 

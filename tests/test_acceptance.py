@@ -24,7 +24,6 @@ from nfbeam import (
     build_polar_codebook,
     closed_form_f,
     closed_form_width,
-    erf_complex,
     exact_gain,
     interpolated_width,
     normalized_pattern,
@@ -32,6 +31,7 @@ from nfbeam import (
     region_boundaries,
     taylor_f,
 )
+from nfbeam.numerics import erf_complex
 from nfbeam.simharness import (
     PER_ANTENNA,
     TOTAL_ENERGY,

@@ -5,13 +5,9 @@ import pytest
 
 from nfbeam import (
     PolarPoint,
-    channel_gain,
-    los_channel,
-    multiuser_precode,
-    multiuser_rate,
-    near_field_steering,
-    single_user_rate,
 )
+from nfbeam.beamforming import multiuser_precode, multiuser_rate, single_user_rate
+from nfbeam.channel import channel_gain, los_channel, near_field_steering
 from nfbeam.errors import SingularChannelError
 from oracles import multiuser_rate_by_loops
 

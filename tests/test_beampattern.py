@@ -10,16 +10,16 @@ from nfbeam import (
     central_gain,
     closed_form_f,
     closed_form_width,
-    dft_angle_grid,
     exact_gain,
     interpolated_width,
     measure_width,
-    near_field_steering,
     normalized_pattern,
     region_boundaries,
     taylor_f,
 )
 from nfbeam.beampattern import sweep_pattern
+from nfbeam.channel import near_field_steering
+from nfbeam.codebooks import dft_angle_grid
 from nfbeam.errors import DomainError, EmptyMainSetError
 from oracles import quadrature_f
 

@@ -15,17 +15,19 @@ from nfbeam import (
     EstimatorConfig,
     NoiseModel,
     PolarPoint,
-    SPEED_OF_LIGHT,
     build_dft_codebook,
-    channel_gain,
-    element_distances,
-    los_channel,
-    near_field_steering,
     proposed_training,
     region_boundaries,
     taylor_f,
 )
-from nfbeam.channel import _distances, steering_columns
+from nfbeam.channel import (
+    SPEED_OF_LIGHT,
+    _distances,
+    channel_gain,
+    los_channel,
+    near_field_steering,
+    steering_columns,
+)
 from nfbeam.codebooks import _far_field_columns, dft_angle_grid
 from oracles import (dft_matrix_by_formula, element_distance_by_coordinates, same_bits,
                      steering_by_distances, steering_by_formula)
@@ -71,14 +73,19 @@ def test_element_offsets_centered(cfg512):
     assert delta.sum() == 0.0
 
 
+def distances_to(cfg, p):
+    """`channel._distances`, the steering formula's distances, for one user."""
+    return _distances(cfg, np.array([p.theta]), np.array([p.r]))[:, 0]
+
+
 class TestElementDistance:
     def test_center_element_odd_array(self):
         cfg = ArrayConfig(65, 100e9)
         p = PolarPoint(0.0, 8.0)
-        assert element_distances(cfg, p)[32] == 8.0  # delta = 0 exactly
+        assert distances_to(cfg, p)[32] == 8.0  # delta = 0 exactly
 
     def test_against_coordinate_geometry(self, cfg512):
-        rn = element_distances(cfg512, PolarPoint(0.0, 8.0))
+        rn = distances_to(cfg512, PolarPoint(0.0, 8.0))
         for n in [0, 1, 200, 511]:
             expected = element_distance_by_coordinates(512, cfg512.spacing, 0.0, 8.0, n)
             assert rn[n] == pytest.approx(expected, abs=1e-12)
@@ -89,13 +96,13 @@ class TestElementDistance:
             theta = rng.uniform(-0.95, 0.95)
             r = rng.uniform(0.5, 50)
             n = int(rng.integers(0, 64))
-            ours = element_distances(cfg64, PolarPoint(theta, r))[n]
+            ours = distances_to(cfg64, PolarPoint(theta, r))[n]
             ref = element_distance_by_coordinates(64, cfg64.spacing, theta, r, n)
             assert ours == pytest.approx(ref, rel=1e-12)
 
     def test_mirror_symmetry(self, cfg512):
-        d1 = element_distances(cfg512, PolarPoint(0.37, 12.0))
-        d2 = element_distances(cfg512, PolarPoint(-0.37, 12.0))
+        d1 = distances_to(cfg512, PolarPoint(0.37, 12.0))
+        d2 = distances_to(cfg512, PolarPoint(-0.37, 12.0))
         for n in [0, 17, 300]:
             assert d1[n] == pytest.approx(d2[511 - n], rel=1e-14)
 
@@ -302,6 +309,6 @@ def test_taylor_expansion_residual(cfg512):
     d = cfg512.spacing
     for theta in [-0.8, 0.0, 0.5]:
         for r in [r_fre, 10.0, 50.0]:
-            rn = element_distances(cfg512, PolarPoint(theta, r))
+            rn = distances_to(cfg512, PolarPoint(theta, r))
             approx = r - delta * d * theta + delta**2 * d**2 * (1 - theta**2) / (2 * r)
             assert np.max(np.abs(rn - approx)) / r <= 1e-3

@@ -452,14 +452,26 @@ class TestErrors:
         assert "--dump-users scheme 'fast'" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_runtime_failure_exit_code(self, tmp_path, capsys):
+    def test_an_empty_polar_grid_is_a_config_error(self, tmp_path, capsys):
         # a huge coherence parameter shrinks every distance ring below
-        # the Fresnel cutoff: EmptyGrid, exit 3
-        from nfbeam.cli import EXIT_RUNTIME
+        # the Fresnel cutoff: the input is at fault, exit 2
         rc = run(["codebook-dump", "--kind", "polar", "--N", "64",
                   "--beta-polar", "99", "--out", str(tmp_path)])
-        assert rc == EXIT_RUNTIME
-        assert "runtime failure" in capsys.readouterr().err
+        assert rc == EXIT_CONFIG
+        assert "beta_polar = 99.0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_a_small_array_with_a_polar_scheme_is_a_config_error(self, tmp_path, capsys):
+        # no polar ring survives at N = 8; the default schemes include fast
+        # and exhaustive, which need the polar codebook, and the width schemes do not
+        rc = run(["nmse", "--N", "8", "--trials", "2", "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "N = 8," in err
+        assert not list(tmp_path.iterdir())
+        for argv in (["pattern", "--N", "8", "--theta", "0", "--r", "0.05"],
+                     ["nmse", "--N", "8", "--trials", "2", "--schemes", "proposed,joint"]):
+            assert run(argv + ["--out", str(tmp_path)]) == EXIT_OK
 
     def test_linalg_error_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError subclasses ValueError; it is no config error

@@ -8,18 +8,17 @@ import pytest
 import nfbeam.codebooks
 from nfbeam import (
     ArrayConfig,
-    LocationEstimate,
     PolarPoint,
     build_dft_codebook,
     build_polar_codebook,
-    dft_angle_grid,
-    los_channel,
     normalized_pattern,
     region_boundaries,
 )
+from nfbeam.channel import los_channel
 from nfbeam.cli import main
-from nfbeam.codebooks import ring_scale
+from nfbeam.codebooks import dft_angle_grid, ring_scale
 from nfbeam.errors import EmptyGridError
+from nfbeam.estimators import LocationEstimate
 from nfbeam.simharness import ScenarioConfig, simulate
 from oracles import data_beam, dft_matrix_by_formula, polar_codebook_by_loops, same_bits
 

@@ -11,27 +11,28 @@ from nfbeam import (
     EstimatorConfig,
     NoiseModel,
     PolarPoint,
-    beam_sweep,
     build_dft_codebook,
     build_polar_codebook,
     calibrate_noise,
-    channel_gain,
-    cluster_indices,
     default_z_mu_grid,
-    estimate_angle,
-    estimate_distance,
     exact_gain,
     exhaustive_training,
     fast_training,
     joint_training,
-    los_channel,
     measure_width,
-    near_field_steering,
     proposed_training,
     region_boundaries,
 )
+from nfbeam.channel import channel_gain, los_channel, near_field_steering
 from nfbeam.errors import EmptyMainSetError
-from nfbeam.estimators import _pick
+from nfbeam.estimators import (
+    _pick,
+    beam_sweep,
+    cluster_indices,
+    estimate_angle,
+    estimate_distance,
+    joint_candidates,
+)
 from oracles import data_beam, exhaustive_training_by_loops, fast_training_by_loops, same_bits
 
 
@@ -331,6 +332,20 @@ class TestJointTraining:
         est = joint_training(cfg512, PolarPoint(0.0, 8.0), silent(), EstimatorConfig(),
                              z, book512)
         assert est.r_hat in z
+
+    def test_a_single_bin_run_falls_back_to_the_rayleigh_end(self, cfg256):
+        # a noiseless user on a grid angle far out in the near field: the
+        # half-gain run at each candidate is one bin, which carries no width
+        book = build_dft_codebook(cfg256)
+        z = default_z_mu_grid(cfg256, 64)
+        _, r_ray = region_boundaries(cfg256)
+        for i in (128, 133, 200):
+            p = PolarPoint(float(book.angle_grid[i]), 0.5 * r_ray)
+            amp = beam_sweep(cfg256, p, book, silent())
+            _, cis = estimate_angle(amp, book, EstimatorConfig(), clustering=False)
+            assert [estimate_distance(amp, book, ci)[1] for ci in cis] == [2 / 256] * len(cis)
+            ref = joint_candidates(cfg256, p, silent(), EstimatorConfig(), z, book)
+            assert [r for _, r in ref.cands] == [z[-1]] * len(cis)
 
 
 class TestFastTraining:

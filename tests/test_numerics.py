@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from nfbeam import ArrayConfig, NoiseModel, build_polar_codebook, erf_complex
-from nfbeam.numerics import DOT_BLOCK, adjoint_product, norm, vdot
+from nfbeam import ArrayConfig, NoiseModel, build_polar_codebook
+from nfbeam.numerics import DOT_BLOCK, adjoint_product, erf_complex, norm, vdot
 from oracles import erf_real_quadrature, quadrature_f, same_bits
 
 

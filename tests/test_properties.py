@@ -30,9 +30,6 @@ from nfbeam import (
     calibrate_noise,
     closed_form_f,
     default_z_mu_grid,
-    erf_complex,
-    estimate_angle,
-    estimate_distance,
     exhaustive_training,
     fast_training,
     joint_training,
@@ -43,7 +40,14 @@ from nfbeam import (
 from nfbeam.channel import steering_columns
 from nfbeam.codebooks import _far_field_columns, codewords, dft_angle_grid
 from nfbeam.errors import EmptyMainSetError
-from nfbeam.estimators import joint_candidates, proposed_candidates, refinement_pilots
+from nfbeam.estimators import (
+    estimate_angle,
+    estimate_distance,
+    joint_candidates,
+    proposed_candidates,
+    refinement_pilots,
+)
+from nfbeam.numerics import erf_complex
 from oracles import (data_beam, estimate_angle_by_loops, exhaustive_training_by_loops,
                      fast_training_by_loops, joint_training_by_loops, proposed_training_by_loops,
                      same_bits, taylor_f_by_terms, width_distance_by_mask)

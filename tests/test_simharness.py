@@ -12,19 +12,15 @@ from nfbeam import (
     build_dft_codebook,
     build_polar_codebook,
     calibrate_noise,
-    channel_gain,
     default_z_mu_grid,
     exhaustive_training,
     fast_training,
     joint_training,
-    los_channel,
-    multiuser_precode,
-    multiuser_rate,
     proposed_training,
     region_boundaries,
-    single_user_rate,
 )
-from nfbeam.channel import channel_from_steering, steering_columns
+from nfbeam.beamforming import multiuser_precode, multiuser_rate, single_user_rate
+from nfbeam.channel import channel_from_steering, channel_gain, los_channel, steering_columns
 from nfbeam.codebooks import _far_field_columns, ring_scale
 from nfbeam.errors import EmptyMainSetError, SingularChannelError
 from nfbeam.simharness import (
