@@ -97,11 +97,12 @@ def _noiseless_product(h: np.ndarray, book: Codebook) -> np.ndarray:
     return _read_only(np.concatenate(((x - y)[book._sources], x + y)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Codebook:
     """Per grid angle, a far-field codeword plus distance rings, flattened
     into parallel arrays for fast sweeps; the DFT codebook has no rings.
-    It stores what its products need (module docstring), not its matrix."""
+    It stores what its products need (module docstring), not its matrix.
+    Equality and hash are by identity, as numpy arrays give no other."""
 
     cfg: ArrayConfig
     angle_grid: np.ndarray    # dft_angle_grid(N)

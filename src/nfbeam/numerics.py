@@ -73,23 +73,21 @@ def erf_complex(z: complex) -> complex:
     return -value if flip else value
 
 
-@dataclass
+@dataclass(eq=False)
 class NoiseModel:
     """Seedable complex AWGN stream with total variance sigma2.
 
-    Identical (sigma2, seed) pairs reproduce the identical sample
-    sequence; the underlying generator is numpy's PCG64, seeded through
-    SeedSequence so tuple seeds give independent streams. Real and
-    imaginary parts are independent N(0, sigma2/2). A zero sigma2 stream
-    emits exact zeros but still advances deterministically.
+    Sample k is sqrt(sigma2/2) (u[2k] + 1j u[2k+1]), where u are the
+    standard normals of numpy's PCG64 in draw order, seeded through
+    SeedSequence so tuple seeds give independent streams. A sample
+    depends only on its key and position, not on the sizes the stream is
+    read in: n samples, then m, equal one read of n + m. A zero sigma2
+    stream emits exact zeros but still advances deterministically.
 
-    The stream keeps the unit normals it has drawn, so `replay` restarts
-    it at another power without re-seeding or redrawing. numpy's draws
-    are sequentially consistent (n draws, then m draws, equal n + m
-    draws), so a replayed stream yields exactly the samples of a fresh
-    NoiseModel(sigma2, seed), whatever chunk sizes it is read in. Each
-    chunk's complex units re + 1j im are formed once, on its first read,
-    and kept by (position, size); a replayed read only scales them.
+    The stream keeps the unit samples it has drawn, so `replay` restarts
+    it at another power without re-seeding or redrawing; a replayed
+    stream yields exactly the samples of a fresh NoiseModel(sigma2, seed).
+    Equality is identity: two streams with one key differ in position.
     """
 
     sigma2: float
@@ -97,8 +95,7 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
-        self._units = np.empty(0)  # unit normals drawn so far, in draw order
-        self._chunks: dict[tuple[int, int], np.ndarray] = {}
+        self._units = np.empty(0, complex)  # unit samples drawn so far, in order
         self.replay(self.sigma2)
 
     def replay(self, sigma2: float) -> NoiseModel:
@@ -113,15 +110,12 @@ class NoiseModel:
         """Next n complex draws."""
         if n < 0:
             raise ValueError(f"sample count must be >= 0, got {n}")
-        std = math.sqrt(self.sigma2 / 2.0)
-        pos, mid, end = self._pos, self._pos + n, self._pos + 2 * n
-        if (pos, n) not in self._chunks:
-            if end > self._units.size:
-                more = self._rng.standard_normal(end - self._units.size)
-                self._units = np.concatenate((self._units, more))
-            self._chunks[pos, n] = self._units[pos:mid] + 1j * self._units[mid:end]
+        pos, end = self._pos, self._pos + n
+        if end > self._units.size:
+            more = self._rng.standard_normal(2 * (end - self._units.size)).view(complex)
+            self._units = np.concatenate((self._units, more))
         self._pos = end
-        return std * self._chunks[pos, n]
+        return math.sqrt(self.sigma2 / 2.0) * self._units[pos:end]
 
 
 # OpenBLAS splits a dot product of more than 10,000 terms over its threads,

@@ -274,6 +274,8 @@ def simulate(sc: ScenarioConfig, mode: str) -> Iterator[TrialRow]:
         raise ValueError(f"mode must be 'nmse', 'single' or 'multi', got {mode!r}")
     if mode == "multi" and sc.m_users > sc.n_antennas:
         raise ValueError(f"m_users = {sc.m_users} exceeds n_antennas = {sc.n_antennas}")
+    if {"fast", "exhaustive"} & set(sc.schemes):
+        sc.polar  # an empty polar codebook (EmptyGridError) fails before any training
     cfg = sc.cfg
 
     def stage(scheme, p, noise):  # a Refinement or an estimate; None on an empty main set
@@ -445,6 +447,8 @@ def overhead_report(sc: ScenarioConfig) -> list[OverheadRow]:
     the Table-style formulas are exercised exactly.
     """
     n = sc.n_antennas
+    if {"fast", "exhaustive"} & set(sc.schemes):
+        sc.polar  # as in simulate: an empty one fails before the first training
     _, r_ray = region_boundaries(sc.cfg)
     probe = PolarPoint(float(sc.codebook.angle_grid[n // 2]), 0.03 * r_ray)
     rows = []

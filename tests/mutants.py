@@ -65,6 +65,48 @@ MUTANTS = (
             "::test_self_normalization_on_grid_angle",
             "tests/test_beampattern.py::TestNormalizedPattern"
             "::test_one_steering_vector_gives_the_gains_and_the_central_gain")),
+    Mutant("noise-re-im-blocks", "src/nfbeam/numerics.py",
+           "more = self._rng.standard_normal(2 * (end - self._units.size)).view(complex)",
+           "u = self._rng.standard_normal(2 * (end - self._units.size)); "
+           "more = u[:u.size // 2] + 1j * u[u.size // 2:]",
+           ("tests/test_numerics.py::TestNoiseModel"
+            "::test_a_sample_depends_only_on_its_key_and_position",
+            "tests/test_golden.py::test_cli_outputs_match_the_committed_fingerprints")),
+    Mutant("polar-read-at-the-first-polar-training", "src/nfbeam/simharness.py",
+           "sc.polar  # an empty polar codebook (EmptyGridError) fails before any training",
+           "pass",
+           ("tests/test_cli.py::TestErrors"
+            "::test_a_small_array_with_a_polar_scheme_fails_before_any_training",)),
+    Mutant("codebook-generated-eq", "src/nfbeam/codebooks.py",
+           "@dataclass(frozen=True, eq=False)\nclass Codebook:",
+           "@dataclass(frozen=True)\nclass Codebook:",
+           ("tests/test_codebooks.py::TestDftCodebook"
+            "::test_a_codebook_is_a_dict_key_and_equals_only_itself",)),
+    Mutant("run-walk-takes-rho-itself", "src/nfbeam/beampattern.py",
+           "while lo > 0 and values[lo - 1] / scale > rho:",
+           "while lo > 0 and values[lo - 1] / scale >= rho:",
+           ("tests/test_beampattern.py::TestMeasureWidth"
+            "::test_the_run_holds_only_entries_above_rho",)),
+    Mutant("angle-ties-toward-the-larger-angle", "src/nfbeam/estimators.py",
+           "nearest = sorted(zip([abs(a - theta_hat) for a in angles], angles, members))",
+           "nearest = sorted(zip([abs(a - theta_hat) for a in angles], [-a for a in angles],"
+           " members))",
+           ("tests/test_estimators.py::TestEstimateAngle::test_tie_break_toward_smaller_angle",
+            "tests/test_golden.py::test_cli_outputs_match_the_committed_fingerprints")),
+    Mutant("taylor-without-the-centre-element", "src/nfbeam/beampattern.py",
+           "2.0 * (amp * np.cos(q)).sum() + n % 2,",
+           "2.0 * (amp * np.cos(q)).sum(),",
+           ("tests/test_properties.py::test_taylor_f_pair_sum_matches_the_direct_sum",)),
+    Mutant("fast-extra-plus-one", "src/nfbeam/estimators.py",
+           "extra = sum(g.stop - g.start for g in groups)",
+           "extra = sum(g.stop - g.start for g in groups) + 1",
+           ("tests/test_simharness.py::TestOverheadReport::test_formula_match_at_64",
+            "tests/test_acceptance.py::test_criterion_05_pilot_accounting")),
+    Mutant("dot-block-16384", "src/nfbeam/numerics.py",
+           "DOT_BLOCK = 8192",
+           "DOT_BLOCK = 16384",
+           ("tests/test_cli.py::TestExperiments"
+            "::test_bytes_do_not_depend_on_the_blas_thread_count",)),
 )
 
 

@@ -17,7 +17,7 @@ from nfbeam import (
     region_boundaries,
     taylor_f,
 )
-from nfbeam.beampattern import sweep_pattern
+from nfbeam.beampattern import contiguous_run, sweep_pattern
 from nfbeam.channel import near_field_steering
 from nfbeam.codebooks import dft_angle_grid
 from nfbeam.errors import DomainError, EmptyMainSetError
@@ -195,6 +195,12 @@ class TestMeasureWidth:
         pat = normalized_pattern(cfg512, FIG2, book)
         ms = measure_width(pat, 0.5)
         assert abs(ms.width - 0.096) / 0.096 <= 0.10
+
+    def test_the_run_holds_only_entries_above_rho(self):
+        # an entry equal to rho ends the run, on either side of the centre
+        values = [0.2, 0.5, 0.9, 1.0, 0.7, 0.5, 0.1]
+        assert contiguous_run(values, 3, 0.5) == (2, 4)
+        assert contiguous_run(memoryview(np.array(values)), 3, 0.25, scale=2.0) == (2, 4)
 
     def test_threshold_above_everything(self):
         with pytest.raises(EmptyMainSetError):

@@ -473,6 +473,19 @@ class TestErrors:
                      ["nmse", "--N", "8", "--trials", "2", "--schemes", "proposed,joint"]):
             assert run(argv + ["--out", str(tmp_path)]) == EXIT_OK
 
+    def test_a_small_array_with_a_polar_scheme_fails_before_any_training(self, tmp_path,
+                                                                        monkeypatch):
+        # the polar codebook is read before the first training, not at fast's first one
+        calls = []
+        for name in ("proposed_candidates", "joint_candidates", "proposed_training"):
+            original = getattr(nfbeam.simharness, name)
+            monkeypatch.setattr(nfbeam.simharness, name,
+                                lambda *a, _f=original, **kw: calls.append(1) or _f(*a, **kw))
+        for argv in (["nmse", "--N", "8", "--trials", "2"], ["overhead", "--N", "8"]):
+            assert run(argv + ["--out", str(tmp_path)]) == EXIT_CONFIG
+        assert calls == []
+        assert not list(tmp_path.iterdir())
+
     def test_linalg_error_is_a_runtime_failure(self, tmp_path, capsys, monkeypatch):
         # numpy's LinAlgError subclasses ValueError; it is no config error
         from nfbeam.cli import EXIT_RUNTIME

@@ -34,6 +34,11 @@ class TestDftCodebook:
         assert grid[255] == pytest.approx(-1 / 512)
         assert grid[256] == pytest.approx(1 / 512)
 
+    def test_a_codebook_is_a_dict_key_and_equals_only_itself(self, cfg64):
+        a, b = build_dft_codebook(cfg64), build_dft_codebook(cfg64)
+        assert a == a and a != b
+        assert {a: 1, b: 2}[a] == 1
+
     def test_unit_norm_columns(self, cfg64):
         book = build_dft_codebook(cfg64)
         norms = np.linalg.norm(book.matrix, axis=0)

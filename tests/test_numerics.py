@@ -135,8 +135,23 @@ class TestNoiseModel:
             for n in sizes:
                 assert stream.sample(n).tobytes() == fresh.sample(n).tobytes()
 
+    def test_a_sample_depends_only_on_its_key_and_position(self):
+        # sample k is u[2k] + j u[2k+1] of the seeded generator's normals,
+        # whatever sizes the stream is read in
+        u = np.random.default_rng((2, 1, 9)).standard_normal(14)
+        stream = NoiseModel(2.0, (2, 1, 9))
+        split = np.concatenate((stream.sample(3), stream.sample(4)))
+        assert split.tobytes() == NoiseModel(2.0, (2, 1, 9)).sample(7).tobytes()
+        assert split[:3].tobytes() == NoiseModel(2.0, (2, 1, 9)).sample(3).tobytes()
+        assert split.tobytes() == (u[0::2] + 1j * u[1::2]).tobytes()
+
+    def test_equality_is_identity(self):
+        a, b = NoiseModel(1.0, 3), NoiseModel(1.0, 3)
+        b.sample(2)
+        assert a == a and a != b and len({a, b}) == 2
+
     def test_negative_count_rejected_and_the_stream_kept(self):
-        # sample(-1) would return [] and move the stream back two draws
+        # sample(-1) would return [] and move the stream back one draw
         stream = NoiseModel(1.0, 3)
         with pytest.raises(ValueError, match="got -1"):
             stream.sample(-1)
