@@ -4,10 +4,9 @@ Subcommands: pattern, train, nmse, rate-single, rate-multi, overhead,
 codebook-dump. Scenario values come from an optional flat key=value
 config file; command-line flags override file values, and the resolved
 configuration is embedded in every output header. Exit codes: 0 success,
-2 configuration error, 3 runtime failure.
-
-The default output directory is taken from NFBEAM_OUT (falling back to
-the current directory).
+2 configuration error, 3 runtime failure. The default output directory
+is $NFBEAM_OUT, else the current directory. The parser is built once,
+at import (`PARSER`); each `main` call parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -303,10 +302,12 @@ def _cmd_codebook_dump(args) -> int:
     return EXIT_OK
 
 
+PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         # argparse already printed the diagnostic
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK

@@ -241,7 +241,13 @@ def build_dft_codebook(cfg: ArrayConfig) -> Codebook:
 def ring_scale(cfg: ArrayConfig, beta_polar: float) -> float:
     if not (math.isfinite(beta_polar) and beta_polar > 0):
         raise ValueError(f"beta_polar must be finite and positive, got {beta_polar}")
-    return cfg.n_antennas**2 * cfg.spacing**2 / (2.0 * beta_polar**2 * cfg.wavelength)
+    try:
+        z = cfg.n_antennas**2 * cfg.spacing**2 / (2.0 * beta_polar**2 * cfg.wavelength)
+    except (OverflowError, ZeroDivisionError):  # beta_polar**2 overflows or underflows to 0
+        z = math.nan
+    if not (math.isfinite(z) and z > 0):
+        raise ValueError(f"beta_polar = {beta_polar!r} gives no finite positive ring scale Z")
+    return z
 
 
 def build_polar_codebook(cfg: ArrayConfig, beta_polar: float = BETA_POLAR) -> Codebook:

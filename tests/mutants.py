@@ -107,6 +107,33 @@ MUTANTS = (
            "DOT_BLOCK = 16384",
            ("tests/test_cli.py::TestExperiments"
             "::test_bytes_do_not_depend_on_the_blas_thread_count",)),
+    Mutant("parser-built-per-call", "src/nfbeam/cli.py",
+           "args = PARSER.parse_args(argv)",
+           "args = build_parser().parse_args(argv)",
+           ("tests/test_cli.py::TestSharedParser::test_a_call_builds_no_parser",)),
+    Mutant("fold-x-plus-y-swapped", "src/nfbeam/codebooks.py",
+           "return _read_only(np.concatenate(((x - y)[book._sources], x + y)))",
+           "return _read_only(np.concatenate(((x + y)[book._sources], x - y)))",
+           ("tests/test_codebooks.py::TestPolarCodebook"
+            "::test_folded_product_matches_the_matrix_product",
+            "tests/test_codebooks.py::TestPolarCodebook::test_folded_product_matches_an_exact_sum",
+            "tests/test_estimators.py::TestExhaustiveTraining"
+            "::test_noiseless_returns_max_true_gain_entry")),
+    Mutant("dft-gemv-in-place-of-the-fft", "src/nfbeam/codebooks.py",
+           'return _read_only(book._cd * np.fft.ifft(a * book._d, norm="ortho"))',
+           "return _read_only(a @ book.matrix)",
+           ("tests/test_codebooks.py::TestDftCodebook"
+            "::test_stored_twiddles_keep_the_bits_of_the_per_call_expression",
+            "tests/test_codebooks.py::TestDftCodebook::test_a_sweep_only_run_builds_no_dft_matrix",
+            "tests/test_golden.py::test_cli_outputs_match_the_committed_fingerprints")),
+    Mutant("lru-cache-outside-the-named-memos", "src/nfbeam/channel.py",
+           "def region_boundaries(cfg: ArrayConfig) -> tuple[float, float]:",
+           "@lru_cache(maxsize=1)\ndef region_boundaries(cfg: ArrayConfig) -> tuple[float, float]:",
+           ("tests/test_channel.py::test_the_package_keeps_exactly_three_memos",)),
+    Mutant("taylor-pairs-from-the-centre", "src/nfbeam/beampattern.py",
+           "delta = cfg.element_offsets[n // 2 + n % 2:]",
+           "delta = cfg.element_offsets[n // 2:]",
+           ("tests/test_properties.py::test_taylor_f_pair_sum_matches_the_direct_sum",)),
 )
 
 

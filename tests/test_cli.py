@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -260,6 +261,50 @@ class TestCodebookDump:
         assert (tmp_path / "codebook_polar_N64_beta1.8.csv").is_file()
 
 
+class TestSharedParser:
+    # the parser is built once, at import; every call parses into a fresh namespace
+    def test_a_call_builds_no_parser(self, tmp_path, monkeypatch):
+        calls = []
+        real = argparse.ArgumentParser.add_argument
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument",
+                            lambda *a, **kw: calls.append(a) or real(*a, **kw))
+        assert run(_TRAIN + ["--N", "64", "--out", str(tmp_path)]) == EXIT_OK
+        assert run(["overhead", "--N", "16", "--out", str(tmp_path)]) == EXIT_OK
+        assert calls == []
+
+    def test_a_flag_of_one_call_does_not_reach_the_next(self, tmp_path):
+        nmse = ["nmse", "--N", "64", "--trials", "2", "--snr-db", "20", "--schemes", "proposed"]
+        assert run(nmse + ["--svg", "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert run(nmse + ["--out", str(tmp_path / "b")]) == EXIT_OK
+        assert list((tmp_path / "a").glob("*.svg"))
+        assert [p.suffix for p in (tmp_path / "b").iterdir()] == [".csv"]
+        multi = ["rate-multi", "--N", "64", "--trials", "1", "--snr-db", "20",
+                 "--schemes", "proposed"]
+        assert run(multi + ["--M", "4", "--out", str(tmp_path / "c")]) == EXIT_OK
+        assert run(multi + ["--out", str(tmp_path / "d")]) == EXIT_OK
+        for out, m in (("c", 4), ("d", 10)):
+            header = (tmp_path / out / "rate_multi_N64_seed0.csv").read_text().splitlines()
+            assert f"# m_users={m}" in header
+
+    def test_a_config_value_of_one_call_does_not_reach_the_next(self, tmp_path):
+        cfg = tmp_path / "book.cfg"
+        cfg.write_text("n_antennas=64\nbeta_polar=1.2\n")
+        dump = ["codebook-dump", "--kind", "dft"]
+        assert run(dump + ["--config", str(cfg), "--out", str(tmp_path / "a")]) == EXIT_OK
+        assert run(dump + ["--N", "64", "--out", str(tmp_path / "b")]) == EXIT_OK
+        a, b = ((tmp_path / d / "codebook_dft_N64.csv").read_text().splitlines() for d in "ab")
+        assert "# beta_polar=1.2" in a and "# beta_polar=1.2" not in b
+        assert "# beta_polar=1.6" in b
+
+    def test_help_and_an_unknown_flag_on_repeated_calls(self, capsys):
+        for _ in range(2):
+            assert run(["--help"]) == EXIT_OK
+            assert run(["nmse", "--help"]) == EXIT_OK
+            assert capsys.readouterr().out.count("usage: nfbeam") == 2
+            assert run(["nmse", "--no-such-flag"]) == EXIT_CONFIG
+            assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_output_path_faults_are_runtime_failures(self, tmp_path):
         # --out names an existing file, or a written file's name is taken by
@@ -459,6 +504,17 @@ class TestErrors:
                   "--beta-polar", "99", "--out", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert "beta_polar = 99.0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("beta", ["1e-300", "1e300"])
+    def test_a_beta_polar_whose_ring_scale_is_not_finite_is_a_config_error(self, tmp_path,
+                                                                          capsys, beta):
+        # beta_polar**2 underflows to 0 or overflows: named, not a traceback
+        rc = run(["codebook-dump", "--kind", "polar", "--N", "64",
+                  "--beta-polar", beta, "--out", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "beta_polar" in err
         assert not list(tmp_path.iterdir())
 
     def test_a_small_array_with_a_polar_scheme_is_a_config_error(self, tmp_path, capsys):

@@ -152,6 +152,19 @@ def test_scenario_names_a_bad_beta_polar_with_the_codebooks_message(beta):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize("beta", [1e-300, 1e-160, 1e300])
+def test_a_beta_polar_whose_ring_scale_is_not_finite_is_rejected(beta):
+    # beta_polar**2 underflows to 0 (ZeroDivisionError), to a subnormal (Z = inf)
+    # or overflows (OverflowError): each is a ValueError that names beta_polar
+    message = f"beta_polar = {beta!r} gives no finite positive ring scale Z"
+    for make in (lambda: ScenarioConfig(n_antennas=64, beta_polar=beta),
+                 lambda: build_polar_codebook(ArrayConfig(64, 100e9), beta),
+                 lambda: ring_scale(ArrayConfig(64, 100e9), beta)):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("field", ["n_antennas", "trials", "seed", "m_users", "z_mu_size", "k",
                                    "cluster_gap"])
 @pytest.mark.parametrize("value", [2.5, 64.0, True])
